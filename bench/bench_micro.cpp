@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "config/ground_truth.h"
 #include "io/launch_state.h"
@@ -38,6 +39,7 @@ struct World {
   config::ParamCatalog catalog = config::ParamCatalog::standard();
   config::ConfigAssignment assignment;
   std::vector<std::vector<netsim::AttrCode>> codes;
+  std::unique_ptr<core::AttrWords> words;
 
   explicit World(int num_markets = 4, int enodebs_per_market = 40) {
     netsim::TopologyParams params;
@@ -48,6 +50,7 @@ struct World {
     schema = netsim::AttributeSchema::standard(topo);
     assignment = config::GroundTruthModel(topo, schema, catalog).assign();
     codes = schema.encode_all(topo);
+    words = std::make_unique<core::AttrWords>(schema, codes);
   }
 };
 
@@ -119,7 +122,7 @@ void BM_VotingModelBuild(benchmark::State& state) {
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::VotingModel(view, deps.dependent, w.codes));
+    benchmark::DoNotOptimize(core::VotingModel(view, deps.dependent, *w.words));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(view.rows()));
 }
@@ -130,7 +133,7 @@ void BM_LeaveOneOutVote(benchmark::State& state) {
   const config::ParamId param = w.catalog.id_of("pMax");
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
-  const core::VotingModel model(view, deps.dependent, w.codes);
+  const core::VotingModel model(view, deps.dependent, *w.words);
   std::size_t row = 0;
   for (auto _ : state) {
     const core::GroupKey key = model.key_for(view.carrier[row], view.neighbor[row]);
@@ -146,11 +149,11 @@ void BM_LocalVote(benchmark::State& state) {
   const config::ParamId param = w.catalog.id_of("pMax");
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
-  const core::VotingModel model(view, deps.dependent, w.codes);
+  const core::VotingModel model(view, deps.dependent, *w.words);
   std::size_t row = 0;
   for (auto _ : state) {
     const core::GroupKey key = model.key_for(view.carrier[row], view.neighbor[row]);
-    benchmark::DoNotOptimize(core::local_vote(view, deps.dependent, w.codes, key,
+    benchmark::DoNotOptimize(core::local_vote(view, *w.words, model.mask(), key,
                                               w.topo.neighborhood(view.carrier[row]),
                                               static_cast<std::int64_t>(row), 0.75));
     row = (row + 1) % view.rows();

@@ -85,6 +85,7 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   EngineMetrics& metrics = engine_metrics();
   attr_codes_ = std::make_shared<const std::vector<std::vector<netsim::AttrCode>>>(
       schema.encode_all(topology));
+  attr_words_ = std::make_shared<const AttrWords>(schema, *attr_codes_);
   const std::size_t n = catalog.size();
   views_.resize(n);
   dependencies_.resize(n);
@@ -131,7 +132,7 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
   }
   {
     obs::ScopedTimer timer(metrics.phase_voting);
-    voting_slots[p].emplace(views_[p], dependencies_[p].dependent, *attr_codes_,
+    voting_slots[p].emplace(views_[p], dependencies_[p].dependent, *attr_words_,
                             options_.backoff_levels);
   }
 }
@@ -471,20 +472,21 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
                               dependencies_[p].dependent.begin());
       if (same_set) {
         // The re-test only re-ranked the same dependent set: apply the day's
-        // votes in the old key order, then re-tuple the group keys into the
-        // new order (O(groups)) — no O(rows) rebuild. Votes ride first so a
-        // backoff level whose prefix membership shifted (rebuilt inside
-        // reorder_deps from the already-updated view) is not adjusted twice.
+        // votes, then adopt the new order — free where a level's prefix set
+        // is unchanged, since keys name the set. Votes ride first so a
+        // backoff level whose prefix membership shifted (re-aggregated
+        // inside reorder_deps from its already-updated finer level) is not
+        // adjusted twice.
         for (const Delta& d : deltas) {
           if (d.old_label >= 0) voting_[p].adjust(d.carrier, d.neighbor, d.old_label, -1);
           if (d.new_label >= 0) voting_[p].adjust(d.carrier, d.neighbor, d.new_label, 1);
         }
-        voting_[p].reorder_deps(view, next.dependent);
+        voting_[p].reorder_deps(next.dependent);
         dependencies_[p] = std::move(next);
         return true;
       } else {
         dependencies_[p] = std::move(next);
-        voting_[p] = BackoffVoting(view, dependencies_[p].dependent, *attr_codes_,
+        voting_[p] = BackoffVoting(view, dependencies_[p].dependent, *attr_words_,
                                    options_.backoff_levels);
         stats.params_rebuilt = 1;
         return true;
@@ -619,7 +621,7 @@ Recommendation AuricEngine::recommend_for(const netsim::Carrier& new_carrier,
 
   const ParamView& v = view(param);
   const BackoffVoting& model = voting(param);
-  const std::vector<netsim::AttrCode> codes = schema_->encode(new_carrier);
+  const std::uint64_t word = attr_words_->pack(schema_->encode(new_carrier));
 
   Recommendation rec;
   rec.param = param;
@@ -636,12 +638,12 @@ Recommendation AuricEngine::recommend_for(const netsim::Carrier& new_carrier,
 
   if (options_.use_proximity) {
     if (const auto decision =
-            model.local_codes(v, x2_neighbors, codes, neighbor, options_.vote_threshold)) {
+            model.local_word(v, x2_neighbors, word, neighbor, -1, options_.vote_threshold)) {
       adopt(decision->vote, RecommendationSource::kLocalVote);
       return rec;
     }
   }
-  if (const auto decision = model.vote_codes(codes, neighbor, options_.vote_threshold)) {
+  if (const auto decision = model.vote_word(word, neighbor, options_.vote_threshold)) {
     adopt(decision->vote, RecommendationSource::kGlobalVote);
     return rec;
   }

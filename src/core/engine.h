@@ -116,6 +116,8 @@ class AuricEngine {
  public:
   /// Learns dependency and voting models for every parameter. O(total
   /// configured values) work; ~1s for the default benchmark topology.
+  /// Throws std::invalid_argument when the schema's attribute cardinalities
+  /// do not fit one packed 64-bit word (see AttrWords).
   /// Engines are copyable: a copy shares the immutable attribute encoding
   /// and owns its own tables, so a clone can be incrementally relearned and
   /// shadow-audited against the original (the serve relearn path).
@@ -131,7 +133,7 @@ class AuricEngine {
   /// re-tally); the chi-square dependency scan re-runs only per `options`
   /// (see IncrementalRelearnOptions), and voting tables rebuild only when a
   /// parameter's dependent-set membership changed — a re-test that merely
-  /// re-ranks the same set re-tuples the existing group keys. With the
+  /// re-ranks the same set keeps the tables, whose keys name the set. With the
   /// default options the result is bit-identical to
   /// constructing a fresh engine over `assignment` — O(day's delta) instead
   /// of O(inventory). The assignment must describe the same topology and
@@ -205,9 +207,10 @@ class AuricEngine {
   AuricOptions options_;
 
   /// Shared, immutable after construction: voting models keep raw pointers
-  /// into this vector, so engine copies must alias the same storage for a
-  /// clone's models to stay valid after the original is destroyed.
+  /// into the packed words, so engine copies must alias the same storage for
+  /// a clone's models to stay valid after the original is destroyed.
   std::shared_ptr<const std::vector<std::vector<netsim::AttrCode>>> attr_codes_;
+  std::shared_ptr<const AttrWords> attr_words_;
   std::vector<ParamView> views_;              // by catalog param id
   std::vector<DependencyModel> dependencies_;
   std::vector<ContingencyState> contingency_;  ///< re-test sufficient statistics

@@ -15,12 +15,9 @@ SynthesizedRulebook synthesize_rulebook(const AuricEngine& engine,
   for (std::size_t p = 0; p < catalog.size(); ++p) {
     const auto param = static_cast<config::ParamId>(p);
     const ParamView& view = engine.view(param);
-    const BackoffVoting& voting = engine.voting(param);
-    if (voting.level_count() == 0) continue;
-    const auto deps = voting.deps_at(0);
-
-    // Re-aggregate the level-0 groups (the full dependent-attribute match).
-    const VotingModel model(view, deps, engine.attr_codes());
+    // The level-0 groups: the full dependent-attribute match.
+    const VotingModel& model = engine.voting(param).model_at(0);
+    const auto deps = model.deps();
     for (const VotingModel::GroupSummary& group : model.group_summaries()) {
       if (group.total < options.min_carriers) continue;
       if (group.support() < options.min_support) continue;
@@ -30,7 +27,7 @@ SynthesizedRulebook synthesize_rulebook(const AuricEngine& engine,
       rule.support = group.support();
       rule.carriers = group.total;
       for (std::size_t d = 0; d < deps.size(); ++d) {
-        rule.conditions.emplace_back(deps[d], group.key[d]);
+        rule.conditions.emplace_back(deps[d], group.codes[d]);
       }
       if (!options.include_default_rules && !rule.overrides_default(catalog)) continue;
       book.rules.push_back(std::move(rule));

@@ -1,72 +1,280 @@
 #include "core/voting.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
-#include "util/rng.h"
+#include "util/strings.h"
 
 namespace auric::core {
 
-std::size_t GroupKeyHash::operator()(const GroupKey& key) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::int32_t v : key) {
-    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
-    h *= 0x100000001b3ULL;
-    h ^= h >> 29;
-  }
-  return static_cast<std::size_t>(h);
-}
-
 namespace {
 
-/// Appends the dependent codes for (carrier, neighbor) to `key`.
-void fill_key(GroupKey& key, std::span<const AttrRef> deps,
-              const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-              netsim::CarrierId carrier, netsim::CarrierId neighbor) {
-  key.clear();
-  for (const AttrRef& ref : deps) {
-    const netsim::CarrierId subject = ref.neighbor_side ? neighbor : carrier;
-    if (subject == netsim::kInvalidCarrier) {
-      throw std::logic_error("voting: neighbor-side dependency without a neighbor");
-    }
-    key.push_back(attr_codes[ref.attr][static_cast<std::size_t>(subject)]);
-  }
+/// Low `width` bits set.
+std::uint64_t ones(unsigned width) { return width == 0 ? 0 : ~std::uint64_t{0} >> (64 - width); }
+
+/// Smallest power-of-two slot count that holds `groups` at load <= 3/4.
+std::size_t capacity_for(std::size_t groups) {
+  std::size_t capacity = 8;
+  while (capacity * 3 < groups * 4) capacity *= 2;
+  return capacity;
 }
 
 }  // namespace
 
-VotingModel::VotingModel(const ParamView& view, std::span<const AttrRef> deps,
-                         const std::vector<std::vector<netsim::AttrCode>>& attr_codes)
-    : deps_(deps.begin(), deps.end()), attr_codes_(&attr_codes) {
-  GroupKey key;
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    fill_key(key, deps_, attr_codes, view.carrier[r], view.neighbor[r]);
-    Group& group = groups_[key];
-    ++group.total;
-    bool found = false;
-    for (auto& [label, count] : group.counts) {
-      if (label == view.label[r]) {
-        ++count;
-        found = true;
-        break;
-      }
+AttrWords::AttrWords(const netsim::AttributeSchema& schema,
+                     const std::vector<std::vector<netsim::AttrCode>>& attr_codes) {
+  const std::size_t attrs = schema.attribute_count();
+  if (attr_codes.size() != attrs) {
+    throw std::invalid_argument("AttrWords: attribute columns do not match the schema");
+  }
+  unsigned bits = 0;
+  for (std::size_t a = 0; a < attrs; ++a) {
+    const auto width = static_cast<unsigned>(std::bit_width(schema.cardinality(a)));
+    shift_.push_back(bits);
+    width_.push_back(width);
+    bits += width;
+  }
+  if (bits > 64) {
+    std::string message = util::format(
+        "packed attribute word needs %u bits, more than 64 (attribute value counts too large; "
+        "bits per attribute:",
+        bits);
+    for (std::size_t a = 0; a < attrs; ++a) {
+      message += util::format(" %s=%u", schema.name(a).c_str(), width_[a]);
     }
-    if (!found) group.counts.emplace_back(view.label[r], 1);
+    throw std::invalid_argument(message + ")");
+  }
+  words_.assign(attrs == 0 ? 0 : attr_codes[0].size(), 0);
+  for (std::size_t a = 0; a < attrs; ++a) {
+    if (width_[a] == 0) continue;
+    const std::uint64_t unseen = ones(width_[a]);
+    for (std::size_t c = 0; c < words_.size(); ++c) {
+      const netsim::AttrCode code = attr_codes[a][c];
+      words_[c] |= (code < 0 ? unseen : static_cast<std::uint64_t>(code)) << shift_[a];
+    }
   }
 }
 
-GroupKey VotingModel::key_for(netsim::CarrierId carrier, netsim::CarrierId neighbor) const {
-  GroupKey key;
-  fill_key(key, deps_, *attr_codes_, carrier, neighbor);
+std::uint64_t AttrWords::field(std::size_t attr) const {
+  return width_[attr] == 0 ? 0 : ones(width_[attr]) << shift_[attr];
+}
+
+std::uint64_t AttrWords::pack(std::span<const netsim::AttrCode> codes) const {
+  std::uint64_t word = 0;
+  for (std::size_t a = 0; a < width_.size(); ++a) {
+    if (width_[a] == 0) continue;
+    const std::uint64_t value =
+        codes[a] < 0 ? ones(width_[a]) : static_cast<std::uint64_t>(codes[a]);
+    word |= value << shift_[a];
+  }
+  return word;
+}
+
+netsim::AttrCode AttrWords::code(std::uint64_t word, std::size_t attr) const {
+  if (width_[attr] == 0) return netsim::AttributeSchema::kUnseen;
+  const std::uint64_t value = (word >> shift_[attr]) & ones(width_[attr]);
+  return value == ones(width_[attr]) ? netsim::AttributeSchema::kUnseen
+                                     : static_cast<netsim::AttrCode>(value);
+}
+
+KeyMask AttrWords::mask(std::span<const AttrRef> deps) const {
+  KeyMask mask;
+  for (const AttrRef& ref : deps) {
+    (ref.neighbor_side ? mask.neighbor : mask.carrier) |= field(ref.attr);
+  }
+  return mask;
+}
+
+VotingModel::VotingModel(const ParamView& view, std::span<const AttrRef> deps,
+                         const AttrWords& words)
+    : deps_(deps.begin(), deps.end()), words_(&words), mask_(words.mask(deps_)) {
+  build(view.rows(), [&](auto&& add) {
+    for (std::size_t r = 0; r < view.rows(); ++r) {
+      add(key_for(view.carrier[r], view.neighbor[r]), view.label[r], 1);
+    }
+  });
+}
+
+VotingModel::VotingModel(const VotingModel& finer, std::span<const AttrRef> deps)
+    : deps_(deps.begin(), deps.end()), words_(finer.words_), mask_(words_->mask(deps_)) {
+  if ((mask_.carrier & ~finer.mask_.carrier) != 0 ||
+      (mask_.neighbor & ~finer.mask_.neighbor) != 0) {
+    throw std::logic_error("VotingModel: coarsening onto attributes the finer model lacks");
+  }
+  build(finer.pairs_.size() - finer.garbage_, [&](auto&& add) {
+    for (const Slot& slot : finer.slots_) {
+      if (slot.total == 0) continue;
+      const GroupKey key{slot.key.carrier & mask_.carrier, slot.key.neighbor & mask_.neighbor};
+      for (const auto& [label, count] : finer.run(slot)) add(key, label, count);
+    }
+  });
+}
+
+template <typename ForEach>
+void VotingModel::build(std::size_t n, ForEach&& for_each) {
+  // Sized for n distinct keys, so no slot moves while observations point at
+  // it; shrunk to the real group count at the end.
+  rehash(capacity_for(n));
+  struct Observation {
+    std::uint32_t slot;
+    ml::ClassLabel label;
+    std::int32_t votes;
+  };
+  std::vector<Observation> observations;
+  observations.reserve(n);
+  for_each([&](const GroupKey& key, ml::ClassLabel label, std::int32_t votes) {
+    const std::size_t index = claim(key);
+    slots_[index].total += votes;
+    ++slots_[index].size;  // observations, until the fold below
+    observations.push_back({static_cast<std::uint32_t>(index), label, votes});
+  });
+
+  // Bucket the observations by group (counting sort over slots), then fold
+  // each bucket into its distinct (label, count) run.
+  std::uint32_t offset = 0;
+  for (Slot& slot : slots_) {
+    slot.begin = offset;
+    offset += slot.size;
+    slot.size = 0;
+  }
+  std::vector<LabelCount> staged(observations.size());
+  for (const Observation& o : observations) {
+    Slot& slot = slots_[o.slot];
+    staged[slot.begin + slot.size++] = {o.label, o.votes};
+  }
+  pairs_.reserve(staged.size());
+  for (Slot& slot : slots_) {
+    if (slot.total == 0) continue;
+    const auto begin = static_cast<std::uint32_t>(pairs_.size());
+    for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
+      const auto it = std::find_if(pairs_.begin() + begin, pairs_.end(),
+                                   [&](const LabelCount& p) { return p.first == staged[i].first; });
+      if (it != pairs_.end()) {
+        it->second += staged[i].second;
+      } else {
+        pairs_.push_back(staged[i]);
+      }
+    }
+    slot.begin = begin;
+    slot.size = slot.capacity = static_cast<std::uint32_t>(pairs_.size()) - begin;
+  }
+  pairs_.shrink_to_fit();
+  if (capacity_for(groups_) < slots_.size()) rehash(capacity_for(groups_));
+}
+
+std::size_t VotingModel::home(const GroupKey& key) const {
+  // MurmurHash3's 64-bit finalizer; the top bits pick the slot.
+  std::uint64_t h = key.carrier ^ (key.neighbor * 0x9e3779b97f4a7c15ULL);
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  return static_cast<std::size_t>(h >> shift_);
+}
+
+std::size_t VotingModel::find(const GroupKey& key) const {
+  const std::size_t wrap = slots_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & wrap) {
+    const Slot& slot = slots_[i];
+    if (slot.total == 0) return kNone;
+    if (slot.key == key) return i;
+  }
+}
+
+std::size_t VotingModel::claim(const GroupKey& key) {
+  if ((groups_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
+  const std::size_t wrap = slots_.size() - 1;
+  std::size_t i = home(key);
+  for (; slots_[i].total != 0; i = (i + 1) & wrap) {
+    if (slots_[i].key == key) return i;
+  }
+  slots_[i] = Slot{};
+  slots_[i].key = key;
+  ++groups_;
+  return i;
+}
+
+void VotingModel::erase_slot(std::size_t index) {
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move one before its home slot.
+  const std::size_t wrap = slots_.size() - 1;
+  std::size_t hole = index;
+  for (std::size_t j = (index + 1) & wrap; slots_[j].total != 0; j = (j + 1) & wrap) {
+    if (((j - home(slots_[j].key)) & wrap) >= ((j - hole) & wrap)) {
+      slots_[hole] = slots_[j];
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --groups_;
+}
+
+void VotingModel::rehash(std::size_t capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(capacity, Slot{});
+  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
+  const std::size_t wrap = capacity - 1;
+  for (const Slot& slot : old) {
+    if (slot.total == 0) continue;
+    std::size_t i = home(slot.key);
+    while (slots_[i].total != 0) i = (i + 1) & wrap;
+    slots_[i] = slot;
+  }
+}
+
+void VotingModel::append_pair(Slot& slot, ml::ClassLabel label, std::int32_t count) {
+  if (slot.size < slot.capacity) {
+    pairs_[slot.begin + slot.size++] = {label, count};
+    return;
+  }
+  if (slot.begin + slot.capacity != pairs_.size()) {
+    // Move the full run to the tail, where it can grow in place.
+    const std::size_t begin = pairs_.size();
+    pairs_.resize(begin + slot.size);
+    std::copy_n(pairs_.begin() + slot.begin, slot.size, pairs_.begin() + begin);
+    garbage_ += slot.capacity;
+    slot.begin = static_cast<std::uint32_t>(begin);
+    slot.capacity = slot.size;
+  }
+  pairs_.emplace_back(label, count);
+  ++slot.size;
+  ++slot.capacity;
+}
+
+void VotingModel::compact_pairs() {
+  std::vector<LabelCount> next;
+  next.reserve(pairs_.size() - garbage_);
+  for (Slot& slot : slots_) {
+    if (slot.total == 0) continue;
+    const auto begin = static_cast<std::uint32_t>(next.size());
+    const auto pairs = run(slot);
+    next.insert(next.end(), pairs.begin(), pairs.end());
+    slot.begin = begin;
+    slot.capacity = slot.size;
+  }
+  pairs_ = std::move(next);
+  garbage_ = 0;
+}
+
+GroupKey VotingModel::key_of(std::uint64_t carrier_word, netsim::CarrierId neighbor) const {
+  GroupKey key{carrier_word & mask_.carrier, 0};
+  if (mask_.neighbor != 0) {
+    if (neighbor == netsim::kInvalidCarrier) {
+      throw std::logic_error("voting: neighbor-side dependency without a neighbor");
+    }
+    key.neighbor = words_->word(neighbor) & mask_.neighbor;
+  }
   return key;
 }
 
-std::optional<Vote> VotingModel::winner(const Group& group, ml::ClassLabel excluded,
-                                        bool exclude_one, double threshold) {
-  std::int32_t total = group.total;
+std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts, std::int32_t total,
+                                        ml::ClassLabel excluded, bool exclude_one,
+                                        double threshold) {
   Vote best;
-  for (const auto& [label, count] : group.counts) {
+  for (const auto& [label, count] : counts) {
     std::int32_t c = count;
     if (exclude_one && label == excluded) --c;
     if (c > best.count || (c == best.count && best.label >= 0 && label < best.label)) {
@@ -86,12 +294,17 @@ std::optional<Vote> VotingModel::winner(const Group& group, ml::ClassLabel exclu
 
 std::vector<VotingModel::GroupSummary> VotingModel::group_summaries() const {
   std::vector<GroupSummary> out;
-  out.reserve(groups_.size());
-  for (const auto& [key, group] : groups_) {
+  out.reserve(groups_);
+  for (const Slot& slot : slots_) {
+    if (slot.total == 0) continue;
     GroupSummary summary;
-    summary.key = key;
-    summary.total = group.total;
-    for (const auto& [label, count] : group.counts) {
+    summary.codes.reserve(deps_.size());
+    for (const AttrRef& ref : deps_) {
+      summary.codes.push_back(
+          words_->code(ref.neighbor_side ? slot.key.neighbor : slot.key.carrier, ref.attr));
+    }
+    summary.total = slot.total;
+    for (const auto& [label, count] : run(slot)) {
       if (count > summary.winner_count ||
           (count == summary.winner_count && summary.winner >= 0 && label < summary.winner)) {
         summary.winner = label;
@@ -100,44 +313,50 @@ std::vector<VotingModel::GroupSummary> VotingModel::group_summaries() const {
     }
     out.push_back(std::move(summary));
   }
-  // Deterministic order independent of hash-map iteration.
+  // Deterministic order independent of slot placement.
   std::sort(out.begin(), out.end(),
-            [](const GroupSummary& a, const GroupSummary& b) { return a.key < b.key; });
+            [](const GroupSummary& a, const GroupSummary& b) { return a.codes < b.codes; });
   return out;
 }
 
 void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t delta) {
-  const auto it = groups_.find(key);
-  if (it == groups_.end()) {
+  if (delta == 0) return;
+  std::size_t index = find(key);
+  if (index == kNone) {
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing from an absent group");
-    if (delta == 0) return;
-    Group& group = groups_[key];
-    group.total = delta;
-    group.counts.emplace_back(label, delta);
+    index = claim(key);
+    Slot& slot = slots_[index];
+    slot.begin = static_cast<std::uint32_t>(pairs_.size());
+    slot.total = delta;
+    append_pair(slot, label, delta);
     return;
   }
-  Group& group = it->second;
-  group.total += delta;
-  bool found = false;
-  for (auto pair = group.counts.begin(); pair != group.counts.end(); ++pair) {
-    if (pair->first != label) continue;
-    pair->second += delta;
-    if (pair->second < 0) throw std::logic_error("VotingModel::adjust: vote count went negative");
-    if (pair->second == 0) group.counts.erase(pair);
-    found = true;
-    break;
-  }
-  if (!found) {
+  Slot& slot = slots_[index];
+  slot.total += delta;
+  LabelCount* pairs = pairs_.data() + slot.begin;
+  std::uint32_t i = 0;
+  while (i < slot.size && pairs[i].first != label) ++i;
+  if (i < slot.size) {
+    pairs[i].second += delta;
+    if (pairs[i].second < 0) throw std::logic_error("VotingModel::adjust: vote count went negative");
+    if (pairs[i].second == 0) pairs[i] = pairs[--slot.size];
+  } else {
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing an absent label");
-    if (delta > 0) group.counts.emplace_back(label, delta);
+    append_pair(slot, label, delta);
   }
-  if (group.total < 0) throw std::logic_error("VotingModel::adjust: group size went negative");
-  if (group.total == 0) groups_.erase(it);
+  if (slot.total < 0) throw std::logic_error("VotingModel::adjust: group size went negative");
+  if (slot.total == 0) {
+    garbage_ += slot.capacity;
+    erase_slot(index);
+  }
+  if (garbage_ > 64 && 2 * garbage_ > pairs_.size()) compact_pairs();
 }
 
 void VotingModel::remap_labels(std::span<const ml::ClassLabel> old_to_new) {
-  for (auto& [key, group] : groups_) {
-    for (auto& [label, count] : group.counts) {
+  for (const Slot& slot : slots_) {
+    if (slot.total == 0) continue;
+    for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
+      ml::ClassLabel& label = pairs_[i].first;
       const ml::ClassLabel next = old_to_new[static_cast<std::size_t>(label)];
       if (next < 0) throw std::logic_error("VotingModel::remap_labels: dropping a live label");
       label = next;
@@ -146,64 +365,50 @@ void VotingModel::remap_labels(std::span<const ml::ClassLabel> old_to_new) {
 }
 
 void VotingModel::reorder_deps(std::span<const AttrRef> new_deps) {
-  if (new_deps.size() != deps_.size()) {
-    throw std::logic_error("VotingModel::reorder_deps: dependent count changed");
+  if (new_deps.size() != deps_.size() ||
+      !std::is_permutation(new_deps.begin(), new_deps.end(), deps_.begin())) {
+    throw std::logic_error("VotingModel::reorder_deps: not a permutation of deps()");
   }
-  std::vector<std::size_t> perm(new_deps.size());
-  for (std::size_t i = 0; i < new_deps.size(); ++i) {
-    const auto it = std::find(deps_.begin(), deps_.end(), new_deps[i]);
-    if (it == deps_.end()) {
-      throw std::logic_error("VotingModel::reorder_deps: not a permutation of deps()");
-    }
-    perm[i] = static_cast<std::size_t>(it - deps_.begin());
-  }
-  std::unordered_map<GroupKey, Group, GroupKeyHash> next;
-  next.reserve(groups_.size());
-  GroupKey tupled;
-  for (auto& [key, group] : groups_) {
-    tupled.resize(key.size());
-    for (std::size_t i = 0; i < perm.size(); ++i) tupled[i] = key[perm[i]];
-    next.emplace(tupled, std::move(group));
-  }
-  groups_ = std::move(next);
   deps_.assign(new_deps.begin(), new_deps.end());
 }
 
 std::optional<Vote> VotingModel::vote(const GroupKey& key, double threshold) const {
-  const auto it = groups_.find(key);
-  if (it == groups_.end()) return std::nullopt;
-  return winner(it->second, -1, false, threshold);
+  const std::size_t index = find(key);
+  if (index == kNone) return std::nullopt;
+  return winner(run(slots_[index]), slots_[index].total, -1, false, threshold);
 }
 
 std::optional<Vote> VotingModel::vote_excluding(const GroupKey& key, ml::ClassLabel own_label,
                                                 double threshold) const {
-  const auto it = groups_.find(key);
-  if (it == groups_.end()) return std::nullopt;
-  return winner(it->second, own_label, true, threshold);
+  const std::size_t index = find(key);
+  if (index == kNone) return std::nullopt;
+  return winner(run(slots_[index]), slots_[index].total, own_label, true, threshold);
 }
 
-std::optional<Vote> local_vote(const ParamView& view, std::span<const AttrRef> deps,
-                               const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-                               const GroupKey& key,
+std::optional<Vote> local_vote(const ParamView& view, const AttrWords& words,
+                               const KeyMask& mask, const GroupKey& key,
                                std::span<const netsim::CarrierId> candidates,
                                std::int64_t exclude_row, double threshold,
                                std::span<const double> carrier_weights) {
   // Tally matching rows across the candidate carriers. Neighborhoods are
   // small (tens of carriers), so a flat scan with a small count vector beats
-  // any indexing.
-  std::vector<std::pair<ml::ClassLabel, double>> counts;
+  // any indexing; the vector is per thread, so steady state allocates
+  // nothing.
+  thread_local std::vector<std::pair<ml::ClassLabel, double>> counts;
+  counts.clear();
   double total = 0.0;
   std::int32_t voters = 0;
-  GroupKey row_key;
   for (netsim::CarrierId cand : candidates) {
+    // Every row of `cand` shares its carrier side: one compare decides them.
+    if ((words.word(cand) & mask.carrier) != key.carrier) continue;
     for (std::uint32_t row : view.rows_of(cand)) {
       if (static_cast<std::int64_t>(row) == exclude_row) continue;
-      fill_key(row_key, deps, attr_codes, view.carrier[row], view.neighbor[row]);
-      if (row_key != key) continue;
+      if (mask.neighbor != 0 &&
+          (words.word(view.neighbor[row]) & mask.neighbor) != key.neighbor) {
+        continue;
+      }
       const double weight =
-          carrier_weights.empty()
-              ? 1.0
-              : carrier_weights[static_cast<std::size_t>(view.carrier[row])];
+          carrier_weights.empty() ? 1.0 : carrier_weights[static_cast<std::size_t>(cand)];
       total += weight;
       ++voters;
       bool found = false;
@@ -247,18 +452,19 @@ std::optional<Vote> local_vote(const ParamView& view, std::span<const AttrRef> d
 }
 
 BackoffVoting::BackoffVoting(const ParamView& view, std::span<const AttrRef> deps,
-                             const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-                             int levels, int min_voters)
-    : deps_(deps.begin(), deps.end()), attr_codes_(&attr_codes), min_voters_(min_voters) {
+                             const AttrWords& words, int levels, int min_voters)
+    : deps_(deps.begin(), deps.end()), words_(&words), min_voters_(min_voters) {
   if (levels < 1) throw std::invalid_argument("BackoffVoting: levels must be >= 1");
   // Level k matches on the strongest (|deps| - k) attributes; never go below
-  // one attribute unless there are none at all.
+  // one attribute unless there are none at all. Each coarser level
+  // aggregates the finer one's groups rather than the rows.
   const int max_levels =
       deps_.empty() ? 1 : std::min<int>(levels, static_cast<int>(deps_.size()));
   models_.reserve(static_cast<std::size_t>(max_levels));
-  for (int level = 0; level < max_levels; ++level) {
-    const std::span<const AttrRef> prefix(deps_.data(), deps_.size() - static_cast<std::size_t>(level));
-    models_.emplace_back(view, prefix, attr_codes);
+  models_.emplace_back(view, deps_, words);
+  for (int level = 1; level < max_levels; ++level) {
+    VotingModel coarser(models_.back(), deps_at(level));
+    models_.push_back(std::move(coarser));
   }
 }
 
@@ -273,22 +479,23 @@ void BackoffVoting::remap_labels(std::span<const ml::ClassLabel> old_to_new) {
   for (VotingModel& model : models_) model.remap_labels(old_to_new);
 }
 
-void BackoffVoting::reorder_deps(const ParamView& view, std::span<const AttrRef> new_deps) {
+void BackoffVoting::reorder_deps(std::span<const AttrRef> new_deps) {
   if (new_deps.size() != deps_.size() ||
       !std::is_permutation(new_deps.begin(), new_deps.end(), deps_.begin())) {
     throw std::logic_error("BackoffVoting::reorder_deps: dependent sets differ");
   }
+  deps_.assign(new_deps.begin(), new_deps.end());
+  // Level 0 spans the whole (unchanged) set, so a level whose membership
+  // moved always has an up-to-date finer level to re-aggregate.
   for (std::size_t level = 0; level < models_.size(); ++level) {
-    const std::size_t len = deps_.size() - level;
-    const std::span<const AttrRef> prefix(new_deps.data(), len);
-    const std::span<const AttrRef> old_prefix(deps_.data(), len);
-    if (std::is_permutation(prefix.begin(), prefix.end(), old_prefix.begin())) {
+    const auto prefix = deps_at(static_cast<int>(level));
+    const auto old = models_[level].deps();
+    if (std::is_permutation(prefix.begin(), prefix.end(), old.begin(), old.end())) {
       models_[level].reorder_deps(prefix);
     } else {
-      models_[level] = VotingModel(view, prefix, *attr_codes_);
+      models_[level] = VotingModel(models_[level - 1], prefix);
     }
   }
-  deps_.assign(new_deps.begin(), new_deps.end());
 }
 
 std::span<const AttrRef> BackoffVoting::deps_at(int level) const {
@@ -299,65 +506,13 @@ bool BackoffVoting::accept(const Vote& vote, int level) const {
   return level + 1 >= level_count() || vote.group_size >= min_voters_;
 }
 
-std::optional<BackoffVoting::Decision> BackoffVoting::vote(netsim::CarrierId carrier,
-                                                           netsim::CarrierId neighbor,
-                                                           double threshold) const {
+std::optional<BackoffVoting::Decision> BackoffVoting::vote_word(std::uint64_t carrier_word,
+                                                                netsim::CarrierId neighbor,
+                                                                double threshold) const {
   for (int level = 0; level < level_count(); ++level) {
     const VotingModel& model = models_[static_cast<std::size_t>(level)];
-    if (const auto v = model.vote(model.key_for(carrier, neighbor), threshold)) {
+    if (const auto v = model.vote(model.key_of(carrier_word, neighbor), threshold)) {
       if (accept(*v, level)) return Decision{*v, level};
-    }
-  }
-  return std::nullopt;
-}
-
-namespace {
-
-/// Key for explicit carrier-side codes; neighbor-side codes resolve against
-/// the topology's encoding.
-core::GroupKey key_from_codes(std::span<const AttrRef> deps,
-                              const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-                              std::span<const netsim::AttrCode> carrier_codes,
-                              netsim::CarrierId neighbor) {
-  core::GroupKey key;
-  key.reserve(deps.size());
-  for (const AttrRef& ref : deps) {
-    if (ref.neighbor_side) {
-      if (neighbor == netsim::kInvalidCarrier) {
-        throw std::logic_error("voting: neighbor-side dependency without a neighbor");
-      }
-      key.push_back(attr_codes[ref.attr][static_cast<std::size_t>(neighbor)]);
-    } else {
-      key.push_back(carrier_codes[ref.attr]);
-    }
-  }
-  return key;
-}
-
-}  // namespace
-
-std::optional<BackoffVoting::Decision> BackoffVoting::vote_codes(
-    std::span<const netsim::AttrCode> carrier_codes, netsim::CarrierId neighbor,
-    double threshold) const {
-  for (int level = 0; level < level_count(); ++level) {
-    const VotingModel& model = models_[static_cast<std::size_t>(level)];
-    const GroupKey key = key_from_codes(deps_at(level), *attr_codes_, carrier_codes, neighbor);
-    if (const auto v = model.vote(key, threshold)) {
-      if (accept(*v, level)) return Decision{*v, level};
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<BackoffVoting::Decision> BackoffVoting::local_codes(
-    const ParamView& view, std::span<const netsim::CarrierId> candidates,
-    std::span<const netsim::AttrCode> carrier_codes, netsim::CarrierId neighbor,
-    double threshold) const {
-  for (int level = 0; level < level_count(); ++level) {
-    const auto deps = deps_at(level);
-    const GroupKey key = key_from_codes(deps, *attr_codes_, carrier_codes, neighbor);
-    if (const auto v = local_vote(view, deps, *attr_codes_, key, candidates, -1, threshold)) {
-      if (v->group_size >= min_voters_) return Decision{*v, level};
     }
   }
   return std::nullopt;
@@ -366,29 +521,24 @@ std::optional<BackoffVoting::Decision> BackoffVoting::local_codes(
 std::optional<BackoffVoting::Decision> BackoffVoting::vote_excluding(
     netsim::CarrierId carrier, netsim::CarrierId neighbor, ml::ClassLabel own_label,
     double threshold) const {
+  const std::uint64_t word = words_->word(carrier);
   for (int level = 0; level < level_count(); ++level) {
     const VotingModel& model = models_[static_cast<std::size_t>(level)];
-    if (const auto v =
-            model.vote_excluding(model.key_for(carrier, neighbor), own_label, threshold)) {
+    if (const auto v = model.vote_excluding(model.key_of(word, neighbor), own_label, threshold)) {
       if (accept(*v, level)) return Decision{*v, level};
     }
   }
   return std::nullopt;
 }
 
-std::optional<BackoffVoting::Decision> BackoffVoting::local(
+std::optional<BackoffVoting::Decision> BackoffVoting::local_word(
     const ParamView& view, std::span<const netsim::CarrierId> candidates,
-    netsim::CarrierId carrier, netsim::CarrierId neighbor, std::int64_t exclude_row,
+    std::uint64_t carrier_word, netsim::CarrierId neighbor, std::int64_t exclude_row,
     double threshold, std::span<const double> carrier_weights) const {
-  GroupKey key;
   for (int level = 0; level < level_count(); ++level) {
-    const auto deps = deps_at(level);
-    key.clear();
-    for (const AttrRef& ref : deps) {
-      const netsim::CarrierId subject = ref.neighbor_side ? neighbor : carrier;
-      key.push_back((*attr_codes_)[ref.attr][static_cast<std::size_t>(subject)]);
-    }
-    if (const auto v = local_vote(view, deps, *attr_codes_, key, candidates, exclude_row,
+    const VotingModel& model = models_[static_cast<std::size_t>(level)];
+    const GroupKey key = model.key_of(carrier_word, neighbor);
+    if (const auto v = local_vote(view, *words_, model.mask(), key, candidates, exclude_row,
                                   threshold, carrier_weights)) {
       // Neighborhoods are small by construction; require the quorum at every
       // level here — the global vote is the backstop for thin neighborhoods.

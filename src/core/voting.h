@@ -3,15 +3,21 @@
 // Carriers that match a target exactly on the dependent attributes form its
 // peer group; the recommendation is the group's modal value, emitted only
 // when its support reaches the voting threshold (75% in the paper).
-// VotingModel pre-aggregates the peer groups so a global recommendation (or
-// a leave-one-out evaluation pass over millions of slots) is a hash lookup;
-// local (1-hop X2) voting scans the small neighborhood row set directly.
+//
+// Every carrier's attribute codes are packed into one 64-bit word
+// (AttrWords), so a peer-group key is a pair of masked words — the
+// carrier's and the neighbor's — and an exact match on a dependent set is
+// one AND and one compare per side (DESIGN.md §5). VotingModel
+// pre-aggregates the peer groups of one dependent set in an open-addressing
+// table, so a global recommendation (or a leave-one-out evaluation pass over
+// millions of slots) is one probe; local (1-hop X2) voting scans the small
+// neighborhood row set directly.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/dependency.h"
@@ -19,11 +25,54 @@
 
 namespace auric::core {
 
-/// A peer-group key: the codes of the dependent attributes, in model order.
-using GroupKey = std::vector<std::int32_t>;
+/// A peer-group key: the subject carrier's packed attribute word and the
+/// neighbor's, each masked to the dependent fields of its side (neighbor is
+/// 0 when no dependent is neighbor-side). Field order does not enter the
+/// key, so a key names a dependent *set*.
+struct GroupKey {
+  std::uint64_t carrier = 0;
+  std::uint64_t neighbor = 0;
 
-struct GroupKeyHash {
-  std::size_t operator()(const GroupKey& key) const;
+  bool operator==(const GroupKey&) const = default;
+};
+
+/// Per-side field masks of a dependent set; same shape as a key.
+using KeyMask = GroupKey;
+
+/// Every carrier's attribute codes packed into one word (DESIGN.md §5).
+/// Attribute a occupies bit_width(cardinality(a)) bits — just enough for
+/// codes 0..cardinality-1 plus the all-ones value, which marks
+/// AttributeSchema::kUnseen and therefore never equals a real code. Fields
+/// are laid out in schema order from bit 0.
+class AttrWords {
+ public:
+  /// Packs `attr_codes` (AttributeSchema::encode_all output). Throws
+  /// std::invalid_argument, naming every attribute and its width, when the
+  /// schema's cardinalities need more than 64 bits.
+  AttrWords(const netsim::AttributeSchema& schema,
+            const std::vector<std::vector<netsim::AttrCode>>& attr_codes);
+
+  std::uint64_t word(netsim::CarrierId carrier) const {
+    return words_[static_cast<std::size_t>(carrier)];
+  }
+
+  /// Packs one carrier's codes (AttributeSchema::encode output), for
+  /// carriers outside the topology.
+  std::uint64_t pack(std::span<const netsim::AttrCode> codes) const;
+
+  /// The code of `attr` stored in `word` (kUnseen for the all-ones field).
+  netsim::AttrCode code(std::uint64_t word, std::size_t attr) const;
+
+  /// The fields of `deps`, carrier-side refs in `carrier` and neighbor-side
+  /// refs in `neighbor`.
+  KeyMask mask(std::span<const AttrRef> deps) const;
+
+ private:
+  std::vector<unsigned> shift_;  // [attr]
+  std::vector<unsigned> width_;  // [attr]
+  std::vector<std::uint64_t> words_;  // [carrier]
+
+  std::uint64_t field(std::size_t attr) const;
 };
 
 struct Vote {
@@ -46,13 +95,25 @@ struct Vote {
 class VotingModel {
  public:
   /// Aggregates `view` into peer groups keyed by the dependent attributes of
-  /// `deps`. `attr_codes` must be the same encoding the dependency scan used.
-  VotingModel(const ParamView& view, std::span<const AttrRef> deps,
-              const std::vector<std::vector<netsim::AttrCode>>& attr_codes);
+  /// `deps`. `words` must pack the same encoding the dependency scan used
+  /// and outlive the model.
+  VotingModel(const ParamView& view, std::span<const AttrRef> deps, const AttrWords& words);
+
+  /// Aggregates `finer`'s groups onto `deps`, a subset of finer.deps():
+  /// O(finer's groups), not O(rows). Equal to a build over the rows because
+  /// every row of a finer group shares its key on the subset.
+  VotingModel(const VotingModel& finer, std::span<const AttrRef> deps);
 
   /// Key for a (carrier, neighbor) subject; neighbor may be kInvalidCarrier
   /// for singular parameters (then neighbor-side refs must be absent).
-  GroupKey key_for(netsim::CarrierId carrier, netsim::CarrierId neighbor) const;
+  GroupKey key_for(netsim::CarrierId carrier, netsim::CarrierId neighbor) const {
+    return key_of(words_->word(carrier), neighbor);
+  }
+
+  /// Key for a subject given by its packed word (AttrWords::pack for a
+  /// carrier outside the topology). The one key builder: throws
+  /// std::logic_error when a neighbor-side dependent has no neighbor.
+  GroupKey key_of(std::uint64_t carrier_word, netsim::CarrierId neighbor) const;
 
   /// Winning vote of the peer group, if the group exists and the winner's
   /// support is >= `threshold`.
@@ -81,23 +142,24 @@ class VotingModel {
   /// dropped from the dictionary) and trips std::logic_error otherwise.
   void remap_labels(std::span<const ml::ClassLabel> old_to_new);
 
-  /// Re-orders the dependent list to `new_deps`, which must be a permutation
-  /// of deps(): every group key is re-tupled into the new attribute order —
-  /// O(groups), not O(rows) — with group contents untouched. The re-ranked
-  /// model equals a from-scratch build over the same population because peer
-  /// grouping is a function of the dependent *set*; only the key tuple order
-  /// follows the ranking. Throws std::logic_error on a non-permutation.
+  /// Adopts `new_deps`, which must be a permutation of deps(). Keys name the
+  /// dependent set, not its order, so the groups are untouched: O(|deps|).
+  /// Throws std::logic_error on a non-permutation.
   void reorder_deps(std::span<const AttrRef> new_deps);
 
-  std::size_t group_count() const { return groups_.size(); }
+  std::size_t group_count() const { return groups_; }
 
   /// The dependent attribute refs this model keys on.
   std::span<const AttrRef> deps() const { return deps_; }
 
-  /// One peer group's aggregate: its key, the modal value and the counts.
-  /// Used by rule-book synthesis to export the learned structure.
+  /// The key fields of deps().
+  const KeyMask& mask() const { return mask_; }
+
+  /// One peer group's aggregate: its dependent codes in deps() order, the
+  /// modal value and the counts. Used by rule-book synthesis to export the
+  /// learned structure.
   struct GroupSummary {
-    GroupKey key;
+    std::vector<netsim::AttrCode> codes;
     ml::ClassLabel winner = -1;
     std::int32_t winner_count = 0;
     std::int32_t total = 0;
@@ -105,21 +167,52 @@ class VotingModel {
       return total > 0 ? static_cast<double>(winner_count) / static_cast<double>(total) : 0.0;
     }
   };
+  /// Every group, ordered by codes.
   std::vector<GroupSummary> group_summaries() const;
 
  private:
-  struct Group {
-    // (label, count), unsorted; peer groups have few distinct values.
-    std::vector<std::pair<ml::ClassLabel, std::int32_t>> counts;
+  /// One open-addressing slot. A group's (label, count) pairs are the run
+  /// pairs_[begin, begin + size), with room up to begin + capacity;
+  /// total == 0 marks an empty slot.
+  struct Slot {
+    GroupKey key;
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
+    std::uint32_t capacity = 0;
     std::int32_t total = 0;
   };
+  using LabelCount = std::pair<ml::ClassLabel, std::int32_t>;
+  static constexpr std::size_t kNone = ~std::size_t{0};
 
   std::vector<AttrRef> deps_;
-  const std::vector<std::vector<netsim::AttrCode>>* attr_codes_;
-  std::unordered_map<GroupKey, Group, GroupKeyHash> groups_;
+  const AttrWords* words_;
+  KeyMask mask_;
+  std::vector<Slot> slots_;  // linear probing, power-of-two size, load <= 3/4
+  unsigned shift_ = 0;       // 64 - log2(slots_.size())
+  std::size_t groups_ = 0;
+  std::vector<LabelCount> pairs_;  // every group's run, plus garbage_ dead entries
+  std::size_t garbage_ = 0;
 
-  static std::optional<Vote> winner(const Group& group, ml::ClassLabel excluded,
-                                    bool exclude_one, double threshold);
+  /// Builds the table from at most `n` observations (key, label, votes)
+  /// that `for_each` enumerates.
+  template <typename ForEach>
+  void build(std::size_t n, ForEach&& for_each);
+
+  std::size_t home(const GroupKey& key) const;
+  std::size_t find(const GroupKey& key) const;
+  /// Slot of `key`, claiming an empty one (total still 0) when absent.
+  std::size_t claim(const GroupKey& key);
+  void erase_slot(std::size_t index);
+  void rehash(std::size_t capacity);
+  void append_pair(Slot& slot, ml::ClassLabel label, std::int32_t count);
+  void compact_pairs();
+  std::span<const LabelCount> run(const Slot& slot) const {
+    return {pairs_.data() + slot.begin, slot.size};
+  }
+
+  static std::optional<Vote> winner(std::span<const LabelCount> counts, std::int32_t total,
+                                    ml::ClassLabel excluded, bool exclude_one,
+                                    double threshold);
 };
 
 /// Voting with support-driven backoff.
@@ -138,9 +231,8 @@ class BackoffVoting {
   /// peers — a unanimous "vote" of one or two carriers is no evidence, and
   /// accepting it would let isolated noisy peers decide; the final level
   /// accepts any non-empty group (the best available evidence).
-  BackoffVoting(const ParamView& view, std::span<const AttrRef> deps,
-                const std::vector<std::vector<netsim::AttrCode>>& attr_codes, int levels = 3,
-                int min_voters = 3);
+  BackoffVoting(const ParamView& view, std::span<const AttrRef> deps, const AttrWords& words,
+                int levels = 3, int min_voters = 3);
 
   struct Decision {
     Vote vote;
@@ -149,22 +241,16 @@ class BackoffVoting {
 
   /// Global vote for (carrier, neighbor); tries levels in order.
   std::optional<Decision> vote(netsim::CarrierId carrier, netsim::CarrierId neighbor,
-                               double threshold) const;
+                               double threshold) const {
+    return vote_word(words_->word(carrier), neighbor, threshold);
+  }
 
-  /// Global vote for a carrier NOT present in the topology: carrier-side
-  /// dependent attributes are read from `carrier_codes` (one code per schema
-  /// attribute, AttributeSchema::encode output; kUnseen codes simply match
-  /// no peer group, which realizes §6's bootstrap fallback). Neighbor-side
-  /// refs still resolve against the topology via `neighbor`.
-  std::optional<Decision> vote_codes(std::span<const netsim::AttrCode> carrier_codes,
-                                     netsim::CarrierId neighbor, double threshold) const;
-
-  /// Local vote for a carrier not present in the topology (see vote_codes);
-  /// `candidates` is the new carrier's planned X2 neighborhood.
-  std::optional<Decision> local_codes(const ParamView& view,
-                                      std::span<const netsim::CarrierId> candidates,
-                                      std::span<const netsim::AttrCode> carrier_codes,
-                                      netsim::CarrierId neighbor, double threshold) const;
+  /// Global vote for a subject given by its packed word — AttrWords::pack
+  /// of a carrier NOT present in the topology. kUnseen fields match no peer
+  /// group, which realizes §6's bootstrap fallback. Neighbor-side refs
+  /// still resolve against the topology via `neighbor`.
+  std::optional<Decision> vote_word(std::uint64_t carrier_word, netsim::CarrierId neighbor,
+                                    double threshold) const;
 
   /// Leave-one-out global vote (one observation of own_label removed).
   std::optional<Decision> vote_excluding(netsim::CarrierId carrier, netsim::CarrierId neighbor,
@@ -175,7 +261,18 @@ class BackoffVoting {
                                 std::span<const netsim::CarrierId> candidates,
                                 netsim::CarrierId carrier, netsim::CarrierId neighbor,
                                 std::int64_t exclude_row, double threshold,
-                                std::span<const double> carrier_weights = {}) const;
+                                std::span<const double> carrier_weights = {}) const {
+    return local_word(view, candidates, words_->word(carrier), neighbor, exclude_row, threshold,
+                      carrier_weights);
+  }
+
+  /// Local vote for a subject given by its packed word (see vote_word);
+  /// `candidates` is the subject's (planned) X2 neighborhood.
+  std::optional<Decision> local_word(const ParamView& view,
+                                     std::span<const netsim::CarrierId> candidates,
+                                     std::uint64_t carrier_word, netsim::CarrierId neighbor,
+                                     std::int64_t exclude_row, double threshold,
+                                     std::span<const double> carrier_weights = {}) const;
 
   /// Applies a signed vote delta for one observation of (carrier, neighbor)
   /// across every backoff level (see VotingModel::adjust). The incremental
@@ -189,13 +286,14 @@ class BackoffVoting {
   void remap_labels(std::span<const ml::ClassLabel> old_to_new);
 
   /// Adopts a re-ranked dependent list (`new_deps` must be a permutation of
-  /// the current set). Backoff levels whose key prefix spans the same
-  /// attribute set keep their aggregated groups with keys re-tupled in the
-  /// new order; levels whose prefix membership shifted (the dropped-weakest
-  /// tail changed) rebuild from `view`. The incremental relearn path uses
-  /// this when a drift re-test re-ranks an unchanged dependent set — the
-  /// common case — so an O(rows) voting rebuild becomes O(groups).
-  void reorder_deps(const ParamView& view, std::span<const AttrRef> new_deps);
+  /// the current set). A backoff level whose prefix spans the same attribute
+  /// set keeps its table as is — keys name the set — and a level whose
+  /// prefix membership shifted (the dropped-weakest tail changed) is
+  /// re-aggregated from the next finer level. The incremental relearn path
+  /// uses this when a drift re-test re-ranks an unchanged dependent set —
+  /// the common case — so an O(rows) voting rebuild becomes O(groups) at
+  /// most.
+  void reorder_deps(std::span<const AttrRef> new_deps);
 
   /// Dependent refs used at backoff level `level`.
   std::span<const AttrRef> deps_at(int level) const;
@@ -210,7 +308,7 @@ class BackoffVoting {
 
  private:
   std::vector<AttrRef> deps_;
-  const std::vector<std::vector<netsim::AttrCode>>* attr_codes_;
+  const AttrWords* words_;
   std::vector<VotingModel> models_;  // [level] -> model on the prefix
   int min_voters_ = 3;
 
@@ -219,18 +317,17 @@ class BackoffVoting {
 
 /// Local (geographical-proximity) vote: peers are the rows of `view` whose
 /// subject carrier lies in `candidates` (typically the 1-hop X2 neighborhood
-/// of the target, §3.3) and whose dependent attribute codes equal `key`.
-/// `exclude_row` (the target's own row during evaluation) is skipped when
-/// >= 0. Returns the winning vote if support >= threshold.
+/// of the target, §3.3) and whose packed words, masked by `mask`, equal
+/// `key`. `exclude_row` (the target's own row during evaluation) is skipped
+/// when >= 0. Returns the winning vote if support >= threshold.
 ///
 /// `carrier_weights`, when non-empty (one weight per topology carrier),
 /// implements the §6 performance-feedback extension: each voter contributes
 /// its carrier's weight instead of 1, so carriers whose past configuration
 /// changes improved service performance count for more. Vote counts are
 /// then rounded weight totals and support is the weight fraction.
-std::optional<Vote> local_vote(const ParamView& view, std::span<const AttrRef> deps,
-                               const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
-                               const GroupKey& key,
+std::optional<Vote> local_vote(const ParamView& view, const AttrWords& words,
+                               const KeyMask& mask, const GroupKey& key,
                                std::span<const netsim::CarrierId> candidates,
                                std::int64_t exclude_row, double threshold,
                                std::span<const double> carrier_weights = {});

@@ -13,9 +13,9 @@ CfEvaluator::CfEvaluator(const netsim::Topology& topology, const netsim::Attribu
       schema_(&schema),
       catalog_(&catalog),
       assignment_(&assignment),
-      options_(options) {
-  attr_codes_ = schema.encode_all(topology);
-}
+      options_(options),
+      attr_codes_(schema.encode_all(topology)),
+      attr_words_(schema, attr_codes_) {}
 
 CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
                                           std::optional<netsim::MarketId> market,
@@ -26,7 +26,7 @@ CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
   dep_options.p_value = options_.p_value;
   dep_options.max_dependent = options_.max_dependent;
   const DependencyModel deps = core::learn_dependencies(view, attr_codes_, *schema_, dep_options);
-  const BackoffVoting model(view, deps.dependent, attr_codes_, options_.backoff_levels);
+  const BackoffVoting model(view, deps.dependent, attr_words_, options_.backoff_levels);
   const config::ValueIndex default_value = catalog_->at(param).default_index;
 
   CfParamResult result;

@@ -86,6 +86,7 @@ class CfEvaluator {
   const config::ConfigAssignment* assignment_;
   CfEvalOptions options_;
   std::vector<std::vector<netsim::AttrCode>> attr_codes_;
+  core::AttrWords attr_words_;
 };
 
 /// Row-weighted accuracy over a set of per-parameter results.

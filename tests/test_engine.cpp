@@ -145,6 +145,36 @@ TEST(AuricEngine, ColdStartPairwiseNeedsNeighbor) {
   EXPECT_EQ(rec.value, 2);
 }
 
+TEST(AuricEngine, AttributeWordOverflowFailsConstruction) {
+  // 256 carriers, each with its own value on nine attributes: 9 bits each
+  // (256 codes plus the unseen sentinel), 81+ bits in all — more than one
+  // packed word holds. Construction must say so instead of mis-keying.
+  netsim::Topology topo = test::chain_topology(64, 64);
+  for (netsim::Carrier& c : topo.carriers) {
+    c.frequency_mhz = 100 + c.id;
+    c.carrier_info = c.id;
+    c.bandwidth_mhz = c.id;
+    c.hardware = c.id;
+    c.cell_size_miles = c.id;
+    c.tracking_area_code = c.id;
+    c.vendor = c.id;
+    c.neighbor_channel = c.id;
+    c.software_version = c.id;
+  }
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = test::tiny_catalog();
+  const config::ConfigAssignment assignment = test::tiny_assignment(topo);
+  try {
+    const AuricEngine engine(topo, schema, catalog, assignment, relaxed());
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("more than 64"), std::string::npos) << message;
+    EXPECT_NE(message.find("tracking_area_code=9"), std::string::npos) << message;
+    EXPECT_NE(message.find("market=2"), std::string::npos) << message;
+  }
+}
+
 TEST(RecommendationSourceNames, Stable) {
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kLocalVote), "local-vote");
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kRulebookDefault),

@@ -32,7 +32,7 @@ struct Fixture {
 std::vector<VotingModel::GroupSummary> sorted_groups(const VotingModel& model) {
   std::vector<VotingModel::GroupSummary> groups = model.group_summaries();
   std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.key < b.key; });
+            [](const auto& a, const auto& b) { return a.codes < b.codes; });
   return groups;
 }
 
@@ -75,7 +75,7 @@ void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
       const auto gb = sorted_groups(bb.model_at(level));
       ASSERT_EQ(ga.size(), gb.size());
       for (std::size_t g = 0; g < ga.size(); ++g) {
-        EXPECT_EQ(ga[g].key, gb[g].key);
+        EXPECT_EQ(ga[g].codes, gb[g].codes);
         EXPECT_EQ(ga[g].winner, gb[g].winner);
         EXPECT_EQ(ga[g].winner_count, gb[g].winner_count);
         EXPECT_EQ(ga[g].total, gb[g].total);

@@ -16,21 +16,42 @@ struct Fixture {
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
   netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
   std::vector<std::vector<netsim::AttrCode>> codes = schema.encode_all(topo);
+  AttrWords words{schema, codes};
   ParamView view = build_param_view(topo, catalog, assignment, 0);
   std::vector<AttrRef> deps{{false, schema.index_of("carrier_frequency")}};
 
   void rebuild_view() { view = build_param_view(topo, catalog, assignment, 0); }
 };
 
+TEST(AttrWords, RoundTripsEveryCodeAndTheUnseenSentinel) {
+  Fixture f;
+  for (std::size_t a = 0; a < f.codes.size(); ++a) {
+    for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+      EXPECT_EQ(f.words.code(f.words.word(static_cast<netsim::CarrierId>(c)), a), f.codes[a][c]);
+    }
+  }
+  // A planned carrier with a frequency the inventory never saw: the field
+  // packs to all ones, decodes to kUnseen and matches no real carrier.
+  netsim::Carrier alien = f.topo.carriers[0];
+  alien.frequency_mhz = 2600;
+  const std::size_t freq = f.schema.index_of("carrier_frequency");
+  const std::uint64_t word = f.words.pack(f.schema.encode(alien));
+  EXPECT_EQ(f.words.code(word, freq), netsim::AttributeSchema::kUnseen);
+  const KeyMask mask = f.words.mask(f.deps);
+  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+    EXPECT_NE(word & mask.carrier, f.words.word(static_cast<netsim::CarrierId>(c)) & mask.carrier);
+  }
+}
+
 TEST(VotingModel, GroupsByDependentAttribute) {
   Fixture f;
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   EXPECT_EQ(model.group_count(), 2u);  // 700 MHz and 1900 MHz groups
 }
 
 TEST(VotingModel, UnanimousGroupVotes) {
   Fixture f;
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const auto vote = model.vote(key, 0.75);
   ASSERT_TRUE(vote.has_value());
@@ -41,7 +62,7 @@ TEST(VotingModel, UnanimousGroupVotes) {
 
 TEST(VotingModel, UnknownKeyAbstains) {
   Fixture f;
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   GroupKey alien{42};
   EXPECT_FALSE(model.vote(alien, 0.5).has_value());
 }
@@ -52,7 +73,7 @@ TEST(VotingModel, ThresholdGatesTheWinner) {
     f.assignment.singular[0].value[static_cast<std::size_t>(c)] = 9;
   }
   f.rebuild_view();
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const auto loose = model.vote(key, 0.60);  // 5/8 = 62.5%
   ASSERT_TRUE(loose.has_value());
@@ -62,7 +83,7 @@ TEST(VotingModel, ThresholdGatesTheWinner) {
 
 TEST(VotingModel, MarginSeparatesUnanimousFromContestedWins) {
   Fixture f;
-  const VotingModel unanimous_model(f.view, f.deps, f.codes);
+  const VotingModel unanimous_model(f.view, f.deps, f.words);
   const GroupKey key = unanimous_model.key_for(0, netsim::kInvalidCarrier);
   const auto unanimous = unanimous_model.vote(key, 0.75);
   ASSERT_TRUE(unanimous.has_value());
@@ -74,7 +95,7 @@ TEST(VotingModel, MarginSeparatesUnanimousFromContestedWins) {
     f.assignment.singular[0].value[static_cast<std::size_t>(c)] = 9;
   }
   f.rebuild_view();
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const auto contested = model.vote(model.key_for(0, netsim::kInvalidCarrier), 0.60);
   ASSERT_TRUE(contested.has_value());
   EXPECT_EQ(contested->count, 5);
@@ -87,10 +108,10 @@ TEST(LocalVote, MarginReflectsTheRunnerUp) {
   Fixture f;
   f.assignment.singular[0].value[2] = 9;  // one deviant among the candidates
   f.rebuild_view();
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const std::vector<netsim::CarrierId> candidates{0, 2, 4};
-  const auto vote = local_vote(f.view, f.deps, f.codes, key, candidates, -1, 0.60);
+  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.60);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->count, 2);
   EXPECT_EQ(vote->runner_up, 1);
@@ -100,7 +121,8 @@ TEST(LocalVote, MarginReflectsTheRunnerUp) {
   // after the weighted tally is re-expressed in voter units.
   std::vector<double> weights(f.topo.carrier_count(), 1.0);
   weights[2] = 0.1;
-  const auto weighted = local_vote(f.view, f.deps, f.codes, key, candidates, -1, 0.60, weights);
+  const auto weighted =
+      local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.60, weights);
   ASSERT_TRUE(weighted.has_value());
   EXPECT_LE(weighted->runner_up, vote->runner_up);
   EXPECT_GE(weighted->margin(), vote->margin());
@@ -110,7 +132,7 @@ TEST(VotingModel, LeaveOneOutExcludesOwnObservation) {
   Fixture f;
   f.assignment.singular[0].value[4] = 9;  // lone deviant in the 700 group
   f.rebuild_view();
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(4, netsim::kInvalidCarrier);
   const ml::ClassLabel own = f.view.labels.code_of(9);
   const auto vote = model.vote_excluding(key, own, 0.75);
@@ -122,23 +144,23 @@ TEST(VotingModel, LeaveOneOutExcludesOwnObservation) {
 
 TEST(LocalVote, RestrictsToCandidates) {
   Fixture f;
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const std::vector<netsim::CarrierId> candidates{2};
-  const auto vote = local_vote(f.view, f.deps, f.codes, key, candidates, -1, 0.75);
+  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->group_size, 1);
   const std::vector<netsim::CarrierId> wrong{1};  // 1900 MHz: no matching rows
-  EXPECT_FALSE(local_vote(f.view, f.deps, f.codes, key, wrong, -1, 0.75).has_value());
+  EXPECT_FALSE(local_vote(f.view, f.words, model.mask(), key, wrong, -1, 0.75).has_value());
 }
 
 TEST(LocalVote, ExcludeRowSkipsSelf) {
   Fixture f;
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const std::int64_t self_row = static_cast<std::int64_t>(f.view.rows_of(0)[0]);
   const std::vector<netsim::CarrierId> candidates{0, 2};
-  const auto vote = local_vote(f.view, f.deps, f.codes, key, candidates, self_row, 0.75);
+  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, self_row, 0.75);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->group_size, 1);  // only carrier 2 remains
 }
@@ -148,14 +170,14 @@ TEST(LocalVote, CarrierWeightsShiftTheWinner) {
   f.assignment.singular[0].value[2] = 9;
   f.rebuild_view();
   const std::vector<netsim::CarrierId> candidates{0, 2, 4};
-  const VotingModel model(f.view, f.deps, f.codes);
+  const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   // Unweighted: 2-vs-1 -> 66% < 75% -> abstain.
-  EXPECT_FALSE(local_vote(f.view, f.deps, f.codes, key, candidates, -1, 0.75).has_value());
+  EXPECT_FALSE(local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75).has_value());
   // The deviating carrier's vote weighted down (poor KPI history): 3 wins.
   std::vector<double> weights(f.topo.carrier_count(), 1.0);
   weights[2] = 0.1;
-  const auto vote = local_vote(f.view, f.deps, f.codes, key, candidates, -1, 0.75, weights);
+  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75, weights);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(f.view.labels.values[static_cast<std::size_t>(vote->label)], 3);
 }
@@ -167,7 +189,7 @@ TEST(BackoffVoting, FallsBackWhenQuorumFailsAtFullMatch) {
   // Carrier 10 (market 1, 700 MHz): the (freq, market) group has 3 members;
   // leave-one-out shrinks it under the quorum of 3, so level 1 (frequency
   // only) decides.
-  const BackoffVoting backoff(f.view, deps, f.codes, /*levels=*/2, /*min_voters=*/3);
+  const BackoffVoting backoff(f.view, deps, f.words, /*levels=*/2, /*min_voters=*/3);
   const auto decision = backoff.vote_excluding(10, netsim::kInvalidCarrier,
                                                f.view.label[f.view.rows_of(10)[0]], 0.75);
   ASSERT_TRUE(decision.has_value());
@@ -180,16 +202,54 @@ TEST(BackoffVoting, QuorumSendsThinGroupsToCoarserLevels) {
   Fixture f;
   std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
                             {false, f.schema.index_of("market")}};
-  const BackoffVoting backoff(f.view, deps, f.codes, 2, /*min_voters=*/4);
+  const BackoffVoting backoff(f.view, deps, f.words, 2, /*min_voters=*/4);
   const auto decision = backoff.vote(10, netsim::kInvalidCarrier, 0.75);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->level, 1);
   EXPECT_EQ(decision->vote.group_size, 8);
 }
 
+TEST(BackoffVoting, NeighborSideKeyWithoutANeighborThrows) {
+  Fixture f;
+  const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
+  const std::vector<AttrRef> deps{{true, f.schema.index_of("carrier_frequency")}};
+  const BackoffVoting backoff(pairs, deps, f.words, 1);
+  // Both ladders go through the one key builder; neither may read the
+  // attribute column at kInvalidCarrier.
+  EXPECT_THROW(backoff.local(pairs, f.topo.neighborhood(0), 0, netsim::kInvalidCarrier, -1, 0.75),
+               std::logic_error);
+  EXPECT_THROW(backoff.vote(0, netsim::kInvalidCarrier, 0.75), std::logic_error);
+  const auto decision = backoff.local(pairs, f.topo.neighborhood(0), 0, 2, -1, 0.75);
+  EXPECT_FALSE(decision.has_value());  // carrier 0's two relations are under the quorum
+}
+
+TEST(BackoffVoting, ReorderKeepsTablesOfAnUnchangedSet) {
+  Fixture f;
+  const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
+                                  {false, f.schema.index_of("market")},
+                                  {false, f.schema.index_of("morphology")}};
+  BackoffVoting backoff(f.view, deps, f.words, 3, 1);
+  // Swap the two strongest: level 0 and level 2's one-attribute prefix
+  // change order or membership; the result must equal a fresh build.
+  const std::vector<AttrRef> reranked{deps[1], deps[0], deps[2]};
+  backoff.reorder_deps(reranked);
+  const BackoffVoting fresh(f.view, reranked, f.words, 3, 1);
+  for (int level = 0; level < 3; ++level) {
+    const auto a = backoff.model_at(level).group_summaries();
+    const auto b = fresh.model_at(level).group_summaries();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t g = 0; g < a.size(); ++g) {
+      EXPECT_EQ(a[g].codes, b[g].codes);
+      EXPECT_EQ(a[g].total, b[g].total);
+      EXPECT_EQ(a[g].winner, b[g].winner);
+    }
+  }
+  EXPECT_THROW(backoff.reorder_deps(f.deps), std::logic_error);
+}
+
 TEST(BackoffVoting, LevelZeroWinsWhenStrong) {
   Fixture f;
-  const BackoffVoting backoff(f.view, f.deps, f.codes, 3, 1);
+  const BackoffVoting backoff(f.view, f.deps, f.words, 3, 1);
   const auto decision = backoff.vote(0, netsim::kInvalidCarrier, 0.75);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->level, 0);
@@ -199,16 +259,16 @@ TEST(BackoffVoting, LevelZeroWinsWhenStrong) {
 TEST(BackoffVoting, DepsAtShrinksByLevel) {
   Fixture f;
   std::vector<AttrRef> deps{{false, 0}, {false, 1}, {false, 2}};
-  const BackoffVoting backoff(f.view, deps, f.codes, 3);
+  const BackoffVoting backoff(f.view, deps, f.words, 3);
   EXPECT_EQ(backoff.level_count(), 3);
   EXPECT_EQ(backoff.deps_at(0).size(), 3u);
   EXPECT_EQ(backoff.deps_at(2).size(), 1u);
-  EXPECT_THROW(BackoffVoting(f.view, deps, f.codes, 0), std::invalid_argument);
+  EXPECT_THROW(BackoffVoting(f.view, deps, f.words, 0), std::invalid_argument);
 }
 
 TEST(BackoffVoting, EmptyDepsVoteOverWholePopulation) {
   Fixture f;
-  const BackoffVoting backoff(f.view, {}, f.codes, 3);
+  const BackoffVoting backoff(f.view, {}, f.words, 3);
   EXPECT_EQ(backoff.level_count(), 1);
   // 8-vs-8 between values 3 and 7: no 75% winner.
   EXPECT_FALSE(backoff.vote(0, netsim::kInvalidCarrier, 0.75).has_value());
@@ -219,7 +279,7 @@ TEST(BackoffVoting, LocalBackoffUsesCandidateRows) {
   Fixture f;
   std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
                             {false, f.schema.index_of("market")}};
-  const BackoffVoting backoff(f.view, deps, f.codes, 2, /*min_voters=*/2);
+  const BackoffVoting backoff(f.view, deps, f.words, 2, /*min_voters=*/2);
   // Neighborhood of carrier 4 (site 2, 700): carriers 5, 2, 6 -> matching
   // rows at level 0: carriers 2 and 6 (same freq AND market) = quorum 2.
   const auto decision = backoff.local(f.view, f.topo.neighborhood(4), 4,
