@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "config/ground_truth.h"
+#include "config/rulebook.h"
 #include "io/launch_state.h"
 #include "core/dependency.h"
 #include "core/engine.h"
@@ -24,6 +25,7 @@
 #include "obs/server.h"
 #include "obs/trace.h"
 #include "serve/daemon.h"
+#include "smartlaunch/controller.h"
 #include "smartlaunch/ems.h"
 #include "smartlaunch/replay.h"
 #include "util/parallel.h"
@@ -654,6 +656,65 @@ void BM_ServeRecommend(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeRecommend)->Unit(benchmark::kMicrosecond);
+
+// BM_ServeDiff prices the same path on /diff: the SmartLaunch plan (every
+// applicable slot's vendor value and recommendation) plus its render.
+void BM_ServeDiff(benchmark::State& state) {
+  const World& w = world();
+  static obs::MetricsRegistry registry;
+  static const config::GroundTruthModel ground_truth(w.topo, w.schema, w.catalog);
+  static serve::ServeDaemon daemon(w.topo, w.schema, w.catalog, w.assignment, ground_truth,
+                                   serve_bench_options(), registry);
+  daemon.warm_up();
+  obs::HttpRequest request;
+  request.method = "GET";
+  const auto carriers = static_cast<netsim::CarrierId>(w.topo.carrier_count());
+  netsim::CarrierId carrier = 0;
+  for (auto _ : state) {
+    request.target = "/diff?carrier=" + std::to_string(carrier);
+    obs::HttpResponse response = daemon.handle(request);
+    if (response.status != 200) state.SkipWithError("diff returned non-200");
+    benchmark::DoNotOptimize(response.body.data());
+    carrier = static_cast<netsim::CarrierId>((carrier + 1) % carriers);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ServeDiff)->Unit(benchmark::kMicrosecond);
+
+// The two layers under /diff: enumerating a carrier's slots with their MO
+// paths, and the whole plan (slots, vendor values, one batched recommend).
+void BM_ApplicableSlots(benchmark::State& state) {
+  const World& w = world();
+  const auto carriers = static_cast<netsim::CarrierId>(w.topo.carrier_count());
+  netsim::CarrierId carrier = 0;
+  std::size_t slots = 0;
+  for (auto _ : state) {
+    const auto refs = smartlaunch::applicable_slots(w.topo, w.catalog, w.assignment, carrier);
+    slots += refs.size();
+    benchmark::DoNotOptimize(refs.data());
+    carrier = static_cast<netsim::CarrierId>((carrier + 1) % carriers);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(slots));
+}
+BENCHMARK(BM_ApplicableSlots);
+
+void BM_PlanChangesDetailed(benchmark::State& state) {
+  const World& w = world();
+  static const config::GroundTruthModel ground_truth(w.topo, w.schema, w.catalog);
+  static const config::Rulebook rulebook(ground_truth, w.catalog);
+  static const core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment);
+  static const smartlaunch::LaunchController controller(engine, rulebook, w.assignment);
+  const auto carriers = static_cast<netsim::CarrierId>(w.topo.carrier_count());
+  netsim::CarrierId carrier = 0;
+  for (auto _ : state) {
+    std::size_t slots = 0;
+    benchmark::DoNotOptimize(controller.plan_changes_detailed(carrier, nullptr, &slots));
+    benchmark::DoNotOptimize(slots);
+    carrier = static_cast<netsim::CarrierId>((carrier + 1) % carriers);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlanChangesDetailed)->Unit(benchmark::kMicrosecond);
 
 void BM_ServeAdmission(benchmark::State& state) {
   const World& w = world();

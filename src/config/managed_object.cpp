@@ -2,25 +2,31 @@
 
 #include <algorithm>
 
+#include "util/render.h"
 #include "util/strings.h"
 
 namespace auric::config {
 
 std::string cell_mo_path(const netsim::Carrier& carrier) {
-  return util::format("ENodeBFunction=%d/EUtranCellFDD=%d-%d-%d", carrier.enodeb,
-                      carrier.enodeb, carrier.face, carrier.frequency_mhz);
+  std::string path = "ENodeBFunction=";
+  util::append_int(path, carrier.enodeb);
+  path += "/EUtranCellFDD=";
+  util::append_int(path, carrier.enodeb);
+  path += '-';
+  util::append_int(path, carrier.face);
+  path += '-';
+  util::append_int(path, carrier.frequency_mhz);
+  return path;
 }
 
-std::string freq_relation_mo_path(const netsim::Carrier& carrier,
-                                  const netsim::Carrier& neighbor) {
-  return cell_mo_path(carrier) +
-         util::format("/EUtranFreqRelation=%d", neighbor.frequency_mhz);
+void append_freq_relation(std::string& cell_path, const netsim::Carrier& neighbor) {
+  cell_path += "/EUtranFreqRelation=";
+  util::append_int(cell_path, neighbor.frequency_mhz);
 }
 
-std::string cell_relation_mo_path(const netsim::Carrier& carrier,
-                                  const netsim::Carrier& neighbor) {
-  return freq_relation_mo_path(carrier, neighbor) +
-         util::format("/EUtranCellRelation=%d", neighbor.id);
+void append_cell_relation(std::string& freq_path, const netsim::Carrier& neighbor) {
+  freq_path += "/EUtranCellRelation=";
+  util::append_int(freq_path, neighbor.id);
 }
 
 std::vector<std::string> render_config_commands(const CarrierConfig& config,

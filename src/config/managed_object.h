@@ -41,14 +41,14 @@ struct CarrierConfig {
 /// "ENodeBFunction=<enodeb>/EUtranCellFDD=<enodeb>-<face>-<freq>".
 std::string cell_mo_path(const netsim::Carrier& carrier);
 
-/// MO path of the frequency relation from `carrier` toward `neighbor`'s
-/// frequency (per-frequency-relation parameters live here).
-std::string freq_relation_mo_path(const netsim::Carrier& carrier,
-                                  const netsim::Carrier& neighbor);
+/// Appends "/EUtranFreqRelation=<neighbor freq>" to a cell_mo_path(): the
+/// frequency relation from the cell toward `neighbor`'s frequency, where
+/// per-frequency-relation parameters live.
+void append_freq_relation(std::string& cell_path, const netsim::Carrier& neighbor);
 
-/// MO path of the individual cell relation (per-edge parameters live here).
-std::string cell_relation_mo_path(const netsim::Carrier& carrier,
-                                  const netsim::Carrier& neighbor);
+/// Appends "/EUtranCellRelation=<neighbor id>" to a frequency-relation path:
+/// the individual cell relation, where per-edge parameters live.
+void append_cell_relation(std::string& freq_path, const netsim::Carrier& neighbor);
 
 /// Renders `config` as vendor CLI-style lines:
 ///   set <mo_path> <paramName> <value>

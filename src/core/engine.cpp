@@ -527,6 +527,13 @@ std::int64_t AuricEngine::own_row(config::ParamId param, netsim::CarrierId carri
 
 Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId carrier,
                                       netsim::CarrierId neighbor, bool exclude_self) const {
+  const Recommendation rec = decide(param, carrier, neighbor, exclude_self);
+  if (watch_ != nullptr) watch_->record(rec);
+  return rec;
+}
+
+Recommendation AuricEngine::decide(config::ParamId param, netsim::CarrierId carrier,
+                                   netsim::CarrierId neighbor, bool exclude_self) const {
   const config::ParamDef& def = catalog_->at(param);
   const bool pairwise = def.kind == config::ParamKind::kPairwise;
   if (pairwise == (neighbor == netsim::kInvalidCarrier)) {
@@ -549,7 +556,6 @@ Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId c
     rec.margin = vote.margin();
     rec.source = source;
     recommendation_counter(source).inc();
-    if (watch_ != nullptr) watch_->record(rec);
   };
 
   if (options_.use_proximity) {
@@ -583,7 +589,6 @@ Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId c
   rec.value = def.default_index;
   rec.source = RecommendationSource::kRulebookDefault;
   recommendation_counter(rec.source).inc();
-  if (watch_ != nullptr) watch_->record(rec);
   return rec;
 }
 
@@ -592,8 +597,9 @@ std::vector<Recommendation> AuricEngine::recommend_singular(netsim::CarrierId ca
   std::vector<Recommendation> out;
   out.reserve(catalog_->singular_ids().size());
   for (config::ParamId param : catalog_->singular_ids()) {
-    out.push_back(recommend(param, carrier, netsim::kInvalidCarrier, exclude_self));
+    out.push_back(decide(param, carrier, netsim::kInvalidCarrier, exclude_self));
   }
+  if (watch_ != nullptr) watch_->record(std::span<const Recommendation>(out));
   return out;
 }
 
@@ -603,8 +609,21 @@ std::vector<Recommendation> AuricEngine::recommend_pairwise(netsim::CarrierId ca
   std::vector<Recommendation> out;
   out.reserve(catalog_->pairwise_ids().size());
   for (config::ParamId param : catalog_->pairwise_ids()) {
-    out.push_back(recommend(param, carrier, neighbor, exclude_self));
+    out.push_back(decide(param, carrier, neighbor, exclude_self));
   }
+  if (watch_ != nullptr) watch_->record(std::span<const Recommendation>(out));
+  return out;
+}
+
+std::vector<Recommendation> AuricEngine::recommend_slots(netsim::CarrierId carrier,
+                                                         std::span<const SlotQuery> slots,
+                                                         bool exclude_self) const {
+  std::vector<Recommendation> out;
+  out.reserve(slots.size());
+  for (const SlotQuery& slot : slots) {
+    out.push_back(decide(slot.param, carrier, slot.neighbor, exclude_self));
+  }
+  if (watch_ != nullptr) watch_->record(std::span<const Recommendation>(out));
   return out;
 }
 

@@ -112,6 +112,13 @@ struct IncrementalRelearnStats {
   std::size_t rows_updated = 0;
 };
 
+/// One slot of a carrier to recommend for: a singular parameter (no
+/// neighbor) or a pair-wise parameter toward `neighbor`.
+struct SlotQuery {
+  config::ParamId param = 0;
+  netsim::CarrierId neighbor = netsim::kInvalidCarrier;
+};
+
 class AuricEngine {
  public:
   /// Learns dependency and voting models for every parameter. O(total
@@ -170,6 +177,13 @@ class AuricEngine {
                                                  netsim::CarrierId neighbor,
                                                  bool exclude_self = true) const;
 
+  /// Recommendations for several slots of `carrier`, in `slots` order (what
+  /// recommend() gives for each). An attached watch records them as one
+  /// batch, as it does for recommend_singular/recommend_pairwise.
+  std::vector<Recommendation> recommend_slots(netsim::CarrierId carrier,
+                                              std::span<const SlotQuery> slots,
+                                              bool exclude_self = true) const;
+
   /// True cold start (§3 of the paper): recommends for a carrier that is
   /// NOT in the learned inventory — a carrier being planned or integrated.
   /// `new_carrier` supplies the attributes; `x2_neighbors` is its planned
@@ -222,6 +236,11 @@ class AuricEngine {
   void learn_param(std::size_t p, const config::ConfigAssignment& assignment,
                    const DependencyOptions& dep_options,
                    std::vector<std::optional<BackoffVoting>>& voting_slots);
+
+  /// recommend() without the watch record; the recommend* entry points
+  /// publish to the watch (one decision, or one batch per call).
+  Recommendation decide(config::ParamId param, netsim::CarrierId carrier,
+                        netsim::CarrierId neighbor, bool exclude_self) const;
 
   /// Diffs parameter `p` against `assignment` and applies the delta.
   /// Returns true when the parameter was touched.

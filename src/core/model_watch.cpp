@@ -1,6 +1,7 @@
 #include "core/model_watch.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "ml/chi_square.h"
@@ -21,6 +22,10 @@ const std::vector<double>& unit_bounds() {
   return bounds;
 }
 
+/// Upper clamp of ModelWatchOptions::support_buckets (a record() batch folds
+/// the pooled support buckets on the stack).
+constexpr int kMaxSupportBuckets = 64;
+
 constexpr const char* kGateOutcomeNames[2] = {"rolled_back", "accepted"};
 
 }  // namespace
@@ -28,7 +33,7 @@ constexpr const char* kGateOutcomeNames[2] = {"rolled_back", "accepted"};
 ModelWatch::ModelWatch(const config::ParamCatalog& catalog, obs::MetricsRegistry& registry,
                        Options options)
     : catalog_(&catalog), options_(options) {
-  if (options_.support_buckets < 2) options_.support_buckets = 2;
+  options_.support_buckets = std::clamp(options_.support_buckets, 2, kMaxSupportBuckets);
   param_count_ = catalog.size();
   params_ = std::make_unique<ParamState[]>(param_count_);
   for (std::size_t p = 0; p < catalog.size(); ++p) {
@@ -79,24 +84,41 @@ ModelWatch::ModelWatch(const config::ParamCatalog& catalog, obs::MetricsRegistry
 }
 
 void ModelWatch::record(const Recommendation& rec) const {
-  const auto p = static_cast<std::size_t>(rec.param);
-  if (p >= param_count_) return;
-  const ParamState& st = params_[p];
-  st.sources[static_cast<std::size_t>(rec.source)]->inc();
-  st.support->observe(rec.support);
-  st.margin->observe(rec.margin);
-  st.day_total.fetch_add(1, std::memory_order_relaxed);
-  if (rec.source != RecommendationSource::kRulebookDefault) {
-    st.day_voted.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (rec.value != config::kUnset && rec.value >= 0 &&
-      static_cast<std::size_t>(rec.value) < st.domain) {
-    st.day_counts[static_cast<std::size_t>(rec.value)].fetch_add(1, std::memory_order_relaxed);
-  }
+  record(std::span<const Recommendation>(&rec, 1));
+}
+
+void ModelWatch::record(std::span<const Recommendation> recs) const {
+  // Per-parameter instruments take one update per decision; the pooled
+  // support buckets, shared by every parameter, fold locally and publish
+  // one add per bucket.
   const int buckets = options_.support_buckets;
-  const auto bucket = static_cast<std::size_t>(
-      std::min(buckets - 1, std::max(0, static_cast<int>(rec.support * buckets))));
-  support_day_[bucket].fetch_add(1, std::memory_order_relaxed);
+  std::array<std::uint64_t, kMaxSupportBuckets> support_day;
+  std::fill_n(support_day.begin(), buckets, 0);
+  for (const Recommendation& rec : recs) {
+    const auto p = static_cast<std::size_t>(rec.param);
+    if (p >= param_count_) continue;
+    const ParamState& st = params_[p];
+    st.sources[static_cast<std::size_t>(rec.source)]->inc();
+    st.support->observe(rec.support);
+    st.margin->observe(rec.margin);
+    if (rec.value != config::kUnset && rec.value >= 0 &&
+        static_cast<std::size_t>(rec.value) < st.domain) {
+      st.day_counts[static_cast<std::size_t>(rec.value)].fetch_add(1, std::memory_order_relaxed);
+    } else {
+      st.day_unbinned.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (rec.source == RecommendationSource::kRulebookDefault) {
+      st.day_fallback.fetch_add(1, std::memory_order_relaxed);
+    }
+    ++support_day[static_cast<std::size_t>(
+        std::min(buckets - 1, std::max(0, static_cast<int>(rec.support * buckets))))];
+  }
+  for (int b = 0; b < buckets; ++b) {
+    const auto bucket = static_cast<std::size_t>(b);
+    if (support_day[bucket] != 0) {
+      support_day_[bucket].fetch_add(support_day[bucket], std::memory_order_relaxed);
+    }
+  }
 }
 
 void ModelWatch::record_gate_outcome(config::ParamId param, bool accepted) const {
@@ -116,8 +138,12 @@ void ModelWatch::roll_day() {
       today[i] = static_cast<std::int64_t>(st.day_counts[i].exchange(0, std::memory_order_relaxed));
       today_total += today[i];
     }
-    const std::uint32_t total = st.day_total.exchange(0, std::memory_order_relaxed);
-    const std::uint32_t voted = st.day_voted.exchange(0, std::memory_order_relaxed);
+    const std::int64_t total =
+        today_total + st.day_unbinned.exchange(0, std::memory_order_relaxed);
+    // Clamped: a decision recorded while the day rolls may land its value
+    // and its fallback count on different days.
+    const std::int64_t voted = std::max<std::int64_t>(
+        0, total - st.day_fallback.exchange(0, std::memory_order_relaxed));
     if (total > 0) {
       st.last_coverage = static_cast<double>(voted) / static_cast<double>(total);
       st.coverage->set(st.last_coverage);

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,7 +50,7 @@ struct ModelWatchOptions {
   /// auric_model_drift_params_flagged gauge); matches the engine's
   /// dependency-learning alpha by default.
   double drift_alpha = 0.01;
-  /// PSI resolution over the [0, 1] support range.
+  /// PSI resolution over the [0, 1] support range; clamped to [2, 64].
   int support_buckets = 10;
 };
 
@@ -69,6 +70,13 @@ class ModelWatch {
   /// Mirrors one recommendation into the per-parameter instruments and the
   /// current day's drift counts. Lock-free; called from the engine hot path.
   void record(const Recommendation& rec) const;
+
+  /// Mirrors a batch of recommendations (one engine call's decisions) and
+  /// ends in the same state as record() on each element. Per-parameter
+  /// instruments take one update per decision; the pooled support buckets
+  /// fold locally and publish one add per bucket, and the day's total and
+  /// voted counts are derived at roll_day() rather than counted. Lock-free.
+  void record(std::span<const Recommendation> recs) const;
 
   /// Joins a KPI-gate verdict back to the parameter that recommended the
   /// change: `accepted` covers implemented/recovered launches, rolled-back
@@ -108,10 +116,12 @@ class ModelWatch {
     obs::Gauge* drift_p = nullptr;
     std::size_t domain = 0;
     /// Today's recommended-value counts, one slot per domain index; mutable
-    /// because record() is const on the watch (relaxed atomics only).
+    /// because record() is const on the watch (relaxed atomics only). With
+    /// the two rarer counts below they also give today's total (binned plus
+    /// unbinned) and voted (total minus fallbacks) for the coverage gauge.
     std::unique_ptr<std::atomic<std::uint32_t>[]> day_counts;
-    mutable std::atomic<std::uint32_t> day_total{0};
-    mutable std::atomic<std::uint32_t> day_voted{0};
+    mutable std::atomic<std::uint32_t> day_unbinned{0};  ///< value unset or off-domain
+    mutable std::atomic<std::uint32_t> day_fallback{0};  ///< rule-book defaults
     // Previous closed day + latest test result; guarded by mu_.
     std::vector<std::int64_t> prev_counts;
     double last_p = 1.0;

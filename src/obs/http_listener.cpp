@@ -4,6 +4,7 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 
 #include "obs/trace.h"
 #include "obs/trace_context.h"
+#include "util/render.h"
 
 namespace auric::obs {
 
@@ -24,19 +26,41 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Writes the whole buffer, riding out EINTR and short writes. MSG_NOSIGNAL
-// keeps a dead peer from raising SIGPIPE at the process.
-void write_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+// Writes `head` then `body` with one sendmsg per attempt, so a response
+// normally leaves in a single call; a short write resumes where the kernel
+// stopped (possibly mid-head), and EINTR retries. MSG_NOSIGNAL keeps a dead
+// peer from raising SIGPIPE at the process.
+void send_response(int fd, std::string_view head, std::string_view body) {
+  iovec parts[2] = {{const_cast<char*>(head.data()), head.size()},
+                    {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = parts;
+  std::size_t left = 2;
+  while (left > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --left;
+      continue;
+    }
+    msghdr msg{};
+    msg.msg_iov = next;
+    msg.msg_iovlen = left;
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) {
         continue;
       }
       return;  // peer went away; nothing useful to do
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (left > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --left;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
 }
 
@@ -429,16 +453,24 @@ HttpResponse HttpListener::dispatch(const HttpRequest& request) {
 }
 
 void HttpListener::write_response(int client_fd, const HttpResponse& response) {
-  std::string head = "HTTP/1.1 " + std::to_string(response.status) + " " +
-                     status_text(response.status) +
-                     "\r\nContent-Type: " + response.content_type +
-                     "\r\nContent-Length: " + std::to_string(response.body.size());
+  std::string head;
+  head.reserve(128 + response.content_type.size());
+  head += "HTTP/1.1 ";
+  util::append_int(head, response.status);
+  head += ' ';
+  head += status_text(response.status);
+  head += "\r\nContent-Type: ";
+  head += response.content_type;
+  head += "\r\nContent-Length: ";
+  util::append_int(head, response.body.size());
   for (const auto& [key, value] : response.extra_headers) {
-    head += "\r\n" + key + ": " + value;
+    head += "\r\n";
+    head += key;
+    head += ": ";
+    head += value;
   }
   head += "\r\nConnection: close\r\n\r\n";
-  write_all(client_fd, head.data(), head.size());
-  write_all(client_fd, response.body.data(), response.body.size());
+  send_response(client_fd, head, response.body);
 }
 
 }  // namespace auric::obs

@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/render.h"
+
 namespace auric::obs {
 
 namespace {
@@ -87,22 +89,6 @@ std::string format_double(double v) {
   return buf;
 }
 
-std::string json_escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 void Gauge::add(double delta) noexcept {
@@ -121,6 +107,8 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   buckets_ = std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
+
+Histogram::~Histogram() { delete[] exemplars_.load(std::memory_order_acquire); }
 
 void Histogram::observe(double v) noexcept {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
@@ -446,14 +434,14 @@ std::string MetricsRegistry::json_text() const {
     out += "  {\"kind\":\"";
     out += metric_kind_name(s.kind);
     out += "\",\"name\":\"";
-    out += json_escape(s.name);
+    util::append_json_escaped(out, s.name);
     out += "\",\"labels\":{";
     for (std::size_t l = 0; l < s.labels.size(); ++l) {
       if (l > 0) out += ',';
       out += '"';
-      out += json_escape(s.labels[l].first);
+      util::append_json_escaped(out, s.labels[l].first);
       out += "\":\"";
-      out += json_escape(s.labels[l].second);
+      util::append_json_escaped(out, s.labels[l].second);
       out += '"';
     }
     out += "}";

@@ -17,7 +17,7 @@
 //                write_metrics_file() feed scrapers and bench ingestion.
 //
 // This library sits BELOW util (util::log routes error counts here), so it
-// depends on nothing but the standard library.
+// depends on nothing but the standard library and header-only util/render.h.
 #pragma once
 
 #include <atomic>
@@ -85,6 +85,7 @@ class Histogram {
  public:
   /// `bounds` must be non-empty and strictly increasing.
   explicit Histogram(std::vector<double> bounds);
+  ~Histogram();
 
   void observe(double v) noexcept;
 
@@ -110,8 +111,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;  // bounds_.size() + 1
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  /// Lazily allocated at enable_exemplars(), never freed while the
-  /// histogram lives (cached references stay valid); guarded by ex_lock_.
+  /// Lazily allocated at enable_exemplars(), freed only with the histogram
+  /// (cached references stay valid); guarded by ex_lock_.
   std::atomic<HistogramExemplar*> exemplars_{nullptr};
   mutable std::atomic_flag ex_lock_ = ATOMIC_FLAG_INIT;
 };

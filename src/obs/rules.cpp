@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "obs/log_buffer.h"
+#include "util/render.h"
 
 namespace auric::obs {
 
@@ -131,24 +132,6 @@ bool compare(AlertRule::Op op, double lhs, double rhs) {
       return lhs <= rhs;
   }
   return false;
-}
-
-void json_escape_into(std::string& out, std::string_view text) {
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
 }
 
 std::string format_double(double v) {
@@ -479,7 +462,7 @@ std::string RuleEngine::healthz_json() const {
     }
     first = false;
     out += "{\"rule\":\"";
-    json_escape_into(out, state.rule.name);
+    util::append_json_escaped(out, state.rule.name);
     out += "\",\"kind\":\"";
     out += alert_kind_name(state.rule.kind);
     out += "\",\"since\":" + format_double(state.firing_since);

@@ -5,29 +5,14 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "util/render.h"
+
 namespace auric::obs {
 
 namespace {
 
 /// Dense per-(recorder-agnostic) thread index; assigned on first span.
 thread_local std::uint32_t t_thread_index = 0;
-
-/// Escapes a span name for embedding in a JSON string literal.
-std::string json_escape(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
 
 std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -53,14 +38,17 @@ std::string_view query_param(std::string_view query, std::string_view key) {
 
 std::string spans_jsonl(const std::vector<SpanRecord>& spans) {
   std::string out;
+  std::string name;
   for (const SpanRecord& s : spans) {
+    name.clear();
+    util::append_json_escaped(name, s.name);
     char buf[320];
     std::snprintf(buf, sizeof(buf),
                   "{\"id\":%llu,\"parent\":%llu,\"trace\":\"%s\",\"name\":\"%s\","
                   "\"start_ns\":%llu,\"end_ns\":%llu,\"dur_ns\":%llu,\"thread\":%u}\n",
                   static_cast<unsigned long long>(s.id),
                   static_cast<unsigned long long>(s.parent), trace_id_hex(s.trace).c_str(),
-                  json_escape(s.name).c_str(), static_cast<unsigned long long>(s.start_ns),
+                  name.c_str(), static_cast<unsigned long long>(s.start_ns),
                   static_cast<unsigned long long>(s.end_ns),
                   static_cast<unsigned long long>(s.end_ns - s.start_ns), s.thread);
     out += buf;

@@ -16,6 +16,7 @@
 #include "smartlaunch/sharded_ems.h"
 #include "util/drain.h"
 #include "util/log.h"
+#include "util/render.h"
 #include "util/strings.h"
 
 namespace auric::serve {
@@ -54,27 +55,6 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
     return std::nullopt;
   }
   return v;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 obs::HttpResponse json_response(int status, std::string body) {
@@ -551,8 +531,10 @@ obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
     } catch (const std::exception& e) {
       errors_total_.inc();
       obs::TraceRecorder::global().mark_trace_error();
-      response = json_response(
-          500, std::string("{\"error\":\"") + json_escape(e.what()) + "\"}");
+      std::string body = "{\"error\":\"";
+      util::append_json_escaped(body, e.what());
+      body += "\"}";
+      response = json_response(500, std::move(body));
     }
     {
       std::lock_guard<std::mutex> lock(bulk_mu_);
@@ -619,9 +601,15 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
     } else {
       recs = bundle.engine->recommend_singular(carrier);
     }
-    std::string body = "{\"carrier\":" + std::to_string(carrier_id) +
-                       ",\"generation\":" + std::to_string(bundle.generation) +
-                       ",\"recommendations\":[";
+    // Rendered in place: one reserved buffer, to_chars numbers identical
+    // to the printf forms (%g values, %.4f support and margin).
+    std::string body;
+    body.reserve(64 + recs.size() * 128);
+    body += "{\"carrier\":";
+    util::append_int(body, carrier_id);
+    body += ",\"generation\":";
+    util::append_int(body, bundle.generation);
+    body += ",\"recommendations\":[";
     bool first = true;
     for (const core::Recommendation& rec : recs) {
       const config::ParamDef& def = catalog_->at(rec.param);
@@ -629,27 +617,42 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
         body += ',';
       }
       first = false;
-      body += "{\"param\":\"" + json_escape(def.name) + "\"";
+      body += "{\"param\":\"";
+      util::append_json_escaped(body, def.name);
+      body += '"';
       if (rec.value != config::kUnset) {
-        body += ",\"value\":" + util::format("%g", def.domain.value(rec.value));
+        body += ",\"value\":";
+        util::append_general(body, def.domain.value(rec.value));
       }
-      body += std::string(",\"source\":\"") + core::recommendation_source_name(rec.source) +
-              "\",\"votes\":" + std::to_string(rec.votes) +
-              ",\"group_size\":" + std::to_string(rec.group_size) +
-              ",\"support\":" + util::format("%.4f", rec.support) +
-              ",\"margin\":" + util::format("%.4f", rec.margin) + "}";
+      body += ",\"source\":\"";
+      body += core::recommendation_source_name(rec.source);
+      body += "\",\"votes\":";
+      util::append_int(body, rec.votes);
+      body += ",\"group_size\":";
+      util::append_int(body, rec.group_size);
+      body += ",\"support\":";
+      util::append_fixed4(body, rec.support);
+      body += ",\"margin\":";
+      util::append_fixed4(body, rec.margin);
+      body += '}';
     }
     body += "]}";
     return json_response(200, std::move(body));
   }
 
   // /diff: the SmartLaunch plan — vendor launch config vs Auric corrections.
-  std::vector<smartlaunch::LaunchController::PlannedChange> vendor;
+  std::size_t slots = 0;
   const std::vector<smartlaunch::LaunchController::PlannedChange> changes =
-      bundle.controller->plan_changes_detailed(carrier, &vendor);
-  std::string body = "{\"carrier\":" + std::to_string(carrier_id) +
-                     ",\"generation\":" + std::to_string(bundle.generation) +
-                     ",\"slots\":" + std::to_string(vendor.size()) + ",\"changes\":[";
+      bundle.controller->plan_changes_detailed(carrier, nullptr, &slots);
+  std::string body;
+  body.reserve(96 + changes.size() * 160);
+  body += "{\"carrier\":";
+  util::append_int(body, carrier_id);
+  body += ",\"generation\":";
+  util::append_int(body, bundle.generation);
+  body += ",\"slots\":";
+  util::append_int(body, slots);
+  body += ",\"changes\":[";
   bool first = true;
   for (const auto& change : changes) {
     const config::ParamDef& def = catalog_->at(change.slot.param);
@@ -657,15 +660,20 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
       body += ',';
     }
     first = false;
-    body += "{\"param\":\"" + json_escape(def.name) + "\",\"mo_path\":\"" +
-            json_escape(change.slot.mo_path) + "\"";
+    body += "{\"param\":\"";
+    util::append_json_escaped(body, def.name);
+    body += "\",\"mo_path\":\"";
+    util::append_json_escaped(body, change.slot.mo_path);
+    body += '"';
     if (change.vendor_value != config::kUnset) {
-      body += ",\"vendor\":" + util::format("%g", def.domain.value(change.vendor_value));
+      body += ",\"vendor\":";
+      util::append_general(body, def.domain.value(change.vendor_value));
     }
     if (change.new_value != config::kUnset) {
-      body += ",\"new\":" + util::format("%g", def.domain.value(change.new_value));
+      body += ",\"new\":";
+      util::append_general(body, def.domain.value(change.new_value));
     }
-    body += "}";
+    body += '}';
   }
   body += "]}";
   return json_response(200, std::move(body));

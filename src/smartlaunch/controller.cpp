@@ -12,8 +12,6 @@ using config::CarrierConfig;
 using config::MoSetting;
 using config::ValueIndex;
 using config::cell_mo_path;
-using config::cell_relation_mo_path;
-using config::freq_relation_mo_path;
 
 std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
                                       const config::ParamCatalog& catalog,
@@ -21,26 +19,34 @@ std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
                                       netsim::CarrierId carrier) {
   std::vector<SlotRef> slots;
   const netsim::Carrier& c = topology.carrier(carrier);
-
   const auto& singular_ids = catalog.singular_ids();
-  for (std::size_t si = 0; si < singular_ids.size(); ++si) {
-    const auto entity = static_cast<std::size_t>(carrier);
-    if (assignment.singular[si].value[entity] == config::kUnset) continue;
-    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_mo_path(c)});
-  }
-
   const auto& pairwise_ids = catalog.pairwise_ids();
   const std::size_t begin = topology.edge_offsets[static_cast<std::size_t>(carrier)];
   const std::size_t end = topology.edge_offsets[static_cast<std::size_t>(carrier) + 1];
+  slots.reserve(singular_ids.size() + (end - begin) * pairwise_ids.size());
+
+  // Each MO path is rendered once and copied into its slots: the cell path
+  // once per carrier, the two relation paths once per X2 edge.
+  const std::string cell_path = cell_mo_path(c);
+  for (std::size_t si = 0; si < singular_ids.size(); ++si) {
+    const auto entity = static_cast<std::size_t>(carrier);
+    if (assignment.singular[si].value[entity] == config::kUnset) continue;
+    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_path});
+  }
+
+  std::string freq_path;
+  std::string relation_path;
   for (std::size_t e = begin; e < end; ++e) {
     const netsim::Carrier& neighbor = topology.carrier(topology.edges[e].to);
+    freq_path = cell_path;
+    config::append_freq_relation(freq_path, neighbor);
+    relation_path = freq_path;
+    config::append_cell_relation(relation_path, neighbor);
     for (std::size_t pi = 0; pi < pairwise_ids.size(); ++pi) {
       if (assignment.pairwise[pi].value[e] == config::kUnset) continue;
       const config::ParamDef& def = catalog.at(pairwise_ids[pi]);
       slots.push_back({pairwise_ids[pi], e, neighbor.id,
-                       def.scope == config::PairScope::kPerEdge
-                           ? cell_relation_mo_path(c, neighbor)
-                           : freq_relation_mo_path(c, neighbor)});
+                       def.scope == config::PairScope::kPerEdge ? relation_path : freq_path});
     }
   }
   return slots;
@@ -139,16 +145,25 @@ CarrierConfig LaunchController::vendor_config(netsim::CarrierId carrier) const {
 }
 
 std::vector<LaunchController::PlannedChange> LaunchController::plan_changes_detailed(
-    netsim::CarrierId carrier, std::vector<PlannedChange>* vendor) const {
+    netsim::CarrierId carrier, std::vector<PlannedChange>* vendor,
+    std::size_t* slot_count) const {
+  const std::vector<SlotRef> slots =
+      applicable_slots(engine_->topology(), engine_->catalog(), *assignment_, carrier);
+  if (slot_count != nullptr) *slot_count = slots.size();
+  std::vector<core::SlotQuery> queries;
+  queries.reserve(slots.size());
+  for (const SlotRef& slot : slots) queries.push_back({slot.param, slot.neighbor});
+  const std::vector<core::Recommendation> recs =
+      engine_->recommend_slots(carrier, queries, /*exclude_self=*/true);
+
   std::vector<PlannedChange> changes;
-  for (const SlotRef& slot : applicable_slots(engine_->topology(), engine_->catalog(),
-                                              *assignment_, carrier)) {
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const SlotRef& slot = slots[i];
     const ValueIndex from_vendor =
         vendor_value_of(engine_->topology(), engine_->catalog(), *assignment_, *rulebook_,
                         vendor_faults_, seed_, carrier, slot);
     if (vendor != nullptr) vendor->push_back({slot, from_vendor, from_vendor});
-    const core::Recommendation rec =
-        engine_->recommend(slot.param, carrier, slot.neighbor, /*exclude_self=*/true);
+    const core::Recommendation& rec = recs[i];
     if (rec.source == core::RecommendationSource::kRulebookDefault) continue;
     if (rec.support < push_policy_.min_support || rec.votes < push_policy_.min_votes) continue;
     if (rec.value == from_vendor) continue;

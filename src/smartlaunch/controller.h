@@ -94,9 +94,13 @@ class LaunchController {
   /// Slot-resolved variant of plan_changes: the vendor value of every
   /// applicable slot plus the push-policy-approved Auric corrections.
   /// `vendor` receives every slot's vendor value when non-null (the launch
-  /// configuration the carrier goes on air with).
-  std::vector<PlannedChange> plan_changes_detailed(
-      netsim::CarrierId carrier, std::vector<PlannedChange>* vendor = nullptr) const;
+  /// configuration the carrier goes on air with); `slot_count` receives the
+  /// number of applicable slots when non-null (what vendor->size() would
+  /// be, without copying the slots). The slots' recommendations reach an
+  /// attached ModelWatch as one batch.
+  std::vector<PlannedChange> plan_changes_detailed(netsim::CarrierId carrier,
+                                                   std::vector<PlannedChange>* vendor = nullptr,
+                                                   std::size_t* slot_count = nullptr) const;
 
   /// Service quality `carrier` would show on air with its vendor
   /// configuration overlaid by the first `applied` of `changes` (the state a

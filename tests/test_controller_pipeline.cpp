@@ -1,10 +1,14 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
+#include "config/ground_truth.h"
 #include "config/rulebook.h"
 #include "core/engine.h"
 #include "smartlaunch/controller.h"
 #include "smartlaunch/pipeline.h"
 #include "test_helpers.h"
+#include "util/strings.h"
 
 namespace auric::smartlaunch {
 namespace {
@@ -39,6 +43,93 @@ TEST(ApplicableSlots, EnumeratesConfiguredSlotsWithPaths) {
       EXPECT_NE(slot.mo_path.find("EUtranFreqRelation"), std::string::npos);
     }
   }
+}
+
+TEST(ApplicableSlots, MatchThePerSlotFormatReferenceOnEveryCarrier) {
+  // applicable_slots renders each MO path once per carrier or edge; the
+  // reference formats every slot's whole path with util::format.
+  const netsim::Topology topo = test::small_generated_topology(7, 2, 5);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  std::size_t pairwise_slots = 0;
+  for (const netsim::Carrier& c : topo.carriers) {
+    std::vector<SlotRef> expected;
+    for (std::size_t si = 0; si < catalog.singular_ids().size(); ++si) {
+      const auto entity = static_cast<std::size_t>(c.id);
+      if (assignment.singular[si].value[entity] == config::kUnset) continue;
+      expected.push_back({catalog.singular_ids()[si], entity, netsim::kInvalidCarrier,
+                          util::format("ENodeBFunction=%d/EUtranCellFDD=%d-%d-%d", c.enodeb,
+                                       c.enodeb, c.face, c.frequency_mhz)});
+    }
+    const std::size_t begin = topo.edge_offsets[static_cast<std::size_t>(c.id)];
+    const std::size_t end = topo.edge_offsets[static_cast<std::size_t>(c.id) + 1];
+    for (std::size_t e = begin; e < end; ++e) {
+      const netsim::Carrier& n = topo.carrier(topo.edges[e].to);
+      for (std::size_t pi = 0; pi < catalog.pairwise_ids().size(); ++pi) {
+        if (assignment.pairwise[pi].value[e] == config::kUnset) continue;
+        const config::ParamDef& def = catalog.at(catalog.pairwise_ids()[pi]);
+        std::string path = util::format("ENodeBFunction=%d/EUtranCellFDD=%d-%d-%d", c.enodeb,
+                                        c.enodeb, c.face, c.frequency_mhz) +
+                           util::format("/EUtranFreqRelation=%d", n.frequency_mhz);
+        if (def.scope == config::PairScope::kPerEdge) {
+          path += util::format("/EUtranCellRelation=%d", n.id);
+        }
+        expected.push_back({catalog.pairwise_ids()[pi], e, n.id, path});
+      }
+    }
+    const std::vector<SlotRef> slots = applicable_slots(topo, catalog, assignment, c.id);
+    ASSERT_EQ(slots.size(), expected.size()) << "carrier " << c.id;
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+      EXPECT_EQ(slots[i].param, expected[i].param);
+      EXPECT_EQ(slots[i].entity, expected[i].entity);
+      EXPECT_EQ(slots[i].neighbor, expected[i].neighbor);
+      ASSERT_EQ(slots[i].mo_path, expected[i].mo_path) << "carrier " << c.id << " slot " << i;
+    }
+    pairwise_slots += slots.size() - std::count_if(slots.begin(), slots.end(), [](const SlotRef& s) {
+                        return s.neighbor == netsim::kInvalidCarrier;
+                      });
+  }
+  EXPECT_GT(pairwise_slots, 0u);
+}
+
+TEST(Controller, PlanMatchesThePerSlotReferenceAndCountsSlots) {
+  // plan_changes_detailed asks the engine for all of a carrier's slots in one
+  // batch; the reference asks recommend() one slot at a time.
+  Fixture f;
+  const LaunchController controller(f.engine, f.rulebook, f.assignment);
+  const PushPolicy policy;
+  std::size_t changes_seen = 0;
+  for (netsim::CarrierId c = 0; c < 60; ++c) {
+    std::vector<LaunchController::PlannedChange> vendor;
+    std::size_t slot_count = 0;
+    const auto changes = controller.plan_changes_detailed(c, &vendor, &slot_count);
+    EXPECT_EQ(slot_count, vendor.size());
+    EXPECT_EQ(slot_count, applicable_slots(f.topo, f.catalog, f.assignment, c).size());
+    std::vector<LaunchController::PlannedChange> expected;
+    for (const LaunchController::PlannedChange& slot : vendor) {
+      const core::Recommendation rec = f.engine.recommend(slot.slot.param, c, slot.slot.neighbor);
+      if (rec.source == core::RecommendationSource::kRulebookDefault) continue;
+      if (rec.support < policy.min_support || rec.votes < policy.min_votes) continue;
+      if (rec.value == slot.vendor_value) continue;
+      expected.push_back({slot.slot, slot.vendor_value, rec.value});
+    }
+    ASSERT_EQ(changes.size(), expected.size()) << "carrier " << c;
+    for (std::size_t i = 0; i < changes.size(); ++i) {
+      EXPECT_EQ(changes[i].slot.param, expected[i].slot.param);
+      EXPECT_EQ(changes[i].slot.entity, expected[i].slot.entity);
+      EXPECT_EQ(changes[i].slot.mo_path, expected[i].slot.mo_path);
+      EXPECT_EQ(changes[i].vendor_value, expected[i].vendor_value);
+      EXPECT_EQ(changes[i].new_value, expected[i].new_value);
+    }
+    // The count-only form plans the same changes without the vendor copy.
+    std::size_t count_only = 0;
+    EXPECT_EQ(controller.plan_changes_detailed(c, nullptr, &count_only).size(), changes.size());
+    EXPECT_EQ(count_only, slot_count);
+    changes_seen += changes.size();
+  }
+  EXPECT_GT(changes_seen, 0u);
 }
 
 TEST(Controller, IntentConfigMatchesGroundTruthIntent) {

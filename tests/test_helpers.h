@@ -1,6 +1,8 @@
 // Shared fixtures for the Auric test suite.
 #pragma once
 
+#include <cctype>
+#include <string_view>
 #include <vector>
 
 #include "config/assignment.h"
@@ -215,5 +217,110 @@ inline config::ConfigAssignment tiny_assignment(const netsim::Topology& topo) {
   }
   return assignment;
 }
+
+/// True when `text` is exactly one RFC 8259 JSON value (objects, arrays,
+/// strings with escapes, numbers, true/false/null). Strict about what a
+/// parser rejects: raw control characters inside strings, bad escapes,
+/// trailing garbage.
+class JsonChecker {
+ public:
+  static bool valid(std::string_view text) {
+    JsonChecker c{text};
+    return c.value() && (c.skip_ws(), c.pos_ == text.size());
+  }
+
+ private:
+  explicit JsonChecker(std::string_view text) : s_(text) {}
+
+  void skip_ws() {
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\r' ||
+                                s_[pos_] == '\t')) {
+      ++pos_;
+    }
+  }
+  bool eat(char c) {
+    skip_ws();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool literal(std::string_view word) {
+    if (s_.substr(pos_, word.size()) != word) return false;
+    pos_ += word.size();
+    return true;
+  }
+  bool string() {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size()) {
+      const auto c = static_cast<unsigned char>(s_[pos_++]);
+      if (c == '"') return true;
+      if (c < 0x20) return false;
+      if (c != '\\') continue;
+      if (pos_ >= s_.size()) return false;
+      const char e = s_[pos_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_) {
+          if (pos_ >= s_.size() || !std::isxdigit(static_cast<unsigned char>(s_[pos_]))) {
+            return false;
+          }
+        }
+      } else if (std::string_view("\"\\/bfnrt").find(e) == std::string_view::npos) {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && std::isdigit(static_cast<unsigned char>(s_[pos_]))) ++pos_;
+    return pos_ > start;
+  }
+  bool number() {
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    if (!digits()) return false;
+    if (pos_ < s_.size() && s_[pos_] == '.' && (++pos_, !digits())) return false;
+    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool value() {
+    skip_ws();
+    if (pos_ >= s_.size()) return false;
+    switch (s_[pos_]) {
+      case '{':
+        ++pos_;
+        if (eat('}')) return true;
+        do {
+          if (!string() || !eat(':') || !value()) return false;
+        } while (eat(','));
+        return eat('}');
+      case '[':
+        ++pos_;
+        if (eat(']')) return true;
+        do {
+          if (!value()) return false;
+        } while (eat(','));
+        return eat(']');
+      case '"':
+        return string();
+      case 't':
+        return literal("true");
+      case 'f':
+        return literal("false");
+      case 'n':
+        return literal("null");
+      default:
+        return number();
+    }
+  }
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace auric::test

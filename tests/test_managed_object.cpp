@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "test_helpers.h"
+#include "util/strings.h"
 
 namespace auric::config {
 namespace {
@@ -11,12 +12,38 @@ TEST(MoPaths, FollowVendorHierarchy) {
   const netsim::Topology topo = test::tiny_topology();
   const netsim::Carrier& carrier = topo.carriers[0];   // eNodeB 0, face 0, 700
   const netsim::Carrier& neighbor = topo.carriers[2];  // eNodeB 1, face 0, 700
-  EXPECT_EQ(cell_mo_path(carrier), "ENodeBFunction=0/EUtranCellFDD=0-0-700");
-  EXPECT_EQ(freq_relation_mo_path(carrier, neighbor),
-            "ENodeBFunction=0/EUtranCellFDD=0-0-700/EUtranFreqRelation=700");
-  EXPECT_EQ(cell_relation_mo_path(carrier, neighbor),
+  std::string path = cell_mo_path(carrier);
+  EXPECT_EQ(path, "ENodeBFunction=0/EUtranCellFDD=0-0-700");
+  append_freq_relation(path, neighbor);
+  EXPECT_EQ(path, "ENodeBFunction=0/EUtranCellFDD=0-0-700/EUtranFreqRelation=700");
+  append_cell_relation(path, neighbor);
+  EXPECT_EQ(path,
             "ENodeBFunction=0/EUtranCellFDD=0-0-700/EUtranFreqRelation=700/"
             "EUtranCellRelation=2");
+}
+
+TEST(MoPaths, MatchTheFormatStringsOnEveryCarrierAndEdge) {
+  // The to_chars path functions against util::format references, over every
+  // carrier and X2 edge of a 2-market x 5-eNodeB world.
+  const netsim::Topology topo = test::small_generated_topology(7, 2, 5);
+  std::size_t edges = 0;
+  for (const netsim::Carrier& c : topo.carriers) {
+    const std::string cell = util::format("ENodeBFunction=%d/EUtranCellFDD=%d-%d-%d", c.enodeb,
+                                          c.enodeb, c.face, c.frequency_mhz);
+    ASSERT_EQ(cell_mo_path(c), cell);
+    for (const netsim::CarrierId to : topo.neighborhood(c.id)) {
+      const netsim::Carrier& n = topo.carrier(to);
+      const std::string freq = cell + util::format("/EUtranFreqRelation=%d", n.frequency_mhz);
+      const std::string relation = freq + util::format("/EUtranCellRelation=%d", n.id);
+      std::string appended = cell;
+      append_freq_relation(appended, n);
+      ASSERT_EQ(appended, freq);
+      append_cell_relation(appended, n);
+      ASSERT_EQ(appended, relation);
+      ++edges;
+    }
+  }
+  EXPECT_GT(edges, 0u);
 }
 
 TEST(RenderConfig, PrintsRawValuesInVendorUnits) {

@@ -17,6 +17,7 @@
 #include "core/engine_diff.h"
 #include "obs/metrics.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace auric::core {
 namespace {
@@ -104,6 +105,112 @@ TEST(ModelWatch, RecordMirrorsSourcesSupportAndCoverage) {
   watch.roll_day();
   EXPECT_NEAR(registry.gauge("auric_model_coverage", "", {{"param", name}}).value(), 2.0 / 3.0,
               1e-9);
+}
+
+/// Every instrument of two registries agrees.
+void expect_same_instruments(const obs::MetricsRegistry& a, const obs::MetricsRegistry& b) {
+  const std::vector<obs::MetricSample> sa = a.snapshot();
+  const std::vector<obs::MetricSample> sb = b.snapshot();
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    SCOPED_TRACE(sa[i].name);
+    EXPECT_EQ(sa[i].name, sb[i].name);
+    EXPECT_EQ(sa[i].labels, sb[i].labels);
+    EXPECT_EQ(sa[i].value, sb[i].value);
+    EXPECT_EQ(sa[i].buckets, sb[i].buckets);
+    EXPECT_EQ(sa[i].count, sb[i].count);
+    EXPECT_EQ(sa[i].sum, sb[i].sum);
+  }
+}
+
+TEST(ModelWatch, BatchRecordEndsInTheSameStateAsPerDecisionRecords) {
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  obs::MetricsRegistry per_registry;
+  obs::MetricsRegistry batch_registry;
+  ModelWatch per(catalog, per_registry);
+  ModelWatch batch(catalog, batch_registry);
+  util::Rng rng(17);
+  for (int day = 0; day < 3; ++day) {
+    // Repeated parameters, all three sources, supports on bucket edges
+    // (0, 0.5, 1) and unset values.
+    std::vector<Recommendation> recs;
+    for (int i = 0; i < 400; ++i) {
+      const auto param = static_cast<config::ParamId>(rng.uniform_int(0, 9) * 6 % 65);
+      const auto source = static_cast<RecommendationSource>(rng.uniform_int(0, 2));
+      const double support = static_cast<double>(rng.uniform_int(0, 8 + day)) / (8 + day);
+      const config::ValueIndex value =
+          i % 37 == 0 ? config::kUnset
+                      : static_cast<config::ValueIndex>(rng.uniform_int(0, 3 + day));
+      recs.push_back(rec_of(param, value, source, support, support / 2));
+    }
+    for (const Recommendation& rec : recs) per.record(rec);
+    // Uneven batches, including an empty one and a batch of one.
+    std::size_t at = 0;
+    for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{81}, std::size_t{318}}) {
+      batch.record(std::span<const Recommendation>(recs).subspan(at, n));
+      at += n;
+    }
+    ASSERT_EQ(at, recs.size());
+    expect_same_instruments(per_registry, batch_registry);
+    per.roll_day();
+    batch.roll_day();
+    expect_same_instruments(per_registry, batch_registry);
+    EXPECT_EQ(per.psi(), batch.psi());
+    EXPECT_EQ(per.modelz_json(), batch.modelz_json());
+  }
+  EXPECT_GT(per.psi(), 0.0);
+}
+
+TEST(ModelWatch, EngineBatchesMatchPerSlotRecommendations) {
+  const netsim::Topology topo = test::small_generated_topology(5, 2, 10);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  AuricEngine engine(topo, schema, catalog, assignment);
+  obs::MetricsRegistry per_registry;
+  obs::MetricsRegistry batch_registry;
+  ModelWatch per(catalog, per_registry);
+  ModelWatch batch(catalog, batch_registry);
+
+  for (netsim::CarrierId c = 0; c < 20; ++c) {
+    std::vector<SlotQuery> slots;
+    for (const config::ParamId p : catalog.singular_ids()) slots.push_back({p});
+    for (const netsim::CarrierId n : topo.neighborhood(c)) {
+      for (const config::ParamId p : catalog.pairwise_ids()) slots.push_back({p, n});
+    }
+    engine.set_watch(&per);
+    std::vector<Recommendation> expected;
+    for (const SlotQuery& slot : slots) expected.push_back(engine.recommend(slot.param, c, slot.neighbor));
+    engine.set_watch(&batch);
+    const std::vector<Recommendation> got = engine.recommend_slots(c, slots);
+    ASSERT_EQ(got.size(), expected.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].param, expected[i].param);
+      EXPECT_EQ(got[i].value, expected[i].value);
+      EXPECT_EQ(got[i].source, expected[i].source);
+      EXPECT_EQ(got[i].votes, expected[i].votes);
+      EXPECT_EQ(got[i].group_size, expected[i].group_size);
+      EXPECT_EQ(got[i].support, expected[i].support);
+      EXPECT_EQ(got[i].margin, expected[i].margin);
+    }
+  }
+  expect_same_instruments(per_registry, batch_registry);
+}
+
+TEST(ModelWatch, CoverageCountsDecisionsWithoutABinnedValue) {
+  // Coverage is derived at the day roll from the value counts plus the
+  // unset/off-domain and fallback counters; every decision still counts.
+  obs::MetricsRegistry registry;
+  const config::ParamCatalog catalog = test::tiny_catalog();
+  ModelWatch watch(catalog, registry);
+  watch.record(rec_of(0, config::kUnset, RecommendationSource::kLocalVote, 1.0));
+  watch.record(rec_of(0, 999, RecommendationSource::kGlobalVote, 0.9));
+  watch.record(rec_of(0, config::kUnset, RecommendationSource::kRulebookDefault, 0.0));
+  watch.record(rec_of(0, 2, RecommendationSource::kRulebookDefault, 0.0));
+  watch.roll_day();
+  const std::string& name = catalog.at(0).name;
+  EXPECT_DOUBLE_EQ(registry.gauge("auric_model_coverage", "", {{"param", name}}).value(), 0.5);
 }
 
 TEST(ModelWatch, GateOutcomesJoinBackToTheParameter) {

@@ -295,6 +295,62 @@ TEST(HttpListener, SlowClientGets408AndDoesNotWedgeTheWorker) {
   listener.stop();
 }
 
+/// `response` without its Traceparent header line (its ids vary per trace).
+std::string without_traceparent(std::string response) {
+  const std::size_t at = response.find("\r\nTraceparent: ");
+  if (at != std::string::npos) response.erase(at, response.find("\r\n", at + 2) - at);
+  return response;
+}
+
+TEST(HttpListener, ResponsesArriveWholeForEmptySmallAndMultiMegabyteBodies) {
+  // Head and body leave in one sendmsg; a body far larger than the socket
+  // buffers takes the partial-write path, resuming inside the iovecs.
+  std::string big(8 << 20, '\0');
+  for (std::size_t i = 0; i < big.size(); ++i) big[i] = static_cast<char>('a' + i % 23);
+  HttpListenerOptions options;
+  options.threads = 1;
+  HttpListener listener(
+      [&big](const HttpRequest& request) {
+        if (request.path() == "/big") {
+          return HttpResponse{200, "application/octet-stream", big, {{"X-Part", "big"}}};
+        }
+        if (request.path() == "/empty") return HttpResponse{404, "text/plain", "", {}};
+        return HttpResponse{200, "text/plain", "ok\n", {{"Retry-After", "1"}, {"X-A", "b"}}};
+      },
+      options);
+  listener.start();
+
+  EXPECT_EQ(without_traceparent(http_get(listener.port(), "/small")),
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: 3\r\n"
+            "Retry-After: 1\r\nX-A: b\r\nConnection: close\r\n\r\nok\n");
+  EXPECT_EQ(without_traceparent(http_get(listener.port(), "/empty")),
+            "HTTP/1.1 404 Not Found\r\nContent-Type: text/plain\r\nContent-Length: 0\r\n"
+            "Connection: close\r\n\r\n");
+
+  // A client with a small receive window that drains slowly.
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const int window = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &window, sizeof(window));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(listener.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  const std::string request = "GET /big HTTP/1.1\r\nHost: local\r\n\r\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0), static_cast<ssize_t>(request.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const std::string response = without_traceparent(read_all(fd));
+  ::close(fd);
+  const std::string head =
+      "HTTP/1.1 200 OK\r\nContent-Type: application/octet-stream\r\nContent-Length: " +
+      std::to_string(big.size()) + "\r\nX-Part: big\r\nConnection: close\r\n\r\n";
+  ASSERT_EQ(response.size(), head.size() + big.size());
+  EXPECT_EQ(response.substr(0, head.size()), head);
+  EXPECT_TRUE(response.compare(head.size(), big.size(), big) == 0);
+  listener.stop();
+}
+
 TEST(HttpListener, HalfRequestThenCloseGetsA400NotAHang) {
   HttpListenerOptions options;
   options.threads = 1;

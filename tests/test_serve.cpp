@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "config/ground_truth.h"
+#include "config/rulebook.h"
 #include "obs/rules.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -302,6 +304,168 @@ TEST(ServeDaemon, RecommendCarriesProvenanceFields) {
   EXPECT_NE(rec.body.find("\"source\":\""), std::string::npos);
   EXPECT_NE(rec.body.find("\"support\":"), std::string::npos);
   EXPECT_NE(rec.body.find("\"margin\":"), std::string::npos);
+}
+
+// /recommend and /diff bodies rendered with printf and string temporaries:
+// the byte-for-byte reference for the daemon's to_chars renderer.
+std::string printf_number(const char* fmt, double v) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), fmt, v);
+  return buf;
+}
+
+std::string reference_escape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    if (c == '"') {
+      out += "\\\"";
+    } else if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string reference_recommend_body(const config::ParamCatalog& catalog, netsim::CarrierId carrier,
+                                     const std::vector<core::Recommendation>& recs) {
+  std::string body = "{\"carrier\":" + std::to_string(carrier) +
+                     ",\"generation\":1,\"recommendations\":[";
+  bool first = true;
+  for (const core::Recommendation& rec : recs) {
+    const config::ParamDef& def = catalog.at(rec.param);
+    if (!first) body += ',';
+    first = false;
+    body += "{\"param\":\"" + reference_escape(def.name) + "\"";
+    if (rec.value != config::kUnset) {
+      body += ",\"value\":" + printf_number("%g", def.domain.value(rec.value));
+    }
+    body += std::string(",\"source\":\"") + core::recommendation_source_name(rec.source) +
+            "\",\"votes\":" + std::to_string(rec.votes) +
+            ",\"group_size\":" + std::to_string(rec.group_size) +
+            ",\"support\":" + printf_number("%.4f", rec.support) +
+            ",\"margin\":" + printf_number("%.4f", rec.margin) + "}";
+  }
+  return body + "]}";
+}
+
+std::string reference_diff_body(
+    const config::ParamCatalog& catalog, netsim::CarrierId carrier, std::size_t slots,
+    const std::vector<smartlaunch::LaunchController::PlannedChange>& changes) {
+  std::string body = "{\"carrier\":" + std::to_string(carrier) +
+                     ",\"generation\":1,\"slots\":" + std::to_string(slots) + ",\"changes\":[";
+  bool first = true;
+  for (const auto& change : changes) {
+    const config::ParamDef& def = catalog.at(change.slot.param);
+    if (!first) body += ',';
+    first = false;
+    body += "{\"param\":\"" + reference_escape(def.name) + "\",\"mo_path\":\"" +
+            reference_escape(change.slot.mo_path) + "\"";
+    if (change.vendor_value != config::kUnset) {
+      body += ",\"vendor\":" + printf_number("%g", def.domain.value(change.vendor_value));
+    }
+    if (change.new_value != config::kUnset) {
+      body += ",\"new\":" + printf_number("%g", def.domain.value(change.new_value));
+    }
+    body += "}";
+  }
+  return body + "]}";
+}
+
+TEST(ServeDaemon, RenderedBodiesMatchThePrintfReferenceByteForByte) {
+  Fixture f;
+  const ServeOptions options = f.options();
+  ServeDaemon daemon = f.daemon(options);
+  daemon.warm_up();
+  // A twin of the daemon's bundle: same inputs, same vendor-fault seed.
+  const core::AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment);
+  const config::Rulebook rulebook(f.ground_truth, f.catalog);
+  const smartlaunch::LaunchController controller(engine, rulebook, f.assignment,
+                                                 smartlaunch::VendorFaultOptions{},
+                                                 smartlaunch::PushPolicy{}, options.seed);
+  std::size_t changes_seen = 0;
+  std::size_t pairwise_seen = 0;
+  for (netsim::CarrierId c = 0; c < static_cast<netsim::CarrierId>(f.topo.carrier_count()); ++c) {
+    const std::string id = std::to_string(c);
+    const obs::HttpResponse singular = daemon.handle(get("/recommend?carrier=" + id));
+    ASSERT_EQ(singular.status, 200) << singular.body;
+    ASSERT_EQ(singular.body, reference_recommend_body(f.catalog, c, engine.recommend_singular(c)));
+    EXPECT_TRUE(test::JsonChecker::valid(singular.body));
+
+    const auto neighbors = f.topo.neighborhood(c);
+    if (!neighbors.empty()) {
+      const netsim::CarrierId n = neighbors.front();
+      const obs::HttpResponse pair =
+          daemon.handle(get("/recommend?carrier=" + id + "&neighbor=" + std::to_string(n)));
+      ASSERT_EQ(pair.status, 200) << pair.body;
+      ASSERT_EQ(pair.body,
+                reference_recommend_body(f.catalog, c, engine.recommend_pairwise(c, n)));
+      ++pairwise_seen;
+    }
+
+    std::vector<smartlaunch::LaunchController::PlannedChange> vendor;
+    const auto changes = controller.plan_changes_detailed(c, &vendor);
+    const obs::HttpResponse diff = daemon.handle(get("/diff?carrier=" + id));
+    ASSERT_EQ(diff.status, 200) << diff.body;
+    ASSERT_EQ(diff.body, reference_diff_body(f.catalog, c, vendor.size(), changes));
+    EXPECT_TRUE(test::JsonChecker::valid(diff.body));
+    changes_seen += changes.size();
+  }
+  // The walk covered the value, vendor and new fields, not just empty plans.
+  EXPECT_GT(pairwise_seen, 0u);
+  EXPECT_GT(changes_seen, 0u);
+}
+
+TEST(ServeDaemon, HandlerExceptionAnswersAParseable500) {
+  Fixture f;
+  ServeDaemon daemon = f.daemon(f.options());
+  // An engine over a catalog one parameter longer than the daemon's: its
+  // extra singular parameter has no definition on the daemon's side, so
+  // rendering /recommend throws inside the handler.
+  std::vector<config::ParamDef> defs;
+  for (std::size_t p = 0; p < f.catalog.size(); ++p) {
+    defs.push_back(f.catalog.at(static_cast<config::ParamId>(p)));
+  }
+  config::ParamDef extra = f.catalog.at(f.catalog.singular_ids().front());
+  extra.name = "extraParam";
+  defs.push_back(extra);
+  const config::ParamCatalog wider(std::move(defs));
+  const config::ConfigAssignment wider_assignment =
+      config::GroundTruthModel(f.topo, f.schema, wider).assign();
+  daemon.set_engine_builder([&] {
+    return std::make_unique<core::AuricEngine>(f.topo, f.schema, wider, wider_assignment);
+  });
+  daemon.warm_up();
+
+  const obs::HttpResponse response = daemon.handle(get("/recommend?carrier=0"));
+  EXPECT_EQ(response.status, 500);
+  EXPECT_EQ(response.content_type, "application/json");
+  EXPECT_EQ(response.body.rfind("{\"error\":\"", 0), 0u) << response.body;
+  EXPECT_TRUE(test::JsonChecker::valid(response.body)) << response.body;
+  EXPECT_EQ(f.registry.counter("auric_serve_errors_total", "").value(), 1u);
+}
+
+TEST(ServeDaemon, ControlCharactersInNamesStayValidJson) {
+  // Parameter names reach the body verbatim from the catalog; a tab or a
+  // raw control byte in one must come out escaped, not as invalid JSON.
+  Fixture f;
+  std::vector<config::ParamDef> defs;
+  for (std::size_t p = 0; p < f.catalog.size(); ++p) {
+    defs.push_back(f.catalog.at(static_cast<config::ParamId>(p)));
+  }
+  const config::ParamId first = f.catalog.singular_ids().front();
+  defs[static_cast<std::size_t>(first)].name += "\t\x01\"x\\";
+  const config::ParamCatalog odd(std::move(defs));
+  ServeDaemon daemon(f.topo, f.schema, odd, f.assignment, f.ground_truth, f.options(),
+                     f.registry);
+  daemon.warm_up();
+  const obs::HttpResponse response = daemon.handle(get("/recommend?carrier=0"));
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_NE(response.body.find("\\t\\u0001\\\"x\\\\\""), std::string::npos) << response.body;
+  EXPECT_TRUE(test::JsonChecker::valid(response.body)) << response.body;
 }
 
 TEST(ServeDaemon, RelearnAuditRidesTheResponseAndModelz) {
