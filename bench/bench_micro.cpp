@@ -622,25 +622,18 @@ BENCHMARK(BM_ObsScrapeRender);
 // --- Serve request plane ----------------------------------------------------
 //
 // BM_ServeRecommend prices the full in-process request path (admission ->
-// deadline -> bulkhead -> dispatch -> engine snapshot -> recommend -> JSON)
-// against a warmed daemon; wall time is dominated by the worker handoff,
-// which is exactly the latency an admitted request pays before its deadline.
+// deadline -> bulkhead -> engine snapshot -> recommend -> JSON) against a
+// warmed daemon, all on the calling thread, as a connection thread runs it.
 // BM_ServeAdmission prices the shed fast path (queue_high_water = 0) — the
 // cost every request pays under overload, which must stay near-free (no
-// dispatch, no engine work) for shedding to actually protect the daemon.
-
-serve::ServeOptions serve_bench_options() {
-  serve::ServeOptions options;
-  options.workers = 1;
-  return options;
-}
+// engine work) for shedding to actually protect the daemon.
 
 void BM_ServeRecommend(benchmark::State& state) {
   const World& w = world();
   static obs::MetricsRegistry registry;
   static const config::GroundTruthModel ground_truth(w.topo, w.schema, w.catalog);
   static serve::ServeDaemon daemon(w.topo, w.schema, w.catalog, w.assignment, ground_truth,
-                                   serve_bench_options(), registry);
+                                   serve::ServeOptions{}, registry);
   daemon.warm_up();
   obs::HttpRequest request;
   request.method = "GET";
@@ -664,7 +657,7 @@ void BM_ServeDiff(benchmark::State& state) {
   static obs::MetricsRegistry registry;
   static const config::GroundTruthModel ground_truth(w.topo, w.schema, w.catalog);
   static serve::ServeDaemon daemon(w.topo, w.schema, w.catalog, w.assignment, ground_truth,
-                                   serve_bench_options(), registry);
+                                   serve::ServeOptions{}, registry);
   daemon.warm_up();
   obs::HttpRequest request;
   request.method = "GET";
@@ -722,7 +715,7 @@ void BM_ServeAdmission(benchmark::State& state) {
   static const config::GroundTruthModel ground_truth(w.topo, w.schema, w.catalog);
   static serve::ServeDaemon daemon(w.topo, w.schema, w.catalog, w.assignment, ground_truth,
                                    [] {
-                                     serve::ServeOptions options = serve_bench_options();
+                                     serve::ServeOptions options;
                                      options.queue_high_water = 0;  // shed everything
                                      return options;
                                    }(),

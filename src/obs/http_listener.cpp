@@ -10,8 +10,8 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <stdexcept>
@@ -79,6 +79,18 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
+}
+
+/// A Content-Length value: ASCII digits only, so a sign, inner whitespace,
+/// an embedded NUL or an out-of-range number is rejected (nullopt).
+std::optional<std::size_t> parse_content_length(std::string_view value) {
+  std::size_t length = 0;
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, length);
+  if (ec != std::errc{} || ptr != end) {
+    return std::nullopt;
+  }
+  return length;
 }
 
 /// Parses "METHOD SP TARGET SP HTTP/x.y" from the first line of `raw`.
@@ -329,16 +341,16 @@ void HttpListener::handle_connection(int client_fd) {
         }
         const std::string_view cl = request.header("content-length");
         if (!cl.empty()) {
-          char* parse_end = nullptr;
-          const std::string cl_str(cl);
-          const long long v = std::strtoll(cl_str.c_str(), &parse_end, 10);
-          if (parse_end == nullptr || *parse_end != '\0' || v < 0) {
+          const std::optional<std::size_t> length = parse_content_length(cl);
+          if (!length.has_value()) {
             error_status = 400;
             error_body = "bad content-length\n";
             break;
           }
-          body_needed = static_cast<std::size_t>(v);
-          if (headers_end + body_needed > options_.max_request_bytes) {
+          body_needed = *length;
+          // headers_end <= raw.size() <= max_request_bytes here, so the
+          // subtraction cannot wrap (an addition could, for huge lengths).
+          if (body_needed > options_.max_request_bytes - headers_end) {
             error_status = 413;
             error_body = "request too large\n";
             break;

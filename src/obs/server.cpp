@@ -4,26 +4,9 @@
 #include "obs/profiler.h"
 #include "obs/rules.h"
 #include "obs/trace.h"
+#include "util/strings.h"
 
 namespace auric::obs {
-
-namespace {
-
-/// Value of `key` in an HTTP query string ("a=1&b=2"), or empty.
-std::string_view query_param(std::string_view query, std::string_view key) {
-  while (!query.empty()) {
-    const std::size_t amp = query.find('&');
-    std::string_view pair = amp == std::string_view::npos ? query : query.substr(0, amp);
-    query = amp == std::string_view::npos ? std::string_view{} : query.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-  }
-  return {};
-}
-
-}  // namespace
 
 std::string profilez_text(std::string_view query, int* status) {
   *status = 200;
@@ -32,7 +15,7 @@ std::string profilez_text(std::string_view query, int* status) {
     return "profiler unavailable in this build (sanitizer or unsupported platform)\n";
   }
   int seconds = 1;
-  const std::string_view raw = query_param(query, "seconds");
+  const std::string_view raw = util::query_param(query, "seconds");
   if (!raw.empty()) {
     try {
       seconds = std::stoi(std::string(raw));

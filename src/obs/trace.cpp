@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "util/render.h"
+#include "util/strings.h"
 
 namespace auric::obs {
 
@@ -18,20 +19,6 @@ std::uint64_t steady_now_ns() {
   return static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
                                         std::chrono::steady_clock::now().time_since_epoch())
                                         .count());
-}
-
-/// Value of `key` in an HTTP query string ("a=1&b=2"), or empty.
-std::string_view query_param(std::string_view query, std::string_view key) {
-  while (!query.empty()) {
-    const std::size_t amp = query.find('&');
-    std::string_view pair = amp == std::string_view::npos ? query : query.substr(0, amp);
-    query = amp == std::string_view::npos ? std::string_view{} : query.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-  }
-  return {};
 }
 
 }  // namespace
@@ -74,8 +61,8 @@ void TraceRecorder::buffer_pending(const SpanRecord& span) {
   if (it == pending_.end()) {
     if (pending_.size() >= tail_.max_pending) {
       // Bound the open-trace buffer: evict the oldest pending trace
-      // unfinalized. Stragglers of an abandoned job land here and must not
-      // grow memory without bound.
+      // unfinalized. Spans of a trace that never finalizes land here and
+      // must not grow memory without bound.
       auto oldest = pending_.begin();
       for (auto p = pending_.begin(); p != pending_.end(); ++p) {
         if (p->second.seq < oldest->second.seq) oldest = p;
@@ -213,8 +200,8 @@ void write_trace_file(const TraceRecorder& recorder, const std::string& path) {
 }
 
 std::string tracez_text(const TraceRecorder& recorder, std::string_view query) {
-  const std::string_view wanted_id = query_param(query, "trace_id");
-  const std::string_view min_ms_raw = query_param(query, "min_ms");
+  const std::string_view wanted_id = util::query_param(query, "trace_id");
+  const std::string_view min_ms_raw = util::query_param(query, "min_ms");
   if (!wanted_id.empty()) {
     const std::optional<TraceId> id = parse_trace_id_hex(wanted_id);
     if (!id.has_value()) return {};

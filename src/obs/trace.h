@@ -69,7 +69,7 @@ struct TailOptions {
   /// Kept traces retained (oldest evicted first).
   std::size_t capacity = 64;
   /// Open traces buffered at once; beyond this the oldest pending trace is
-  /// discarded unfinalized (an abandoned job's stragglers must not leak).
+  /// discarded unfinalized (a trace that never finalizes must not leak).
   std::size_t max_pending = 256;
 };
 

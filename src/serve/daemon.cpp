@@ -30,20 +30,6 @@ std::int64_t now_ms() {
       .count();
 }
 
-/// Value of `key` in an HTTP query string ("a=1&b=2"), or empty.
-std::string_view query_param(std::string_view query, std::string_view key) {
-  while (!query.empty()) {
-    const std::size_t amp = query.find('&');
-    std::string_view pair = amp == std::string_view::npos ? query : query.substr(0, amp);
-    query = amp == std::string_view::npos ? std::string_view{} : query.substr(amp + 1);
-    const std::size_t eq = pair.find('=');
-    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
-      return pair.substr(eq + 1);
-    }
-  }
-  return {};
-}
-
 /// Strict integer parse; nullopt on garbage or empty.
 std::optional<std::int64_t> parse_int(std::string_view s) {
   if (s.empty()) {
@@ -57,6 +43,15 @@ std::optional<std::int64_t> parse_int(std::string_view s) {
   return v;
 }
 
+/// A carrier id in [0, count), or nullopt.
+std::optional<netsim::CarrierId> parse_carrier(std::string_view s, std::size_t count) {
+  const std::optional<std::int64_t> v = parse_int(s);
+  if (!v.has_value() || *v < 0 || static_cast<std::size_t>(*v) >= count) {
+    return std::nullopt;
+  }
+  return static_cast<netsim::CarrierId>(*v);
+}
+
 obs::HttpResponse json_response(int status, std::string body) {
   return {status, "application/json", std::move(body), {}};
 }
@@ -67,14 +62,6 @@ obs::HttpResponse shed_response(const char* why) {
           std::string("{\"status\":\"shed\",\"reason\":\"") + why + "\"}",
           {{"Retry-After", "1"}}};
 }
-
-/// The outcome slot a listener thread waits on while the pool computes.
-struct Job {
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  obs::HttpResponse response;
-};
 
 }  // namespace
 
@@ -92,7 +79,6 @@ ServeDaemon::ServeDaemon(const netsim::Topology& topology,
       options_(std::move(options)),
       registry_(&registry),
       watch_(catalog, registry),
-      pool_(static_cast<std::size_t>(std::max(1, options_.workers))),
       bulk_used_(static_cast<std::size_t>(std::max(1, options_.bulkheads)), 0),
       requests_recommend_(registry.counter("auric_serve_requests_total", "serve requests",
                                            {{"endpoint", "recommend"}})),
@@ -134,7 +120,6 @@ ServeDaemon::ServeDaemon(const netsim::Topology& topology,
   // the p99 bucket on /metrics names a trace_id /tracez can expand.
   latency_recommend_.enable_exemplars();
   latency_diff_.enable_exemplars();
-  pool_.set_pending_limit(options_.pool_pending_limit);
   builder_ = [this] {
     return std::make_unique<core::AuricEngine>(*topology_, *schema_, *catalog_, *assignment_);
   };
@@ -313,13 +298,11 @@ void ServeDaemon::start() {
 
 void ServeDaemon::drain() {
   draining_.store(true);
-  // Admitted requests finish (their listener thread is blocked inside
-  // handle(), which never checks draining_ after admission)...
+  // Admitted requests finish: their connection thread is inside handle(),
+  // which never checks draining_ after admission.
   while (admitted_.load() != 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  // ...then abandoned (timed-out) jobs still queued or running on the pool.
-  pool_.wait_idle();
   // Connections still queued in the listener get a prompt 503 "draining"
   // terminal response while stop() drains the fd queue.
   if (listener_ != nullptr) {
@@ -394,15 +377,18 @@ obs::HttpResponse ServeDaemon::handle(const obs::HttpRequest& request) {
               "GET /healthz /metrics /varz /tracez /profilez /modelz   POST /relearn /quit\n",
               {}};
     }
-    if (path == "/recommend" || path == "/diff") {
-      return handle_data(request, std::string(path.substr(1)));
+    if (path == "/recommend") {
+      return handle_data(request, Endpoint::kRecommend);
+    }
+    if (path == "/diff") {
+      return handle_data(request, Endpoint::kDiff);
     }
     return {404, "text/plain; charset=utf-8", "unknown endpoint\n", {}};
   }
   if (request.method == "POST") {
     if (path == "/relearn") {
       core::RelearnMode mode = options_.relearn_mode;
-      const std::string_view mode_arg = query_param(request.query(), "mode");
+      const std::string_view mode_arg = util::query_param(request.query(), "mode");
       if (mode_arg == "full") {
         mode = core::RelearnMode::kFull;
       } else if (mode_arg == "incremental") {
@@ -434,14 +420,13 @@ obs::HttpResponse ServeDaemon::handle(const obs::HttpRequest& request) {
 }
 
 obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
-                                           const std::string& endpoint) {
+                                           Endpoint endpoint) {
   const Clock::time_point arrival = Clock::now();
+  const bool recommend = endpoint == Endpoint::kRecommend;
   // Child of the listener's http.<path> root span; phases below (admission,
   // bulkhead, engine) nest under it, so one request reads as one tree.
-  obs::ScopedSpan request_span(std::string("serve.") += endpoint);
-  obs::Counter& endpoint_counter =
-      endpoint == "recommend" ? requests_recommend_ : requests_diff_;
-  endpoint_counter.inc();
+  obs::ScopedSpan request_span(recommend ? "serve.recommend" : "serve.diff");
+  (recommend ? requests_recommend_ : requests_diff_).inc();
 
   if (draining_.load()) {
     obs::TraceRecorder::global().mark_trace_error();
@@ -485,11 +470,23 @@ obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
   }
   const Clock::time_point expiry = arrival + std::chrono::milliseconds(deadline_ms);
 
-  // Parse the target carrier before burning a bulkhead slot on it.
-  const std::optional<std::int64_t> carrier = parse_int(query_param(request.query(), "carrier"));
-  if (!carrier.has_value() || *carrier < 0 ||
-      static_cast<std::size_t>(*carrier) >= topology_->carrier_count()) {
+  // Parse the target carrier (and neighbor) once, before burning a bulkhead
+  // slot on it.
+  const std::string_view query = request.query();
+  const std::optional<netsim::CarrierId> carrier =
+      parse_carrier(util::query_param(query, "carrier"), topology_->carrier_count());
+  if (!carrier.has_value()) {
     return json_response(400, "{\"error\":\"carrier must name a carrier in the inventory\"}");
+  }
+  netsim::CarrierId neighbor = netsim::kInvalidCarrier;
+  const std::string_view neighbor_raw = recommend ? util::query_param(query, "neighbor") : "";
+  if (!neighbor_raw.empty()) {
+    const std::optional<netsim::CarrierId> parsed =
+        parse_carrier(neighbor_raw, topology_->carrier_count());
+    if (!parsed.has_value()) {
+      return json_response(400, "{\"error\":\"neighbor must name a carrier\"}");
+    }
+    neighbor = *parsed;
   }
 
   // Bulkhead: per-market-shard concurrency cap. The same stable mapping the
@@ -514,20 +511,18 @@ obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
   }
   phase_span.reset();
 
-  // Dispatch onto the pool against a pinned engine snapshot.
-  auto job = std::make_shared<Job>();
-  std::shared_ptr<const EngineBundle> bundle = snapshot();
-  const bool submitted = pool_.try_submit([this, job, bundle, request, endpoint, lane] {
-    obs::HttpResponse response;
+  // The engine or plan call runs right here, against a pinned engine
+  // snapshot: it is bounded CPU work, so the connection thread that read
+  // the request answers it.
+  const std::shared_ptr<const EngineBundle> bundle = snapshot();
+  obs::HttpResponse response;
+  {
+    obs::ScopedSpan engine_span("serve.engine");
     try {
-      // Runs under the submitter's trace context (TaskPool re-establishes
-      // it), so this span parents under serve.<endpoint> across the pool
-      // hop.
-      obs::ScopedSpan engine_span("serve.engine");
       if (options_.work_delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(options_.work_delay_ms));
       }
-      response = compute(request, endpoint, *bundle);
+      response = compute(endpoint, *carrier, neighbor, *bundle);
     } catch (const std::exception& e) {
       errors_total_.inc();
       obs::TraceRecorder::global().mark_trace_error();
@@ -536,77 +531,43 @@ obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
       body += "\"}";
       response = json_response(500, std::move(body));
     }
-    {
-      std::lock_guard<std::mutex> lock(bulk_mu_);
-      --bulk_used_[lane];
-    }
-    bulk_cv_.notify_all();
-    {
-      std::lock_guard<std::mutex> lock(job->mu);
-      job->response = std::move(response);
-      job->done = true;
-    }
-    job->cv.notify_all();
-  });
-  if (!submitted) {
-    {
-      std::lock_guard<std::mutex> lock(bulk_mu_);
-      --bulk_used_[lane];
-    }
-    bulk_cv_.notify_all();
-    note_shed();
-    obs::TraceRecorder::global().mark_trace_error();
-    return shed_response("worker queue full");
   }
-
-  obs::HttpResponse response;
   {
-    std::unique_lock<std::mutex> lock(job->mu);
-    if (!job->cv.wait_until(lock, expiry, [&] { return job->done; })) {
-      // Mid-flight timeout: the client gets a terminal 504 now; the worker
-      // finishes the abandoned job harmlessly (it only touches the job slot
-      // and the bulkhead counter) — no thread is poisoned or cancelled.
-      timeouts_total_.inc();
-      obs::TraceRecorder::global().mark_trace_error();
-      return json_response(504, "{\"error\":\"deadline expired in flight\"}");
-    }
-    response = std::move(job->response);
+    std::lock_guard<std::mutex> lock(bulk_mu_);
+    --bulk_used_[lane];
+  }
+  bulk_cv_.notify_all();
+
+  const Clock::time_point done = Clock::now();
+  if (done > expiry) {
+    // Mid-flight timeout: the call returned past the deadline, so the late
+    // answer is discarded and the client gets the terminal 504 it was
+    // promised.
+    timeouts_total_.inc();
+    obs::TraceRecorder::global().mark_trace_error();
+    return json_response(504, "{\"error\":\"deadline expired in flight\"}");
   }
   const double latency_ms =
-      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(Clock::now() -
-                                                                            arrival)
+      std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(done - arrival)
           .count();
-  (endpoint == "recommend" ? latency_recommend_ : latency_diff_).observe(latency_ms);
+  (recommend ? latency_recommend_ : latency_diff_).observe(latency_ms);
   return response;
 }
 
-obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
-                                       const std::string& endpoint,
+obs::HttpResponse ServeDaemon::compute(Endpoint endpoint, netsim::CarrierId carrier,
+                                       netsim::CarrierId neighbor,
                                        const EngineBundle& bundle) const {
-  const std::int64_t carrier_id = *parse_int(query_param(request.query(), "carrier"));
-  const auto carrier = static_cast<netsim::CarrierId>(carrier_id);
-
-  if (endpoint == "recommend") {
-    const std::string_view neighbor_raw = query_param(request.query(), "neighbor");
-    std::vector<core::Recommendation> recs;
-    netsim::CarrierId neighbor = netsim::kInvalidCarrier;
-    if (!neighbor_raw.empty()) {
-      const std::optional<std::int64_t> parsed = parse_int(neighbor_raw);
-      if (!parsed.has_value() || *parsed < 0 ||
-          static_cast<std::size_t>(*parsed) >= topology_->carrier_count()) {
-        return json_response(400, "{\"error\":\"neighbor must name a carrier\"}");
-      }
-      neighbor = static_cast<netsim::CarrierId>(*parsed);
-      recs = bundle.engine->recommend_pairwise(carrier, neighbor);
-    } else {
-      recs = bundle.engine->recommend_singular(carrier);
-    }
+  if (endpoint == Endpoint::kRecommend) {
+    const std::vector<core::Recommendation> recs =
+        neighbor == netsim::kInvalidCarrier
+            ? bundle.engine->recommend_singular(carrier)
+            : bundle.engine->recommend_pairwise(carrier, neighbor);
     // Rendered in place: one reserved buffer, to_chars numbers identical
     // to the printf forms (%g values, %.4f support and margin).
     std::string body;
     body.reserve(64 + recs.size() * 128);
     body += "{\"carrier\":";
-    util::append_int(body, carrier_id);
+    util::append_int(body, carrier);
     body += ",\"generation\":";
     util::append_int(body, bundle.generation);
     body += ",\"recommendations\":[";
@@ -647,7 +608,7 @@ obs::HttpResponse ServeDaemon::compute(const obs::HttpRequest& request,
   std::string body;
   body.reserve(96 + changes.size() * 160);
   body += "{\"carrier\":";
-  util::append_int(body, carrier_id);
+  util::append_int(body, carrier);
   body += ",\"generation\":";
   util::append_int(body, bundle.generation);
   body += ",\"slots\":";

@@ -18,9 +18,9 @@
 //               queueing without bound
 //   deadline    every request carries a budget (X-Auric-Deadline-Ms header,
 //               clamped); requests that expire while waiting for a bulkhead
-//               slot are dropped BEFORE dispatch (504), and requests that
-//               expire mid-flight return 504 while the worker finishes the
-//               abandoned job harmlessly in the background
+//               slot are dropped BEFORE dispatch (504), and a request whose
+//               engine call returns past its deadline answers 504 with the
+//               late result discarded
 //   bulkhead    per-market-shard concurrency caps (smartlaunch's
 //               shard_of_market) so one hot market cannot starve the rest
 //   snapshot    handlers run against an RCU-style engine snapshot
@@ -36,6 +36,10 @@
 //               §17. The audit report rides the /relearn response and /modelz.
 //   drain       stop admitting, finish in-flight work, answer stragglers
 //               with 503, exit 0 (SIGTERM/SIGINT via util::drain)
+//
+// Every layer runs on the HTTP connection thread that read the request:
+// the engine or plan call is bounded CPU work, so there is no hand-off to a
+// worker pool, and admission alone bounds concurrency under overload.
 #pragma once
 
 #include <atomic>
@@ -58,7 +62,6 @@
 #include "obs/http_listener.h"
 #include "obs/metrics.h"
 #include "smartlaunch/controller.h"
-#include "util/parallel.h"
 
 namespace auric::obs {
 class RuleEngine;
@@ -68,15 +71,12 @@ class Sampler;
 namespace auric::serve {
 
 struct ServeOptions {
-  obs::HttpListenerOptions http;  // threads defaulted in the constructor
-  /// Engine-side worker threads (the daemon owns its pool; TaskPool::shared()
-  /// has zero threads on a 1-core host, which would strand dispatched jobs).
-  int workers = 2;
+  /// Listener options; `http.threads` connection threads answer data
+  /// requests themselves, so it is the data-path concurrency ceiling.
+  obs::HttpListenerOptions http;
   /// Admission high-water mark: requests in flight past this are shed with
   /// 503 + Retry-After.
   std::size_t queue_high_water = 64;
-  /// Bound for the pool's detached-task queue; a full queue sheds too.
-  std::size_t pool_pending_limit = 128;
   /// Per-market-shard bulkheads and the concurrency cap of each.
   int bulkheads = 4;
   int bulkhead_width = 8;
@@ -84,8 +84,9 @@ struct ServeOptions {
   /// and the clamp applied when it does.
   int default_deadline_ms = 1000;
   int max_deadline_ms = 10000;
-  /// Artificial per-request service delay (capacity shaping for overload
-  /// tests and the CI soak; 0 in production).
+  /// Artificial per-request service delay, slept on the connection thread
+  /// inside the engine call (capacity shaping for overload tests and the CI
+  /// soak; 0 in production).
   int work_delay_ms = 0;
   /// A shed inside this trailing window makes /healthz report "overloaded".
   int overload_grace_ms = 2000;
@@ -139,9 +140,8 @@ class ServeDaemon {
   /// std::runtime_error when the port cannot be bound.
   void start();
 
-  /// Graceful drain: stop admitting, wait for in-flight requests and
-  /// abandoned background jobs, answer queued stragglers with 503, stop the
-  /// listener. Idempotent.
+  /// Graceful drain: stop admitting, wait for in-flight requests, answer
+  /// queued stragglers with 503, stop the listener. Idempotent.
   void drain();
 
   bool running() const { return listener_ != nullptr && listener_->running(); }
@@ -196,8 +196,9 @@ class ServeDaemon {
     return listener_ == nullptr ? 0 : listener_->requests_served();
   }
 
-  /// The full request path (admission -> deadline -> bulkhead -> snapshot),
-  /// shared by the socket path, tests, and benches.
+  /// The full request path (admission -> deadline -> bulkhead -> snapshot
+  /// -> engine -> render), run on the calling thread; shared by the socket
+  /// path, tests, and benches.
   obs::HttpResponse handle(const obs::HttpRequest& request);
 
  private:
@@ -208,12 +209,16 @@ class ServeDaemon {
     std::uint64_t generation = 0;
   };
 
+  enum class Endpoint { kRecommend, kDiff };
+
   std::shared_ptr<const EngineBundle> snapshot() const;
   std::unique_ptr<EngineBundle> build_bundle();
 
-  obs::HttpResponse handle_data(const obs::HttpRequest& request, const std::string& endpoint);
-  obs::HttpResponse compute(const obs::HttpRequest& request, const std::string& endpoint,
-                            const EngineBundle& bundle) const;
+  obs::HttpResponse handle_data(const obs::HttpRequest& request, Endpoint endpoint);
+  /// The engine or plan call plus its JSON body. `neighbor` is
+  /// kInvalidCarrier for singular recommendations (and ignored by /diff).
+  obs::HttpResponse compute(Endpoint endpoint, netsim::CarrierId carrier,
+                            netsim::CarrierId neighbor, const EngineBundle& bundle) const;
   obs::HttpResponse healthz() const;
   void note_shed();
   bool recently_shed() const;
@@ -237,7 +242,6 @@ class ServeDaemon {
   std::mutex relearn_mu_;  ///< serializes concurrent relearns
   EngineBuilder builder_;
 
-  util::TaskPool pool_;
   std::unique_ptr<obs::HttpListener> listener_;
 
   std::atomic<bool> draining_{false};

@@ -89,50 +89,6 @@ void TaskPool::reserve(std::size_t workers) {
 
 bool TaskPool::on_worker_thread() { return t_in_pool_task; }
 
-bool TaskPool::try_submit(std::function<void()> task) {
-  const PoolClock::time_point submitted = PoolClock::now();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_ || pending_.size() >= pending_limit_) {
-      return false;
-    }
-    if (!threads_.empty()) {
-      pending_.push_back(Pending{std::move(task), obs::current_trace_context(), submitted});
-      work_cv_.notify_one();
-      return true;
-    }
-  }
-  // No workers: degrade to inline execution with the same swallow-on-throw
-  // contract as the threaded path. The submitter's trace context is already
-  // active on this thread.
-  pool_instruments().wait_ms.observe(elapsed_ms(submitted));
-  const bool was_in_task = t_in_pool_task;
-  t_in_pool_task = true;
-  try {
-    BusyScope busy;
-    task();
-  } catch (...) {
-    // Detached tasks own their errors; see the header.
-  }
-  t_in_pool_task = was_in_task;
-  return true;
-}
-
-void TaskPool::set_pending_limit(std::size_t limit) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_limit_ = limit;
-}
-
-std::size_t TaskPool::pending_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pending_.size();
-}
-
-void TaskPool::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [&] { return pending_.empty() && detached_running_ == 0; });
-}
-
 TaskPool& TaskPool::shared() {
   static TaskPool pool(worker_count() > 1 ? worker_count() : 0);
   return pool;
@@ -243,49 +199,21 @@ void TaskPool::work_on(Batch& batch) {
 void TaskPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    work_cv_.wait(lock,
-                  [&] { return stop_ || !open_batches_.empty() || !pending_.empty(); });
-    if (!open_batches_.empty()) {
-      // Claim a task from the oldest open batch in the same critical section
-      // that yields the batch pointer — a batch in open_batches_ always has
-      // unclaimed work, and claiming keeps it alive until our done increment.
-      Batch& batch = *open_batches_.front();
-      const std::size_t n = batch.tasks->size();
-      const std::size_t i = batch.next++;
-      if (batch.next >= n) remove_open(batch);
-      lock.unlock();
-      execute(batch, i);
-      lock.lock();
-      ++batch.done;
-      if (batch.done == n) batch.done_cv.notify_all();
-      // After notifying, `batch` may be destroyed by its owner; don't touch
-      // it.
-      continue;
-    }
-    if (!pending_.empty()) {
-      Pending pending = std::move(pending_.front());
-      pending_.pop_front();
-      ++detached_running_;
-      lock.unlock();
-      pool_instruments().wait_ms.observe(elapsed_ms(pending.submitted));
-      const bool was_in_task = t_in_pool_task;
-      t_in_pool_task = true;
-      try {
-        obs::TraceContextScope trace_scope(pending.ctx);
-        BusyScope busy;
-        pending.task();
-      } catch (...) {
-        // Detached tasks own their errors; see the header.
-      }
-      t_in_pool_task = was_in_task;
-      lock.lock();
-      --detached_running_;
-      if (pending_.empty() && detached_running_ == 0) idle_cv_.notify_all();
-      continue;
-    }
-    // stop_ set and no work left: detached tasks admitted before stop have
-    // drained, so waiters cannot be stranded.
-    return;
+    work_cv_.wait(lock, [&] { return stop_ || !open_batches_.empty(); });
+    if (open_batches_.empty()) return;  // stop_ set and no batch left
+    // Claim a task from the oldest open batch in the same critical section
+    // that yields the batch pointer — a batch in open_batches_ always has
+    // unclaimed work, and claiming keeps it alive until our done increment.
+    Batch& batch = *open_batches_.front();
+    const std::size_t n = batch.tasks->size();
+    const std::size_t i = batch.next++;
+    if (batch.next >= n) remove_open(batch);
+    lock.unlock();
+    execute(batch, i);
+    lock.lock();
+    ++batch.done;
+    // After notifying, `batch` may be destroyed by its owner; don't touch it.
+    if (batch.done == n) batch.done_cv.notify_all();
   }
 }
 

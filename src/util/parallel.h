@@ -44,10 +44,10 @@ void set_worker_count(std::size_t workers);
 /// queue, so nested parallelism can neither deadlock the pool nor
 /// oversubscribe the host.
 ///
-/// Trace propagation: run() and try_submit() capture the submitting
-/// thread's obs::TraceContext and every task executes under it, so spans
+/// Trace propagation: run() captures the submitting thread's
+/// obs::TraceContext and every task executes under it, so spans
 /// opened inside a pool task join the submitter's trace and parent under
-/// the submitter's span — one request (or one replay day) stitches into a
+/// the submitter's span — one replay day (or one relearn) stitches into a
 /// single trace tree across the fan-out. The pool also feeds two
 /// utilization instruments (auric_pool_tasks_busy,
 /// auric_pool_submit_wait_ms) that make queueing delay and real
@@ -73,23 +73,6 @@ class TaskPool {
   /// inside a task (runs inline, see the nested-call guard above).
   void run(std::vector<std::function<void()>> tasks);
 
-  /// Enqueues one detached task (fire-and-forget; the serve plane's
-  /// dispatch primitive). Returns false — shedding to the caller — when the
-  /// pending queue is at its limit or the pool is stopping; the task is NOT
-  /// queued in that case. On a pool with no threads the task runs inline on
-  /// the calling thread (the 1-core degradation path). Detached tasks must
-  /// handle their own errors: exceptions escaping one are swallowed so a
-  /// throwing request cannot poison the worker.
-  bool try_submit(std::function<void()> task);
-
-  /// Bound for the detached-task queue (default 1024). 0 rejects everything.
-  void set_pending_limit(std::size_t limit);
-  /// Detached tasks queued but not yet started.
-  std::size_t pending_count() const;
-  /// Blocks until no detached task is queued or running. Batches submitted
-  /// via run() are not considered.
-  void wait_idle();
-
   /// True on a pool worker thread, or while the calling thread executes a
   /// task batch (the guard parallel_for uses to serialize nested calls).
   static bool on_worker_thread();
@@ -110,14 +93,6 @@ class TaskPool {
     std::chrono::steady_clock::time_point submitted;
   };
 
-  /// One detached task with its submitter's context and submit time (for
-  /// the submit-to-start wait histogram).
-  struct Pending {
-    std::function<void()> task;
-    obs::TraceContext ctx;
-    std::chrono::steady_clock::time_point submitted;
-  };
-
   void worker_loop();
   /// Claims and runs tasks of `batch` until none remain (the calling
   /// thread's help loop; only the batch owner may use it).
@@ -132,12 +107,8 @@ class TaskPool {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;
-  std::condition_variable idle_cv_;
   std::vector<std::thread> threads_;
   std::deque<Batch*> open_batches_;  ///< batches with unclaimed tasks
-  std::deque<Pending> pending_;      ///< detached tasks (try_submit)
-  std::size_t pending_limit_ = 1024;
-  std::size_t detached_running_ = 0;  ///< detached tasks currently executing
   bool stop_ = false;
 };
 

@@ -22,6 +22,22 @@ bool starts_with(std::string_view text, std::string_view prefix);
 /// Lower-case ASCII copy.
 std::string to_lower(std::string_view text);
 
+/// Value of `key` in an HTTP query string ("a=1&b=2"), or empty. The first
+/// `key=` pair wins; a bare `key` with no `=` does not match. Inline because
+/// obs (which sits below util in the link order) parses queries too.
+inline std::string_view query_param(std::string_view query, std::string_view key) {
+  while (!query.empty()) {
+    const std::size_t amp = query.find('&');
+    const std::string_view pair = amp == std::string_view::npos ? query : query.substr(0, amp);
+    query = amp == std::string_view::npos ? std::string_view{} : query.substr(amp + 1);
+    const std::size_t eq = pair.find('=');
+    if (eq != std::string_view::npos && pair.substr(0, eq) == key) {
+      return pair.substr(eq + 1);
+    }
+  }
+  return {};
+}
+
 /// printf-style formatting into std::string (type-checked by the compiler).
 std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -26,8 +29,11 @@
 namespace auric::obs {
 namespace {
 
-// Minimal HTTP client: one raw request, read to connection close.
-std::string http_request(std::uint16_t port, const std::string& raw) {
+// Minimal HTTP client: one raw request, read to connection close. With
+// `half_close` the client shuts down its write side after sending, so an
+// incomplete request meets EOF instead of the read deadline. Send errors
+// end the send: the server may answer and close before reading everything.
+std::string http_request(std::uint16_t port, const std::string& raw, bool half_close = false) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     throw std::runtime_error("client socket() failed");
@@ -42,11 +48,14 @@ std::string http_request(std::uint16_t port, const std::string& raw) {
   }
   size_t sent = 0;
   while (sent < raw.size()) {
-    ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
+    ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) {
       break;
     }
     sent += static_cast<size_t>(n);
+  }
+  if (half_close) {
+    ::shutdown(fd, SHUT_WR);
   }
   std::string response;
   char buf[4096];
@@ -412,6 +421,170 @@ TEST(HttpListener, ClientAbortAfterResponseStartsDoesNotKillTheProcess) {
   ::send(fd, full.data(), full.size(), 0);
   EXPECT_EQ(read_all(fd).rfind("HTTP/1.1 200", 0), 0u);
   ::close(fd);
+  listener.stop();
+}
+
+// --- seeded request fuzz: hostile bytes over a real socket ---
+
+/// Empty when `response` is exactly one well-formed HTTP/1.1 response — one
+/// status line, "Name: value" headers, one Content-Length equal to the body
+/// length and nothing after the body; otherwise what is wrong with it.
+std::string response_defect(const std::string& response) {
+  const std::size_t head_end = response.find("\r\n\r\n");
+  if (head_end == std::string::npos) return "no header terminator";
+  const std::string_view head(response.data(), head_end);
+  const std::size_t status_end = head.find("\r\n");
+  const std::string_view status = head.substr(0, status_end);
+  if (status.size() < 14 || status.substr(0, 9) != "HTTP/1.1 " ||
+      !std::isdigit(static_cast<unsigned char>(status[9])) ||
+      !std::isdigit(static_cast<unsigned char>(status[10])) ||
+      !std::isdigit(static_cast<unsigned char>(status[11])) || status[12] != ' ') {
+    return "bad status line";
+  }
+  int content_lengths = 0;
+  std::size_t content_length = 0;
+  std::string_view rest = status_end == std::string_view::npos ? std::string_view{}
+                                                                : head.substr(status_end + 2);
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find("\r\n");
+    const std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view{} : rest.substr(eol + 2);
+    const std::size_t colon = line.find(": ");
+    if (colon == std::string_view::npos || colon == 0) return "bad header line";
+    if (line.substr(0, colon) == "Content-Length") {
+      ++content_lengths;
+      content_length = std::stoul(std::string(line.substr(colon + 2)));
+    }
+  }
+  if (content_lengths != 1) return "Content-Length count " + std::to_string(content_lengths);
+  const std::size_t body = response.size() - head_end - 4;
+  if (body != content_length) {
+    return "body is " + std::to_string(body) + " bytes, Content-Length " +
+           std::to_string(content_length);
+  }
+  return {};
+}
+
+/// The seeded hostile corpus: every-byte truncations, random bytes with
+/// embedded NULs, bare-LF line ends, header lines with no colon, oversized
+/// heads, and duplicate or garbage Content-Length values. ~500 inputs.
+std::vector<std::string> fuzz_corpus(std::uint64_t seed, std::size_t max_request_bytes) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto random_bytes = [&](std::size_t n) {
+    std::string out(n, '\0');
+    for (char& c : out) c = static_cast<char>(pick(256));
+    return out;
+  };
+  std::vector<std::string> corpus;
+
+  const std::string crlf = "POST /echo HTTP/1.1\r\nHost: fuzz\r\nContent-Length: 5\r\n\r\nhello";
+  const std::string lf = "GET /x?a=1 HTTP/1.1\nHost: fuzz\nX-Y: z\n\n";
+  for (const std::string* valid : {&crlf, &lf}) {
+    for (std::size_t n = 0; n <= valid->size(); ++n) corpus.push_back(valid->substr(0, n));
+  }
+
+  for (int i = 0; i < 150; ++i) corpus.push_back(random_bytes(1 + pick(300)));
+  for (int i = 0; i < 50; ++i) {
+    corpus.push_back("GET /r HTTP/1.1\r\n" + random_bytes(pick(200)) + "\r\n\r\n");
+  }
+
+  const std::vector<std::string> junk_lines = {
+      "NoColonHere", "", " : ", "Host: fuzz", ":empty-name", "X-A:b", "\t",
+      std::string("X-B: \0c", 7)};
+  for (int i = 0; i < 60; ++i) {
+    std::string request = pick(2) == 0 ? "GET /h HTTP/1.1" : "GET /h HTTP/1.0";
+    const std::size_t lines = pick(6);
+    for (std::size_t l = 0; l < lines; ++l) {
+      request += pick(2) == 0 ? "\n" : "\r\n";
+      request += junk_lines[pick(junk_lines.size())];
+    }
+    request += pick(2) == 0 ? "\n\n" : "\r\n\r\n";
+    corpus.push_back(std::move(request));
+  }
+
+  for (int i = 0; i < 30; ++i) {
+    const std::size_t pad = max_request_bytes + pick(3 * max_request_bytes);
+    corpus.push_back(i % 3 == 0 ? "GET /" + std::string(pad, 'p') + " HTTP/1.1\r\n\r\n"
+                     : i % 3 == 1
+                         ? "GET /o HTTP/1.1\r\nX-Pad: " + std::string(pad, 'x') + "\r\n\r\n"
+                         : "GET /o HTTP/1.1\r\n" + std::string(pad, 'y'));
+  }
+
+  const std::vector<std::string> lengths = {
+      "+5", "-5", "-0", "0x5", "5a", "5 5", "5,5", "1e3", "five", "\xd9\xa5",
+      std::string("5\0", 2), "99999999999999999999999", "18446744073709551615",
+      "18446744073709551616", "00005", "0", "5", "4", "6", " 5 "};
+  for (const std::string& value : lengths) {
+    corpus.push_back("POST /echo HTTP/1.1\r\nContent-Length: " + value + "\r\n\r\nhello");
+    corpus.push_back("POST /echo HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: " + value +
+                     "\r\n\r\nhello");
+  }
+  while (corpus.size() < 500) {
+    const std::string& base = corpus[pick(corpus.size())];
+    std::string mutated = base;
+    if (!mutated.empty()) mutated[pick(mutated.size())] = static_cast<char>(pick(256));
+    corpus.push_back(std::move(mutated));
+  }
+  return corpus;
+}
+
+TEST(HttpListener, SeededFuzzedRequestsEachGetOneWellFormedResponse) {
+  HttpListenerOptions options;
+  options.threads = 2;
+  options.read_deadline_ms = 150;
+  options.max_request_bytes = 1024;
+  HttpListener listener(
+      [](const HttpRequest& request) {
+        return HttpResponse{200, "text/plain", request.path() == "/echo" ? request.body : "ok\n",
+                            {}};
+      },
+      options);
+  listener.start();
+
+  const std::vector<std::string> corpus = fuzz_corpus(20211, options.max_request_bytes);
+  ASSERT_GE(corpus.size(), 500u);
+  for (std::size_t i = 0; i < corpus.size(); ++i) {
+    // A few inputs stay half-open so the read deadline (408) answers them.
+    const std::string response = http_request(listener.port(), corpus[i], i % 97 != 0);
+    ASSERT_EQ(response_defect(response), "")
+        << "input " << i << " (" << corpus[i].size() << " bytes): " << response;
+  }
+  EXPECT_EQ(listener.requests_served(), corpus.size());
+
+  // The listener is still healthy afterwards.
+  const std::string ok = http_get(listener.port(), "/after");
+  EXPECT_EQ(ok.rfind("HTTP/1.1 200", 0), 0u) << ok;
+  EXPECT_EQ(response_defect(ok), "");
+  listener.stop();
+}
+
+TEST(HttpListener, ContentLengthMustBeDigitsOnly) {
+  // Regression: the length went through strtoll, which took "+5" as 5 (and
+  // stopped at an embedded NUL). A sign, a NUL or any non-digit is a 400.
+  HttpListenerOptions options;
+  options.threads = 1;
+  HttpListener listener(
+      [](const HttpRequest& request) { return HttpResponse{200, "text/plain", request.body, {}}; },
+      options);
+  listener.start();
+  const auto post = [&](const std::string& value) {
+    return http_request(listener.port(),
+                        "POST /echo HTTP/1.1\r\nContent-Length: " + value + "\r\n\r\nhello",
+                        true);
+  };
+  for (const std::string& bad :
+       {std::string("+5"), std::string("-0"), std::string("5\0", 2), std::string("0x5")}) {
+    const std::string response = post(bad);
+    EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << response;
+    EXPECT_NE(response.find("bad content-length"), std::string::npos) << response;
+  }
+  const std::string good = post("5");
+  EXPECT_EQ(response_defect(good), "");
+  EXPECT_EQ(good.substr(good.size() - 5), "hello");
+  EXPECT_EQ(post("00005").rfind("HTTP/1.1 200", 0), 0u);
+  EXPECT_EQ(post("99999999999999999999999").rfind("HTTP/1.1 400", 0), 0u);  // out of range
+  EXPECT_EQ(post("18446744073709551615").rfind("HTTP/1.1 413", 0), 0u);     // no wraparound
   listener.stop();
 }
 

@@ -2,12 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,115 +154,13 @@ TEST_F(TaskPoolTest, SequentialBatchesReuseWorkers) {
   }
 }
 
-TEST_F(TaskPoolTest, TrySubmitRunsDetachedTasksToCompletion) {
-  TaskPool pool(2);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(pool.try_submit([&] { hits.fetch_add(1); }));
-  }
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 64);
-  EXPECT_EQ(pool.pending_count(), 0u);
-}
-
-TEST_F(TaskPoolTest, TrySubmitRunsInlineOnAThreadlessPool) {
-  // On a 1-core host the shared pool has no workers; detached work must
-  // still execute (inline, in the caller) instead of stranding forever.
-  TaskPool pool(0);
-  int hits = 0;
-  EXPECT_TRUE(pool.try_submit([&] { ++hits; }));
-  EXPECT_EQ(hits, 1);
-  EXPECT_EQ(pool.pending_count(), 0u);
-}
-
-TEST_F(TaskPoolTest, TrySubmitShedsAtThePendingLimit) {
-  // Saturation: one worker wedged on a gate, a pending limit of 3. The
-  // fourth detached submit must be refused, not queued without bound —
-  // this is the backpressure signal the serve daemon turns into a 503.
-  TaskPool pool(1);
-  pool.set_pending_limit(3);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool release = false;
-  ASSERT_TRUE(pool.try_submit([&] {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return release; });
-  }));
-  // Give the worker a moment to pick up the gate task so the queue is empty.
-  while (pool.pending_count() > 0) std::this_thread::yield();
-
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_TRUE(pool.try_submit([&] { hits.fetch_add(1); })) << i;
-  }
-  EXPECT_EQ(pool.pending_count(), 3u);
-  EXPECT_FALSE(pool.try_submit([&] { hits.fetch_add(1); }));  // full: shed
-  EXPECT_FALSE(pool.try_submit([&] { hits.fetch_add(1); }));  // still full
-
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 3);  // the shed tasks never ran
-  // The queue drained: capacity is available again.
-  EXPECT_TRUE(pool.try_submit([&] { hits.fetch_add(1); }));
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 4);
-}
-
-TEST_F(TaskPoolTest, TrySubmitSwallowsExceptionsAndKeepsTheWorkerAlive) {
-  // A throwing detached task must not poison its worker: later tasks on
-  // the same (only) worker still run.
-  TaskPool pool(1);
-  ASSERT_TRUE(pool.try_submit([] { throw std::runtime_error("detached boom"); }));
-  pool.wait_idle();
-  std::atomic<int> hits{0};
-  ASSERT_TRUE(pool.try_submit([&] { hits.fetch_add(1); }));
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 1);
-}
-
-TEST_F(TaskPoolTest, WaitIdleBlocksUntilInFlightDetachedTasksFinish) {
-  TaskPool pool(2);
-  std::atomic<bool> finished{false};
-  ASSERT_TRUE(pool.try_submit([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    finished.store(true);
-  }));
-  pool.wait_idle();
-  EXPECT_TRUE(finished.load());
-}
-
-TEST_F(TaskPoolTest, DestructionDrainsAdmittedDetachedTasks) {
-  // Once try_submit said "yes" the task is admitted work: stopping the pool
-  // (the serve daemon's drain) must run it, not drop it on the floor.
-  std::atomic<int> hits{0};
-  {
-    TaskPool pool(1);
-    std::mutex mu;
-    std::condition_variable cv;
-    bool release = false;
-    ASSERT_TRUE(pool.try_submit([&] {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return release; });
-    }));
-    for (int i = 0; i < 8; ++i) {
-      ASSERT_TRUE(pool.try_submit([&] { hits.fetch_add(1); }));
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      release = true;
-    }
-    cv.notify_all();
-  }  // ~TaskPool joins the worker
-  EXPECT_EQ(hits.load(), 8);
-}
-
 TEST_F(TaskPoolTest, RunPropagatesTheSubmittersTraceContext) {
   TaskPool pool(3);
   obs::TraceRecorder rec(256);
+  obs::Histogram& wait = obs::MetricsRegistry::global().histogram(
+      "auric_pool_submit_wait_ms", obs::default_latency_bounds_ms(),
+      "submit-to-start wait of TaskPool tasks");
+  const std::uint64_t wait0 = wait.count();
   obs::TraceId trace;
   std::uint64_t root_id = 0;
   std::atomic<int> mismatches{0};
@@ -285,6 +179,7 @@ TEST_F(TaskPoolTest, RunPropagatesTheSubmittersTraceContext) {
     pool.run(std::move(tasks));
   }
   EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(wait.count(), wait0 + 16);  // one submit-to-start wait per task
   const std::vector<obs::SpanRecord> spans = rec.records();
   ASSERT_EQ(spans.size(), 17u);
   for (const obs::SpanRecord& s : spans) {
@@ -334,49 +229,6 @@ TEST_F(TaskPoolTest, NestedParallelForReestablishesTheSubmittersContext) {
     }
   }
   EXPECT_EQ(inner_count, 32u);
-}
-
-TEST_F(TaskPoolTest, TrySubmitPropagatesContextAndObservesQueueWait) {
-  TaskPool pool(2);
-  obs::TraceRecorder rec(64);
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-  obs::Histogram& wait = reg.histogram("auric_pool_submit_wait_ms",
-                                       obs::default_latency_bounds_ms(),
-                                       "submit-to-start wait of TaskPool tasks");
-  const std::uint64_t wait0 = wait.count();
-  obs::TraceId trace;
-  {
-    obs::ScopedSpan root("root", rec);
-    trace = root.trace();
-    ASSERT_TRUE(pool.try_submit([&] {
-      obs::ScopedSpan detached("detached", rec);
-      (void)detached;
-    }));
-    pool.wait_idle();
-  }
-  const std::vector<obs::SpanRecord> spans = rec.records();
-  ASSERT_EQ(spans.size(), 2u);
-  EXPECT_EQ(spans[0].name, "detached");
-  EXPECT_EQ(spans[0].trace, trace);
-  EXPECT_GT(wait.count(), wait0);  // the queue wait was observed
-}
-
-TEST_F(TaskPoolTest, BatchesStillRunWhileDetachedTasksAreQueued) {
-  // run() batches and try_submit tasks share the workers; a saturated
-  // detached queue must not deadlock or starve a synchronous batch.
-  TaskPool pool(2);
-  pool.set_pending_limit(256);
-  std::atomic<int> detached{0};
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(pool.try_submit([&] { detached.fetch_add(1); }));
-  }
-  std::atomic<int> batched{0};
-  std::vector<std::function<void()>> tasks;
-  for (int i = 0; i < 32; ++i) tasks.push_back([&] { batched.fetch_add(1); });
-  pool.run(std::move(tasks));
-  EXPECT_EQ(batched.load(), 32);
-  pool.wait_idle();
-  EXPECT_EQ(detached.load(), 200);
 }
 
 }  // namespace

@@ -4,12 +4,14 @@
 // ones start a real listener and run the seeded loadgen over loopback.
 #include "serve/daemon.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "smartlaunch/sharded_ems.h"
 #include "test_helpers.h"
 #include "util/drain.h"
+#include "util/strings.h"
 
 namespace auric::serve {
 namespace {
@@ -34,16 +37,22 @@ struct Fixture {
   config::ConfigAssignment assignment = ground_truth.assign();
   obs::MetricsRegistry registry;  // private: tests must not share counters
 
-  ServeOptions options() const {
-    ServeOptions o;
-    o.workers = 2;
-    return o;
-  }
+  ServeOptions options() const { return ServeOptions{}; }
 
   ServeDaemon daemon(ServeOptions o) {
     return ServeDaemon(topo, schema, catalog, assignment, ground_truth, std::move(o), registry);
   }
 };
+
+/// The raw value of field `key` in one /tracez span line (numbers bare,
+/// strings with their quotes), or empty when absent.
+std::string span_field(const std::string& line, const std::string& key) {
+  const std::string tag = "\"" + key + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  const std::size_t from = at + tag.size();
+  return line.substr(from, line.find_first_of(",}", from) - from);
+}
 
 obs::HttpRequest get(std::string target,
                      std::vector<std::pair<std::string, std::string>> headers = {}) {
@@ -158,7 +167,6 @@ TEST(ServeDaemon, DeadlineExpiryBeforeDispatchReturns504) {
 TEST(ServeDaemon, MidFlightTimeoutReturns504WithoutPoisoningTheWorker) {
   Fixture f;
   ServeOptions o = f.options();
-  o.workers = 1;
   o.work_delay_ms = 150;
   ServeDaemon daemon = f.daemon(o);
   daemon.warm_up();
@@ -169,8 +177,8 @@ TEST(ServeDaemon, MidFlightTimeoutReturns504WithoutPoisoningTheWorker) {
   EXPECT_NE(late.body.find("in flight"), std::string::npos);
   EXPECT_EQ(f.registry.counter("auric_serve_timeouts_total").value(), 1u);
 
-  // The abandoned job finishes in the background; the same worker then
-  // serves a patient request normally.
+  // The late answer was discarded and its bulkhead lane released; the
+  // daemon then serves a patient request normally.
   obs::HttpResponse ok =
       daemon.handle(get("/recommend?carrier=1", {{"x-auric-deadline-ms", "5000"}}));
   EXPECT_EQ(ok.status, 200) << ok.body;
@@ -195,7 +203,6 @@ TEST(ServeDaemon, BulkheadsIsolateAHotMarketLane) {
   ASSERT_GT(bulkheads, 0);
 
   ServeOptions o = f.options();
-  o.workers = 4;
   o.bulkheads = bulkheads;
   o.bulkhead_width = 1;
   o.work_delay_ms = 200;
@@ -230,7 +237,6 @@ TEST(ServeDaemon, BulkheadsIsolateAHotMarketLane) {
 TEST(ServeDaemon, RelearnHotSwapsWhileInFlightRequestsKeepTheirSnapshot) {
   Fixture f;
   ServeOptions o = f.options();
-  o.workers = 2;
   o.work_delay_ms = 250;
   ServeDaemon daemon = f.daemon(o);
   daemon.warm_up();
@@ -743,6 +749,23 @@ TEST(ServeDaemon, OneTraceStitchesListenerAdmissionBulkheadAndEngineSpans) {
   EXPECT_NE(tracez.body.find("\"name\":\"serve.bulkhead\""), std::string::npos);
   EXPECT_NE(tracez.body.find("\"name\":\"serve.engine\""), std::string::npos);
 
+  // The engine call runs on the connection thread that read the request:
+  // serve.engine and its serve.<endpoint> parent share one thread.
+  const std::vector<std::string> lines = util::split(tracez.body, '\n');
+  const auto span_line = [&](const std::string& key, const std::string& value) {
+    const auto it = std::find_if(lines.begin(), lines.end(), [&](const std::string& line) {
+      return span_field(line, key) == value;
+    });
+    return it == lines.end() ? std::string() : *it;
+  };
+  const std::string engine_line = span_line("name", "\"serve.engine\"");
+  ASSERT_FALSE(engine_line.empty()) << tracez.body;
+  const std::string parent_line = span_line("id", span_field(engine_line, "parent"));
+  ASSERT_FALSE(parent_line.empty()) << tracez.body;
+  EXPECT_EQ(span_field(parent_line, "name"), "\"serve." + endpoint + "\"");
+  EXPECT_EQ(span_field(engine_line, "thread"), span_field(parent_line, "thread"));
+  EXPECT_FALSE(span_field(engine_line, "thread").empty());
+
   // The latency histogram exposes SOME trace id as an OpenMetrics exemplar.
   const obs::HttpResponse metrics = daemon.handle(get("/metrics"));
   ASSERT_EQ(metrics.status, 200);
@@ -761,7 +784,6 @@ TEST(ServeDaemon, OverloadShedsButAdmittedRequestsMeetTheirDeadline) {
   Fixture f;
   ServeOptions o = f.options();
   o.http.threads = 8;
-  o.workers = 2;
   o.queue_high_water = 2;
   o.work_delay_ms = 5;
   ServeDaemon daemon = f.daemon(o);

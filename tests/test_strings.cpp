@@ -41,6 +41,32 @@ TEST(StartsWith, Basics) {
 
 TEST(ToLower, AsciiOnly) { EXPECT_EQ(to_lower("AbC-9"), "abc-9"); }
 
+TEST(QueryParam, FindsAKeyAnywhereInTheQuery) {
+  EXPECT_EQ(query_param("carrier=7&neighbor=9", "carrier"), "7");
+  EXPECT_EQ(query_param("carrier=7&neighbor=9", "neighbor"), "9");
+  EXPECT_EQ(query_param("carrier=7", "neighbor"), "");
+  EXPECT_EQ(query_param("", "carrier"), "");
+  EXPECT_EQ(query_param("carrier=7", "carr"), "");  // whole keys only
+}
+
+TEST(QueryParam, FirstMatchWins) {
+  EXPECT_EQ(query_param("carrier=1&carrier=2", "carrier"), "1");
+  EXPECT_EQ(query_param("a=x&carrier=&carrier=2", "carrier"), "");
+}
+
+TEST(QueryParam, AKeyWithNoEqualsSignDoesNotMatch) {
+  EXPECT_EQ(query_param("carrier&carrier=3", "carrier"), "3");
+  EXPECT_EQ(query_param("carrier", "carrier"), "");
+}
+
+TEST(QueryParam, EmptyValueAndTrailingAmpersand) {
+  EXPECT_EQ(query_param("carrier=", "carrier"), "");
+  EXPECT_EQ(query_param("carrier=&x=1", "x"), "1");
+  EXPECT_EQ(query_param("carrier=4&", "carrier"), "4");
+  EXPECT_EQ(query_param("&&carrier=5&&", "carrier"), "5");
+  EXPECT_EQ(query_param("v=a=b", "v"), "a=b");  // only the first '=' splits
+}
+
 TEST(Format, PrintfSemantics) {
   EXPECT_EQ(format("%d/%s", 3, "x"), "3/x");
   EXPECT_EQ(format_fixed(95.478, 2), "95.48");

@@ -38,7 +38,7 @@
 //       SIGTERM/SIGINT drain gracefully: the current day finishes, a final
 //       sealed checkpoint commits, and --resume continues bit-identically.
 //
-//   auric serve     [--data DIR] [--port N] [--workers N] [--queue-high-water N]
+//   auric serve     [--data DIR] [--port N] [--http-threads N] [--queue-high-water N]
 //                   [--relearn-mode full|incremental]
 //       Long-lived recommendation daemon: /recommend /diff /healthz /metrics
 //       over loopback HTTP, with admission control, per-request deadlines,
@@ -463,8 +463,6 @@ int cmd_serve(util::Args& args) {
       args.get_int("port", 0, "listen port (0 = ephemeral; printed at startup)"));
   options.http.threads = static_cast<int>(args.get_int(
       "http-threads", 8, "connection threads (the data-path concurrency ceiling)"));
-  options.workers =
-      static_cast<int>(args.get_int("workers", 2, "engine worker threads (the daemon's pool)"));
   options.queue_high_water = static_cast<std::size_t>(args.get_int(
       "queue-high-water", 64, "admission high-water mark; requests past it are shed with 503"));
   options.bulkheads =
