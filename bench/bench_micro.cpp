@@ -3,8 +3,10 @@
 // built from, so performance regressions surface immediately.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <memory>
+#include <numeric>
 
 #include "config/ground_truth.h"
 #include "config/rulebook.h"
@@ -152,12 +154,15 @@ void BM_LocalVote(benchmark::State& state) {
   const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
   const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
   const core::VotingModel model(view, deps.dependent, *w.words);
+  core::LabelMatrix matrix(w.topo.carrier_count(), 1);
+  matrix.assign_column(0, view, "pMax");
+  const core::LabelColumn labels = matrix.column(0);
   std::size_t row = 0;
   for (auto _ : state) {
     const core::GroupKey key = model.key_for(view.carrier[row], view.neighbor[row]);
-    benchmark::DoNotOptimize(core::local_vote(view, *w.words, model.mask(), key,
+    benchmark::DoNotOptimize(core::local_vote(labels, *w.words, model.mask(), key,
                                               w.topo.neighborhood(view.carrier[row]),
-                                              static_cast<std::int64_t>(row), 0.75));
+                                              static_cast<std::int64_t>(view.entity[row]), 0.75));
     row = (row + 1) % view.rows();
   }
   state.SetItemsProcessed(state.iterations());
@@ -195,9 +200,15 @@ void BM_OneHotEncode(benchmark::State& state) {
 }
 BENCHMARK(BM_OneHotEncode);
 
-void BM_EngineRecommendCarrier(benchmark::State& state) {
+const core::AuricEngine& recommend_engine() {
   const World& w = world();
   static const core::AuricEngine engine(w.topo, w.schema, w.catalog, w.assignment);
+  return engine;
+}
+
+void BM_EngineRecommendCarrier(benchmark::State& state) {
+  const World& w = world();
+  const core::AuricEngine& engine = recommend_engine();
   netsim::CarrierId carrier = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(engine.recommend_singular(carrier));
@@ -209,6 +220,41 @@ void BM_EngineRecommendCarrier(benchmark::State& state) {
                           static_cast<std::int64_t>(w.catalog.singular_ids().size()));
 }
 BENCHMARK(BM_EngineRecommendCarrier);
+
+// BM_EngineRecommendCarrier walks carriers in id order, so consecutive
+// requests share most of their neighbours' rows and stay in the private
+// caches. This arm visits the inventory in a seeded permutation and evicts
+// the private caches (untimed) before every request: the per-request
+// footprint a served request sees under uniform traffic.
+void BM_EngineRecommendCarrierCold(benchmark::State& state) {
+  const World& w = world();
+  const core::AuricEngine& engine = recommend_engine();
+  std::vector<netsim::CarrierId> order(w.topo.carrier_count());
+  std::iota(order.begin(), order.end(), 0);
+  util::Rng rng(17);
+  rng.shuffle(order);
+  // Reading twice the largest private cache replaces every line in it.
+  std::size_t private_bytes = 2 << 20;
+  for (const auto& cache : benchmark::CPUInfo::Get().caches) {
+    if (cache.num_sharing <= 1) private_bytes = std::max<std::size_t>(private_bytes, cache.size);
+  }
+  std::vector<std::uint64_t> sweep(2 * private_bytes / sizeof(std::uint64_t), 1);
+  std::size_t next = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < sweep.size(); i += 64 / sizeof(std::uint64_t)) sum += sweep[i];
+    benchmark::DoNotOptimize(sum);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(engine.recommend_singular(order[next]));
+    next = (next + 1) % order.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.catalog.singular_ids().size()));
+}
+// Each iteration pays an untimed sweep of a few MB, so the count is fixed
+// rather than grown to fill the default minimum time.
+BENCHMARK(BM_EngineRecommendCarrierCold)->Iterations(2000);
 
 // The same walk with a ModelWatch attached: prices the per-recommendation
 // telemetry (pre-resolved instruments, relaxed atomics). The §17 budget is

@@ -88,6 +88,10 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   attr_words_ = std::make_shared<const AttrWords>(schema, *attr_codes_);
   const std::size_t n = catalog.size();
   views_.resize(n);
+  positions_.resize(n);
+  for (std::size_t p = 0; p < n; ++p) {
+    positions_[p] = kind_position(catalog, static_cast<config::ParamId>(p));
+  }
   dependencies_.resize(n);
   contingency_.resize(n);
   DependencyOptions dep_options;
@@ -113,6 +117,16 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   }
   voting_.reserve(n);
   for (std::size_t p = 0; p < n; ++p) voting_.push_back(std::move(*voting_slots[p]));
+  {
+    // The views' serve-side layout, timed with the phase that built them.
+    obs::ScopedTimer timer(metrics.phase_param_view);
+    singular_labels_ = LabelMatrix(topology.carrier_count(), catalog.singular_ids().size());
+    pairwise_labels_ = LabelMatrix(topology.edge_count(), catalog.pairwise_ids().size());
+    for (std::size_t p = 0; p < n; ++p) {
+      label_matrix(p).assign_column(positions_[p], views_[p],
+                                    catalog.at(static_cast<config::ParamId>(p)).name);
+    }
+  }
   metrics.learns.inc();
 }
 
@@ -183,7 +197,7 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
                                 IncrementalRelearnStats& stats) {
   const auto param = static_cast<config::ParamId>(p);
   ParamView& view = views_[p];
-  const std::size_t pos = kind_position(*catalog_, param);
+  const std::size_t pos = positions_[p];
   const config::ParamColumn& col =
       view.pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
 
@@ -248,6 +262,21 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   if (!labels_changed) {
     labels_changed = std::any_of(label_rows.begin(), label_rows.end(),
                                  [](std::int64_t c) { return c == 0; });
+  }
+  // First-seen values of a splice, sorted. The spliced alphabet must still
+  // fit a label cell; refuse before anything of this parameter moves.
+  std::vector<config::ValueIndex> added;
+  if (labels_changed) {
+    for (const Change& ch : changes) {
+      if (ch.new_value != config::kUnset && view.labels.code_of(ch.new_value) < 0) {
+        added.push_back(ch.new_value);
+      }
+    }
+    std::sort(added.begin(), added.end());
+    added.erase(std::unique(added.begin(), added.end()), added.end());
+    const auto kept = static_cast<std::size_t>(std::count_if(
+        label_rows.begin(), label_rows.end(), [](std::int64_t c) { return c > 0; }));
+    check_label_width(kept + added.size(), catalog_->at(param).name);
   }
 
   // Capture the old label codes before mutating the view: the contingency
@@ -321,15 +350,6 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     // exactly what a fresh tally would produce, and a monotone relabeling
     // preserves every smallest-label tie-break — bit-identical models at
     // O(cells + votes + delta), not O(rows x attributes).
-    std::vector<config::ValueIndex> added;
-    for (const Change& ch : changes) {
-      if (ch.new_value != config::kUnset && view.labels.code_of(ch.new_value) < 0) {
-        added.push_back(ch.new_value);
-      }
-    }
-    std::sort(added.begin(), added.end());
-    added.erase(std::unique(added.begin(), added.end()), added.end());
-
     ml::LabelDictionary mid;
     mid.values.reserve(view.labels.size() + added.size());
     std::merge(view.labels.values.begin(), view.labels.values.end(), added.begin(), added.end(),
@@ -414,7 +434,6 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
       view.label.clear();
       view.label.reserve(view.value.size());
       for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
-      rebuild_carrier_index(view, topology_->carrier_count());
     } else {
       for (ml::ClassLabel& l : view.label) l = old_to_final[static_cast<std::size_t>(l)];
       for (const Change& ch : changes) {
@@ -425,12 +444,11 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     }
     stats.params_remapped = 1;
   } else if (rows_changed) {
-    // Label space unchanged: re-code rows and refresh the carrier index only
-    // when the row set itself moved.
+    // Label space unchanged: re-code rows only when the row set itself
+    // moved.
     view.label.clear();
     view.label.reserve(view.value.size());
     for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
-    rebuild_carrier_index(view, topology_->carrier_count());
   } else {
     for (const Change& ch : changes) {
       const auto it = std::lower_bound(view.entity.begin(), view.entity.end(), ch.entity);
@@ -438,6 +456,15 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
           view.labels.code_of(ch.new_value);
     }
   }
+
+  // The label-matrix column: every slot delta writes its cell; a splice may
+  // have moved every code, so it also rewrites the column's rows.
+  LabelMatrix& matrix = label_matrix(p);
+  for (const Change& ch : changes) {
+    matrix.set(ch.entity, pos,
+               ch.new_value == config::kUnset ? -1 : view.labels.code_of(ch.new_value));
+  }
+  if (labels_changed) matrix.assign_column(pos, view, catalog_->at(param).name);
 
   // 2. Contingency deltas: the maintained tables now hold exactly the
   // integer counts a from-scratch tally of the new population would.
@@ -516,13 +543,10 @@ const BackoffVoting& AuricEngine::voting(config::ParamId param) const {
   return voting_.at(static_cast<std::size_t>(param));
 }
 
-std::int64_t AuricEngine::own_row(config::ParamId param, netsim::CarrierId carrier,
-                                  netsim::CarrierId neighbor) const {
-  const ParamView& v = view(param);
-  for (std::uint32_t row : v.rows_of(carrier)) {
-    if (v.neighbor[row] == neighbor) return static_cast<std::int64_t>(row);
-  }
-  return -1;
+LabelColumn AuricEngine::label_column(config::ParamId param) const {
+  const auto p = static_cast<std::size_t>(param);
+  return view(param).pairwise ? pairwise_labels_.column(positions_[p], topology_)
+                              : singular_labels_.column(positions_[p]);
 }
 
 Recommendation AuricEngine::recommend(config::ParamId param, netsim::CarrierId carrier,
@@ -542,11 +566,29 @@ Recommendation AuricEngine::decide(config::ParamId param, netsim::CarrierId carr
 
   const ParamView& v = view(param);
   const BackoffVoting& model = voting(param);
+  const LabelColumn labels = label_column(param);
 
   Recommendation rec;
   rec.param = param;
 
-  const std::int64_t self_row = exclude_self ? own_row(param, carrier, neighbor) : -1;
+  // The subject's own entity — its carrier, or its edge among the carrier's
+  // edge range — and the label stored there (-1: not configured).
+  std::int64_t self = -1;
+  ml::ClassLabel self_label = -1;
+  if (exclude_self) {
+    if (!pairwise) {
+      self = carrier;
+    } else {
+      const auto c = static_cast<std::size_t>(carrier);
+      for (std::size_t e = topology_->edge_offsets[c]; e < topology_->edge_offsets[c + 1]; ++e) {
+        if (topology_->edges[e].to == neighbor) {
+          self = static_cast<std::int64_t>(e);
+          break;
+        }
+      }
+    }
+    if (self >= 0) self_label = labels.label(static_cast<std::size_t>(self));
+  }
 
   const auto adopt = [&](const Vote& vote, RecommendationSource source) {
     rec.value = v.labels.values[static_cast<std::size_t>(vote.label)];
@@ -561,12 +603,12 @@ Recommendation AuricEngine::decide(config::ParamId param, netsim::CarrierId carr
   if (options_.use_proximity) {
     std::optional<BackoffVoting::Decision> decision;
     if (options_.proximity_hops == 1) {
-      decision = model.local(v, topology_->neighborhood(carrier), carrier, neighbor, self_row,
+      decision = model.local(labels, topology_->neighborhood(carrier), carrier, neighbor, self,
                              options_.vote_threshold);
     } else {
       const std::vector<netsim::CarrierId> hood =
           topology_->neighborhood_hops(carrier, options_.proximity_hops);
-      decision = model.local(v, hood, carrier, neighbor, self_row, options_.vote_threshold);
+      decision = model.local(labels, hood, carrier, neighbor, self, options_.vote_threshold);
     }
     if (decision) {
       adopt(decision->vote, RecommendationSource::kLocalVote);
@@ -575,10 +617,9 @@ Recommendation AuricEngine::decide(config::ParamId param, netsim::CarrierId carr
   }
 
   const std::optional<BackoffVoting::Decision> global =
-      self_row >= 0 ? model.vote_excluding(carrier, neighbor,
-                                           v.label[static_cast<std::size_t>(self_row)],
-                                           options_.vote_threshold)
-                    : model.vote(carrier, neighbor, options_.vote_threshold);
+      self_label >= 0
+          ? model.vote_excluding(carrier, neighbor, self_label, options_.vote_threshold)
+          : model.vote(carrier, neighbor, options_.vote_threshold);
   if (global) {
     adopt(global->vote, RecommendationSource::kGlobalVote);
     return rec;
@@ -657,7 +698,8 @@ Recommendation AuricEngine::recommend_for(const netsim::Carrier& new_carrier,
 
   if (options_.use_proximity) {
     if (const auto decision =
-            model.local_word(v, x2_neighbors, word, neighbor, -1, options_.vote_threshold)) {
+            model.local_word(label_column(param), x2_neighbors, word, neighbor, -1,
+                             options_.vote_threshold)) {
       adopt(decision->vote, RecommendationSource::kLocalVote);
       return rec;
     }

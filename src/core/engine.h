@@ -124,7 +124,9 @@ class AuricEngine {
   /// Learns dependency and voting models for every parameter. O(total
   /// configured values) work; ~1s for the default benchmark topology.
   /// Throws std::invalid_argument when the schema's attribute cardinalities
-  /// do not fit one packed 64-bit word (see AttrWords).
+  /// do not fit one packed 64-bit word (see AttrWords), or when a
+  /// parameter has more distinct values than a label cell codes (see
+  /// check_label_width).
   /// Engines are copyable: a copy shares the immutable attribute encoding
   /// and owns its own tables, so a clone can be incrementally relearned and
   /// shadow-audited against the original (the serve relearn path).
@@ -135,16 +137,19 @@ class AuricEngine {
   /// Re-learns in place from the current `assignment`, touching only the
   /// parameters whose configured slots differ from the learned population:
   /// slot deltas (add/update/erase) are applied to the maintained view rows,
-  /// contingency tables and voting groups; a value appearing or vanishing
-  /// splices the label alphabet in place (an exact monotone re-coding, no
-  /// re-tally); the chi-square dependency scan re-runs only per `options`
+  /// label-matrix cells, contingency tables and voting groups; a value
+  /// appearing or vanishing splices the label alphabet in place (an exact
+  /// monotone re-coding, no re-tally) and re-codes that parameter's matrix
+  /// column; the chi-square dependency scan re-runs only per `options`
   /// (see IncrementalRelearnOptions), and voting tables rebuild only when a
   /// parameter's dependent-set membership changed — a re-test that merely
   /// re-ranks the same set keeps the tables, whose keys name the set. With the
   /// default options the result is bit-identical to
   /// constructing a fresh engine over `assignment` — O(day's delta) instead
   /// of O(inventory). The assignment must describe the same topology and
-  /// catalog the engine was built over.
+  /// catalog the engine was built over. A splice that would overflow a
+  /// label cell throws std::invalid_argument before touching that
+  /// parameter.
   void incremental_relearn(const config::ConfigAssignment& assignment,
                            const IncrementalRelearnOptions& options = {},
                            IncrementalRelearnStats* stats = nullptr);
@@ -157,6 +162,15 @@ class AuricEngine {
   const ParamView& view(config::ParamId param) const;
   const DependencyModel& dependencies(config::ParamId param) const;
   const BackoffVoting& voting(config::ParamId param) const;
+
+  /// `param`'s column of the engine's label matrices — what the local vote
+  /// reads (DESIGN.md §5).
+  LabelColumn label_column(config::ParamId param) const;
+  /// Label matrices: [carrier][singular position] and [X2 edge][pair-wise
+  /// position], edges in Topology::edges order. Maintained by
+  /// incremental_relearn exactly as a fresh build would lay them out.
+  const LabelMatrix& singular_labels() const { return singular_labels_; }
+  const LabelMatrix& pairwise_labels() const { return pairwise_labels_; }
   const std::vector<std::vector<netsim::AttrCode>>& attr_codes() const { return *attr_codes_; }
 
   /// Recommends a value for one parameter on `carrier` (singular) or on the
@@ -226,6 +240,9 @@ class AuricEngine {
   std::shared_ptr<const std::vector<std::vector<netsim::AttrCode>>> attr_codes_;
   std::shared_ptr<const AttrWords> attr_words_;
   std::vector<ParamView> views_;              // by catalog param id
+  std::vector<std::size_t> positions_;        ///< kind_position by catalog param id
+  LabelMatrix singular_labels_;
+  LabelMatrix pairwise_labels_;
   std::vector<DependencyModel> dependencies_;
   std::vector<ContingencyState> contingency_;  ///< re-test sufficient statistics
   std::vector<BackoffVoting> voting_;
@@ -247,10 +264,10 @@ class AuricEngine {
   bool relearn_param(std::size_t p, const config::ConfigAssignment& assignment,
                      const IncrementalRelearnOptions& options, IncrementalRelearnStats& stats);
 
-  /// Row of `view(param)` holding the carrier's own current observation for
-  /// this exact slot, or -1.
-  std::int64_t own_row(config::ParamId param, netsim::CarrierId carrier,
-                       netsim::CarrierId neighbor) const;
+  /// The label matrix of parameter `p`'s kind.
+  LabelMatrix& label_matrix(std::size_t p) {
+    return views_[p].pairwise ? pairwise_labels_ : singular_labels_;
+  }
 };
 
 }  // namespace auric::core

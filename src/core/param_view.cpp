@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/strings.h"
+
 namespace auric::core {
 
 std::size_t kind_position(const config::ParamCatalog& catalog, config::ParamId param) {
@@ -21,56 +23,59 @@ ParamView build_param_view(const netsim::Topology& topology, const config::Param
   view.param = param;
   view.pairwise = catalog.at(param).kind == config::ParamKind::kPairwise;
   const std::size_t pos = kind_position(catalog, param);
+  const config::ParamColumn& col =
+      view.pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
 
-  const auto want_carrier = [&](netsim::CarrierId id) {
-    return !market || topology.carrier(id).market == *market;
+  const auto subject = [&](std::size_t e) {
+    return view.pairwise ? topology.edges[e].from : static_cast<netsim::CarrierId>(e);
+  };
+  const auto want = [&](std::size_t e) {
+    return col.value[e] != config::kUnset &&
+           (!market || topology.carrier(subject(e)).market == *market);
   };
 
-  if (!view.pairwise) {
-    const config::ParamColumn& col = assignment.singular.at(pos);
-    for (std::size_t c = 0; c < col.value.size(); ++c) {
-      if (col.value[c] == config::kUnset) continue;
-      const auto id = static_cast<netsim::CarrierId>(c);
-      if (!want_carrier(id)) continue;
-      view.carrier.push_back(id);
-      view.neighbor.push_back(netsim::kInvalidCarrier);
-      view.entity.push_back(c);
-      view.value.push_back(col.value[c]);
-    }
+  // Exact-size the row arrays: push_back growth leaves up to half of each
+  // array as slack, and the engine keeps 65 views resident.
+  std::size_t rows = 0;
+  if (!market) {
+    rows = col.configured_count();
   } else {
-    const config::ParamColumn& col = assignment.pairwise.at(pos);
-    for (std::size_t e = 0; e < col.value.size(); ++e) {
-      if (col.value[e] == config::kUnset) continue;
-      const netsim::X2Edge& edge = topology.edges[e];
-      if (!want_carrier(edge.from)) continue;
-      view.carrier.push_back(edge.from);
-      view.neighbor.push_back(edge.to);
-      view.entity.push_back(e);
-      view.value.push_back(col.value[e]);
-    }
+    for (std::size_t e = 0; e < col.value.size(); ++e) rows += want(e) ? 1 : 0;
+  }
+  view.carrier.reserve(rows);
+  view.neighbor.reserve(rows);
+  view.entity.reserve(rows);
+  view.value.reserve(rows);
+  for (std::size_t e = 0; e < col.value.size(); ++e) {
+    if (!want(e)) continue;
+    view.carrier.push_back(subject(e));
+    view.neighbor.push_back(view.pairwise ? topology.edges[e].to : netsim::kInvalidCarrier);
+    view.entity.push_back(e);
+    view.value.push_back(col.value[e]);
   }
 
   view.labels = ml::LabelDictionary::build(view.value);
   view.label.reserve(view.value.size());
   for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
-
-  rebuild_carrier_index(view, topology.carrier_count());
   return view;
 }
 
-void rebuild_carrier_index(ParamView& view, std::size_t carrier_count) {
-  // CSR over subject carriers.
-  view.carrier_offsets.assign(carrier_count + 1, 0);
-  for (netsim::CarrierId c : view.carrier) ++view.carrier_offsets[static_cast<std::size_t>(c) + 1];
-  for (std::size_t c = 0; c < carrier_count; ++c) {
-    view.carrier_offsets[c + 1] += view.carrier_offsets[c];
+void check_label_width(std::size_t labels, std::string_view param_name) {
+  if (labels > kNoLabel) {
+    throw std::invalid_argument(util::format(
+        "parameter %.*s has %zu distinct values, more than a %zu-bit label cell codes (%u)",
+        static_cast<int>(param_name.size()), param_name.data(), labels,
+        8 * sizeof(LabelCell), static_cast<unsigned>(kNoLabel)));
   }
-  view.rows_by_carrier.resize(view.rows());
-  std::vector<std::uint32_t> cursor(view.carrier_offsets.begin(), view.carrier_offsets.end() - 1);
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    view.rows_by_carrier[cursor[static_cast<std::size_t>(view.carrier[r])]++] =
-        static_cast<std::uint32_t>(r);
-  }
+}
+
+LabelMatrix::LabelMatrix(std::size_t entities, std::size_t columns)
+    : columns_(columns), cells_(entities * columns, kNoLabel) {}
+
+void LabelMatrix::assign_column(std::size_t column, const ParamView& view,
+                                std::string_view param_name) {
+  check_label_width(view.labels.size(), param_name);
+  for (std::size_t r = 0; r < view.rows(); ++r) set(view.entity[r], column, view.label[r]);
 }
 
 ml::CategoricalDataset to_categorical_dataset(

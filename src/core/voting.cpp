@@ -385,70 +385,138 @@ std::optional<Vote> VotingModel::vote_excluding(const GroupKey& key, ml::ClassLa
   return winner(run(slots_[index]), slots_[index].total, own_label, true, threshold);
 }
 
-std::optional<Vote> local_vote(const ParamView& view, const AttrWords& words,
+/// One configured peer slot of a local vote: the packed words of its
+/// subject carrier and of its neighbor (0 for a singular slot), its label
+/// and its voting weight.
+struct LocalPeer {
+  std::uint64_t carrier = 0;
+  std::uint64_t neighbor = 0;
+  ml::ClassLabel label = -1;
+  double weight = 1.0;
+};
+
+namespace {
+
+/// Per-thread peer buffer for a ladder, so steady state allocates nothing.
+/// One ladder is live per thread at a time.
+std::vector<LocalPeer>& peer_buffer() {
+  thread_local std::vector<LocalPeer> peers;
+  peers.clear();
+  return peers;
+}
+
+double weight_of(std::span<const double> carrier_weights, netsim::CarrierId carrier) {
+  return carrier_weights.empty() ? 1.0 : carrier_weights[static_cast<std::size_t>(carrier)];
+}
+
+/// Calls `visit(peer)` for every configured slot of `candidates` in
+/// `labels` that matches `key` under `mask`. A ladder gathers once with the
+/// coarsest level's mask, which every finer level's contains, so a slot it
+/// rejects matches no level. Candidates come in order and, for a pair-wise
+/// column, each candidate's edges in Topology::edges order — the order
+/// every tally sums in.
+template <typename Visit>
+void for_each_peer(const LabelColumn& labels, const AttrWords& words, const KeyMask& mask,
+                   const GroupKey& key, std::span<const netsim::CarrierId> candidates,
+                   std::int64_t exclude_entity, std::span<const double> carrier_weights,
+                   Visit&& visit) {
+  for (netsim::CarrierId cand : candidates) {
+    // Every slot of `cand` shares its carrier side: one compare decides them.
+    const std::uint64_t word = words.word(cand);
+    if ((word & mask.carrier) != key.carrier) continue;
+    const double weight = weight_of(carrier_weights, cand);
+    if (labels.topology == nullptr) {
+      const ml::ClassLabel label = labels.label(static_cast<std::size_t>(cand));
+      if (label >= 0 && cand != exclude_entity) visit(LocalPeer{word, 0, label, weight});
+      continue;
+    }
+    // Pair-wise: the candidate's edges are one contiguous run of rows.
+    const netsim::Topology& topo = *labels.topology;
+    const auto c = static_cast<std::size_t>(cand);
+    for (std::size_t e = topo.edge_offsets[c]; e < topo.edge_offsets[c + 1]; ++e) {
+      const ml::ClassLabel label = labels.label(e);
+      if (label < 0 || static_cast<std::int64_t>(e) == exclude_entity) continue;
+      const std::uint64_t neighbor = words.word(topo.edges[e].to);
+      if ((neighbor & mask.neighbor) != key.neighbor) continue;
+      visit(LocalPeer{word, neighbor, label, weight});
+    }
+  }
+}
+
+/// The label tally of one local vote. Neighborhoods are small (tens of
+/// carriers), so a flat scan of a small count vector beats any indexing.
+/// The vector is per thread (one live tally per thread), so steady state
+/// allocates nothing.
+class LocalTally {
+ public:
+  LocalTally() : counts_(buffer()) { counts_.clear(); }
+
+  void add(const LocalPeer& peer) {
+    total_ += peer.weight;
+    ++voters_;
+    for (auto& [label, count] : counts_) {
+      if (label == peer.label) {
+        count += peer.weight;
+        return;
+      }
+    }
+    counts_.emplace_back(peer.label, peer.weight);
+  }
+
+  std::optional<Vote> vote(double threshold, bool weighted) const {
+    if (voters_ == 0 || total_ <= 0.0) return std::nullopt;
+    ml::ClassLabel best_label = -1;
+    double best_weight = 0.0;
+    double runner_weight = 0.0;
+    for (const auto& [label, count] : counts_) {
+      if (count > best_weight || (count == best_weight && best_label >= 0 && label < best_label)) {
+        runner_weight = best_weight;
+        best_label = label;
+        best_weight = count;
+      } else if (count > runner_weight) {
+        runner_weight = count;
+      }
+    }
+    if (best_weight / total_ < threshold) return std::nullopt;
+    Vote best;
+    best.label = best_label;
+    best.count = static_cast<std::int32_t>(std::lround(best_weight));
+    best.runner_up = static_cast<std::int32_t>(std::lround(runner_weight));
+    best.group_size = voters_;
+    // Vote::support() reports count/group_size; for weighted votes the
+    // decisive quantity is the weight fraction, so re-derive counts such
+    // that support() reflects it as closely as integer fields allow.
+    if (weighted) {
+      best.count = static_cast<std::int32_t>(std::lround(best_weight / total_ * voters_));
+      best.runner_up = static_cast<std::int32_t>(std::lround(runner_weight / total_ * voters_));
+    }
+    return best;
+  }
+
+ private:
+  using Counts = std::vector<std::pair<ml::ClassLabel, double>>;
+  static Counts& buffer() {
+    thread_local Counts counts;
+    return counts;
+  }
+
+  Counts& counts_;
+  double total_ = 0.0;
+  std::int32_t voters_ = 0;
+};
+
+}  // namespace
+
+std::optional<Vote> local_vote(const LabelColumn& labels, const AttrWords& words,
                                const KeyMask& mask, const GroupKey& key,
                                std::span<const netsim::CarrierId> candidates,
-                               std::int64_t exclude_row, double threshold,
+                               std::int64_t exclude_entity, double threshold,
                                std::span<const double> carrier_weights) {
-  // Tally matching rows across the candidate carriers. Neighborhoods are
-  // small (tens of carriers), so a flat scan with a small count vector beats
-  // any indexing; the vector is per thread, so steady state allocates
-  // nothing.
-  thread_local std::vector<std::pair<ml::ClassLabel, double>> counts;
-  counts.clear();
-  double total = 0.0;
-  std::int32_t voters = 0;
-  for (netsim::CarrierId cand : candidates) {
-    // Every row of `cand` shares its carrier side: one compare decides them.
-    if ((words.word(cand) & mask.carrier) != key.carrier) continue;
-    for (std::uint32_t row : view.rows_of(cand)) {
-      if (static_cast<std::int64_t>(row) == exclude_row) continue;
-      if (mask.neighbor != 0 &&
-          (words.word(view.neighbor[row]) & mask.neighbor) != key.neighbor) {
-        continue;
-      }
-      const double weight =
-          carrier_weights.empty() ? 1.0 : carrier_weights[static_cast<std::size_t>(cand)];
-      total += weight;
-      ++voters;
-      bool found = false;
-      for (auto& [label, count] : counts) {
-        if (label == view.label[row]) {
-          count += weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) counts.emplace_back(view.label[row], weight);
-    }
-  }
-  if (voters == 0 || total <= 0.0) return std::nullopt;
-  ml::ClassLabel best_label = -1;
-  double best_weight = 0.0;
-  double runner_weight = 0.0;
-  for (const auto& [label, count] : counts) {
-    if (count > best_weight || (count == best_weight && best_label >= 0 && label < best_label)) {
-      runner_weight = best_weight;
-      best_label = label;
-      best_weight = count;
-    } else if (count > runner_weight) {
-      runner_weight = count;
-    }
-  }
-  if (best_weight / total < threshold) return std::nullopt;
-  Vote best;
-  best.label = best_label;
-  best.count = static_cast<std::int32_t>(std::lround(best_weight));
-  best.runner_up = static_cast<std::int32_t>(std::lround(runner_weight));
-  best.group_size = voters;
-  // Vote::support() reports count/group_size; for weighted votes the
-  // decisive quantity is the weight fraction, so re-derive counts such that
-  // support() reflects it as closely as integer fields allow.
-  if (!carrier_weights.empty()) {
-    best.count = static_cast<std::int32_t>(std::lround(best_weight / total * voters));
-    best.runner_up = static_cast<std::int32_t>(std::lround(runner_weight / total * voters));
-  }
-  return best;
+  // One level: every visited peer matches, so tally as they come.
+  LocalTally tally;
+  for_each_peer(labels, words, mask, key, candidates, exclude_entity, carrier_weights,
+                [&](const LocalPeer& peer) { tally.add(peer); });
+  return tally.vote(threshold, !carrier_weights.empty());
 }
 
 BackoffVoting::BackoffVoting(const ParamView& view, std::span<const AttrRef> deps,
@@ -532,14 +600,57 @@ std::optional<BackoffVoting::Decision> BackoffVoting::vote_excluding(
 }
 
 std::optional<BackoffVoting::Decision> BackoffVoting::local_word(
-    const ParamView& view, std::span<const netsim::CarrierId> candidates,
-    std::uint64_t carrier_word, netsim::CarrierId neighbor, std::int64_t exclude_row,
+    const LabelColumn& labels, std::span<const netsim::CarrierId> candidates,
+    std::uint64_t carrier_word, netsim::CarrierId neighbor, std::int64_t exclude_entity,
     double threshold, std::span<const double> carrier_weights) const {
+  const VotingModel& coarsest = models_.back();
+  std::vector<LocalPeer>& peers = peer_buffer();
+  for_each_peer(labels, *words_, coarsest.mask(), coarsest.key_of(carrier_word, neighbor),
+                candidates, exclude_entity, carrier_weights,
+                [&](const LocalPeer& peer) { peers.push_back(peer); });
+  return local_ladder(peers, carrier_word, neighbor, threshold, !carrier_weights.empty());
+}
+
+std::optional<BackoffVoting::Decision> BackoffVoting::local(
+    const ParamView& view, std::span<const netsim::CarrierId> candidates,
+    netsim::CarrierId carrier, netsim::CarrierId neighbor, std::int64_t exclude_row,
+    double threshold, std::span<const double> carrier_weights) const {
+  // As for_each_peer(), over the view's rows.
+  const std::uint64_t carrier_word = words_->word(carrier);
+  const VotingModel& coarsest = models_.back();
+  const KeyMask& mask = coarsest.mask();
+  const GroupKey key = coarsest.key_of(carrier_word, neighbor);
+  std::vector<LocalPeer>& peers = peer_buffer();
+  for (netsim::CarrierId cand : candidates) {
+    const std::uint64_t word = words_->word(cand);
+    if ((word & mask.carrier) != key.carrier) continue;
+    const auto [lo, hi] = std::equal_range(view.carrier.begin(), view.carrier.end(), cand);
+    for (auto r = static_cast<std::size_t>(lo - view.carrier.begin());
+         r < static_cast<std::size_t>(hi - view.carrier.begin()); ++r) {
+      if (static_cast<std::int64_t>(r) == exclude_row) continue;
+      const std::uint64_t nbr = view.pairwise ? words_->word(view.neighbor[r]) : 0;
+      if ((nbr & mask.neighbor) != key.neighbor) continue;
+      peers.push_back({word, nbr, view.label[r], weight_of(carrier_weights, cand)});
+    }
+  }
+  return local_ladder(peers, carrier_word, neighbor, threshold, !carrier_weights.empty());
+}
+
+std::optional<BackoffVoting::Decision> BackoffVoting::local_ladder(
+    std::span<const LocalPeer> peers, std::uint64_t carrier_word, netsim::CarrierId neighbor,
+    double threshold, bool weighted) const {
   for (int level = 0; level < level_count(); ++level) {
     const VotingModel& model = models_[static_cast<std::size_t>(level)];
     const GroupKey key = model.key_of(carrier_word, neighbor);
-    if (const auto v = local_vote(view, *words_, model.mask(), key, candidates, exclude_row,
-                                  threshold, carrier_weights)) {
+    const KeyMask& mask = model.mask();
+    LocalTally tally;
+    for (const LocalPeer& peer : peers) {
+      if ((peer.carrier & mask.carrier) == key.carrier &&
+          (peer.neighbor & mask.neighbor) == key.neighbor) {
+        tally.add(peer);
+      }
+    }
+    if (const auto v = tally.vote(threshold, weighted)) {
       // Neighborhoods are small by construction; require the quorum at every
       // level here — the global vote is the backstop for thin neighborhoods.
       if (v->group_size >= min_voters_) return Decision{*v, level};

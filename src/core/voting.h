@@ -11,7 +11,7 @@
 // pre-aggregates the peer groups of one dependent set in an open-addressing
 // table, so a global recommendation (or a leave-one-out evaluation pass over
 // millions of slots) is one probe; local (1-hop X2) voting scans the small
-// neighborhood row set directly.
+// neighborhood's rows of the entity-major label matrix directly.
 #pragma once
 
 #include <cstdint>
@@ -38,6 +38,9 @@ struct GroupKey {
 
 /// Per-side field masks of a dependent set; same shape as a key.
 using KeyMask = GroupKey;
+
+/// One configured peer slot of a local vote (voting.cpp).
+struct LocalPeer;
 
 /// Every carrier's attribute codes packed into one word (DESIGN.md §5).
 /// Attribute a occupies bit_width(cardinality(a)) bits — just enough for
@@ -256,23 +259,36 @@ class BackoffVoting {
   std::optional<Decision> vote_excluding(netsim::CarrierId carrier, netsim::CarrierId neighbor,
                                          ml::ClassLabel own_label, double threshold) const;
 
-  /// Local vote over `candidates` with the same backoff ladder.
-  std::optional<Decision> local(const ParamView& view,
+  /// Local vote over `candidates` with the same backoff ladder. `labels`
+  /// is the parameter's column of the engine's label matrix (or of a
+  /// one-column matrix over a view); `exclude_entity`, when >= 0, is the
+  /// subject's own carrier id (singular) or edge position (pair-wise).
+  std::optional<Decision> local(const LabelColumn& labels,
                                 std::span<const netsim::CarrierId> candidates,
                                 netsim::CarrierId carrier, netsim::CarrierId neighbor,
-                                std::int64_t exclude_row, double threshold,
+                                std::int64_t exclude_entity, double threshold,
                                 std::span<const double> carrier_weights = {}) const {
-    return local_word(view, candidates, words_->word(carrier), neighbor, exclude_row, threshold,
-                      carrier_weights);
+    return local_word(labels, candidates, words_->word(carrier), neighbor, exclude_entity,
+                      threshold, carrier_weights);
   }
 
   /// Local vote for a subject given by its packed word (see vote_word);
   /// `candidates` is the subject's (planned) X2 neighborhood.
-  std::optional<Decision> local_word(const ParamView& view,
+  std::optional<Decision> local_word(const LabelColumn& labels,
                                      std::span<const netsim::CarrierId> candidates,
                                      std::uint64_t carrier_word, netsim::CarrierId neighbor,
-                                     std::int64_t exclude_row, double threshold,
+                                     std::int64_t exclude_entity, double threshold,
                                      std::span<const double> carrier_weights = {}) const;
+
+  /// The same local vote for a caller holding only `view` and no label
+  /// matrix: each candidate's rows are found by binary search over the
+  /// carrier-sorted rows, and `exclude_row` (>= 0) is a view row. Decides
+  /// exactly as the column overload on the view's one-column matrix.
+  std::optional<Decision> local(const ParamView& view,
+                                std::span<const netsim::CarrierId> candidates,
+                                netsim::CarrierId carrier, netsim::CarrierId neighbor,
+                                std::int64_t exclude_row, double threshold,
+                                std::span<const double> carrier_weights = {}) const;
 
   /// Applies a signed vote delta for one observation of (carrier, neighbor)
   /// across every backoff level (see VotingModel::adjust). The incremental
@@ -313,23 +329,30 @@ class BackoffVoting {
   int min_voters_ = 3;
 
   bool accept(const Vote& vote, int level) const;
+
+  /// The local ladder over peers gathered once for every level.
+  std::optional<Decision> local_ladder(std::span<const LocalPeer> peers,
+                                       std::uint64_t carrier_word, netsim::CarrierId neighbor,
+                                       double threshold, bool weighted) const;
 };
 
-/// Local (geographical-proximity) vote: peers are the rows of `view` whose
-/// subject carrier lies in `candidates` (typically the 1-hop X2 neighborhood
-/// of the target, §3.3) and whose packed words, masked by `mask`, equal
-/// `key`. `exclude_row` (the target's own row during evaluation) is skipped
-/// when >= 0. Returns the winning vote if support >= threshold.
+/// Local (geographical-proximity) vote: peers are the configured entities
+/// of `labels` whose subject carrier lies in `candidates` (typically the
+/// 1-hop X2 neighborhood of the target, §3.3) and whose packed words,
+/// masked by `mask`, equal `key` — for a singular column the candidate's
+/// own cell, for a pair-wise one each of its edges in Topology::edges order.
+/// `exclude_entity` (the target's own carrier or edge during evaluation) is
+/// skipped when >= 0. Returns the winning vote if support >= threshold.
 ///
 /// `carrier_weights`, when non-empty (one weight per topology carrier),
 /// implements the §6 performance-feedback extension: each voter contributes
 /// its carrier's weight instead of 1, so carriers whose past configuration
 /// changes improved service performance count for more. Vote counts are
 /// then rounded weight totals and support is the weight fraction.
-std::optional<Vote> local_vote(const ParamView& view, const AttrWords& words,
+std::optional<Vote> local_vote(const LabelColumn& labels, const AttrWords& words,
                                const KeyMask& mask, const GroupKey& key,
                                std::span<const netsim::CarrierId> candidates,
-                               std::int64_t exclude_row, double threshold,
+                               std::int64_t exclude_entity, double threshold,
                                std::span<const double> carrier_weights = {});
 
 }  // namespace auric::core

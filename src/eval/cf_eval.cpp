@@ -28,6 +28,11 @@ CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
   const DependencyModel deps = core::learn_dependencies(view, attr_codes_, *schema_, dep_options);
   const BackoffVoting model(view, deps.dependent, attr_words_, options_.backoff_levels);
   const config::ValueIndex default_value = catalog_->at(param).default_index;
+  // The local vote reads a label matrix; this view's is one column wide.
+  core::LabelMatrix matrix(view.pairwise ? topology_->edge_count() : topology_->carrier_count(),
+                           1);
+  matrix.assign_column(0, view, catalog_->at(param).name);
+  const core::LabelColumn labels = matrix.column(0, view.pairwise ? topology_ : nullptr);
 
   CfParamResult result;
   result.param = param;
@@ -41,13 +46,13 @@ CfParamResult CfEvaluator::evaluate_param(config::ParamId param,
     if (options_.local) {
       std::optional<BackoffVoting::Decision> decision;
       if (options_.proximity_hops == 1) {
-        decision = model.local(view, topology_->neighborhood(carrier), carrier,
-                               view.neighbor[r], static_cast<std::int64_t>(r),
+        decision = model.local(labels, topology_->neighborhood(carrier), carrier,
+                               view.neighbor[r], static_cast<std::int64_t>(view.entity[r]),
                                options_.vote_threshold, options_.carrier_weights);
       } else {
         const auto hood = topology_->neighborhood_hops(carrier, options_.proximity_hops);
-        decision = model.local(view, hood, carrier, view.neighbor[r],
-                               static_cast<std::int64_t>(r), options_.vote_threshold,
+        decision = model.local(labels, hood, carrier, view.neighbor[r],
+                               static_cast<std::int64_t>(view.entity[r]), options_.vote_threshold,
                                options_.carrier_weights);
       }
       if (decision) {

@@ -339,14 +339,27 @@ void HttpListener::handle_connection(int client_fd) {
           request.headers.emplace_back(lower(trim(line.substr(0, colon))),
                                        std::string(trim(line.substr(colon + 1))));
         }
-        const std::string_view cl = request.header("content-length");
-        if (!cl.empty()) {
-          const std::optional<std::size_t> length = parse_content_length(cl);
-          if (!length.has_value()) {
+        // Every Content-Length must parse, and repeats must agree: taking
+        // one of two differing lengths would frame the body differently
+        // from a peer that took the other (RFC 9112 §6.3).
+        std::optional<std::size_t> length;
+        for (const auto& [name, value] : request.headers) {
+          if (name != "content-length" || value.empty()) continue;
+          const std::optional<std::size_t> parsed = parse_content_length(value);
+          if (!parsed.has_value()) {
             error_status = 400;
             error_body = "bad content-length\n";
             break;
           }
+          if (length.has_value() && *length != *parsed) {
+            error_status = 400;
+            error_body = "conflicting content-length\n";
+            break;
+          }
+          length = parsed;
+        }
+        if (error_status != 0) break;
+        if (length.has_value()) {
           body_needed = *length;
           // headers_end <= raw.size() <= max_request_bytes here, so the
           // subtraction cannot wrap (an addition could, for huge lengths).

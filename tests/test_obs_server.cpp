@@ -16,6 +16,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/http_listener.h"
@@ -468,7 +469,11 @@ std::string response_defect(const std::string& response) {
 /// The seeded hostile corpus: every-byte truncations, random bytes with
 /// embedded NULs, bare-LF line ends, header lines with no colon, oversized
 /// heads, and duplicate or garbage Content-Length values. ~500 inputs.
-std::vector<std::string> fuzz_corpus(std::uint64_t seed, std::size_t max_request_bytes) {
+/// `expected`, when given, receives (input index, status) for the inputs
+/// whose answer is fixed: a repeated Content-Length is a 400 unless it
+/// parses to the first one's value.
+std::vector<std::string> fuzz_corpus(std::uint64_t seed, std::size_t max_request_bytes,
+                                     std::vector<std::pair<std::size_t, int>>* expected = nullptr) {
   std::mt19937_64 rng(seed);
   const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
   const auto random_bytes = [&](std::size_t n) {
@@ -517,6 +522,10 @@ std::vector<std::string> fuzz_corpus(std::uint64_t seed, std::size_t max_request
       "18446744073709551616", "00005", "0", "5", "4", "6", " 5 "};
   for (const std::string& value : lengths) {
     corpus.push_back("POST /echo HTTP/1.1\r\nContent-Length: " + value + "\r\n\r\nhello");
+    if (expected != nullptr) {
+      const bool agrees = value == "5" || value == "00005" || value == " 5 ";
+      expected->emplace_back(corpus.size(), agrees ? 200 : 400);
+    }
     corpus.push_back("POST /echo HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: " + value +
                      "\r\n\r\nhello");
   }
@@ -542,14 +551,23 @@ TEST(HttpListener, SeededFuzzedRequestsEachGetOneWellFormedResponse) {
       options);
   listener.start();
 
-  const std::vector<std::string> corpus = fuzz_corpus(20211, options.max_request_bytes);
+  std::vector<std::pair<std::size_t, int>> expected;
+  const std::vector<std::string> corpus = fuzz_corpus(20211, options.max_request_bytes, &expected);
   ASSERT_GE(corpus.size(), 500u);
+  ASSERT_EQ(expected.size(), 20u);
+  std::size_t next_expected = 0;
   for (std::size_t i = 0; i < corpus.size(); ++i) {
     // A few inputs stay half-open so the read deadline (408) answers them.
     const std::string response = http_request(listener.port(), corpus[i], i % 97 != 0);
     ASSERT_EQ(response_defect(response), "")
         << "input " << i << " (" << corpus[i].size() << " bytes): " << response;
+    if (next_expected < expected.size() && expected[next_expected].first == i) {
+      const std::string status = "HTTP/1.1 " + std::to_string(expected[next_expected].second);
+      EXPECT_EQ(response.rfind(status, 0), 0u) << "input " << i << ": " << response;
+      ++next_expected;
+    }
   }
+  EXPECT_EQ(next_expected, expected.size());
   EXPECT_EQ(listener.requests_served(), corpus.size());
 
   // The listener is still healthy afterwards.
@@ -585,6 +603,41 @@ TEST(HttpListener, ContentLengthMustBeDigitsOnly) {
   EXPECT_EQ(post("00005").rfind("HTTP/1.1 200", 0), 0u);
   EXPECT_EQ(post("99999999999999999999999").rfind("HTTP/1.1 400", 0), 0u);  // out of range
   EXPECT_EQ(post("18446744073709551615").rfind("HTTP/1.1 413", 0), 0u);     // no wraparound
+  listener.stop();
+}
+
+TEST(HttpListener, ConflictingContentLengthsAre400) {
+  // Regression: the listener framed the body by the first of two differing
+  // Content-Length headers, which a proxy that took the other would frame
+  // differently (request smuggling; RFC 9112 §6.3). Repeats that agree
+  // stay accepted.
+  HttpListenerOptions options;
+  options.threads = 1;
+  HttpListener listener(
+      [](const HttpRequest& request) { return HttpResponse{200, "text/plain", request.body, {}}; },
+      options);
+  listener.start();
+  const auto post = [&](const std::string& first, const std::string& second) {
+    return http_request(listener.port(),
+                        "POST /echo HTTP/1.1\r\nContent-Length: " + first +
+                            "\r\nX-Between: 1\r\nContent-Length: " + second +
+                            "\r\n\r\nhello",
+                        true);
+  };
+  for (const auto& [first, second] : {std::pair{"5", "4"}, std::pair{"4", "5"},
+                                      std::pair{"5", "0"}, std::pair{"0", "5"}}) {
+    const std::string response = post(first, second);
+    EXPECT_EQ(response.rfind("HTTP/1.1 400", 0), 0u) << first << "/" << second << ": " << response;
+    EXPECT_NE(response.find("conflicting content-length"), std::string::npos) << response;
+  }
+  // A malformed repeat is reported as malformed, whichever comes first.
+  EXPECT_NE(post("5", "+5").find("bad content-length"), std::string::npos);
+  EXPECT_NE(post("+5", "5").find("bad content-length"), std::string::npos);
+  for (const auto& [first, second] : {std::pair{"5", "5"}, std::pair{"5", "00005"}}) {
+    const std::string response = post(first, second);
+    EXPECT_EQ(response.rfind("HTTP/1.1 200", 0), 0u) << response;
+    EXPECT_EQ(response.substr(response.size() - 5), "hello");
+  }
   listener.stop();
 }
 

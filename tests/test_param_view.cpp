@@ -1,5 +1,9 @@
 #include "core/param_view.h"
 
+#include <stdexcept>
+#include <string>
+#include <tuple>
+
 #include <gtest/gtest.h>
 
 #include "test_helpers.h"
@@ -51,17 +55,80 @@ TEST(ParamView, PairwiseOnlyIntraFrequencyEdges) {
   }
 }
 
-TEST(ParamView, RowsOfIndexIsConsistent) {
+TEST(ParamView, RowArraysHoldNoSlack) {
   Fixture f;
-  const ParamView view = build_param_view(f.topo, f.catalog, f.assignment, 1);
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
-    for (std::uint32_t row : view.rows_of(static_cast<netsim::CarrierId>(c))) {
-      EXPECT_EQ(view.carrier[row], static_cast<netsim::CarrierId>(c));
-      ++total;
+  for (const std::optional<netsim::MarketId> market :
+       {std::optional<netsim::MarketId>{}, std::optional<netsim::MarketId>{1}}) {
+    for (config::ParamId param : {0, 1}) {
+      const ParamView view = build_param_view(f.topo, f.catalog, f.assignment, param, market);
+      EXPECT_EQ(view.carrier.capacity(), view.rows());
+      EXPECT_EQ(view.neighbor.capacity(), view.rows());
+      EXPECT_EQ(view.entity.capacity(), view.rows());
+      EXPECT_EQ(view.value.capacity(), view.rows());
+      EXPECT_EQ(view.label.capacity(), view.rows());
     }
   }
-  EXPECT_EQ(total, view.rows());
+}
+
+TEST(LabelMatrix, ColumnHoldsEachRowLabelAtItsEntity) {
+  Fixture f;
+  const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
+  const ParamView singles = build_param_view(f.topo, f.catalog, f.assignment, 0);
+  // Two columns, so the stride is exercised: the pair-wise view goes into
+  // column 1 of an edge matrix, the singular one into column 0 of a
+  // carrier matrix.
+  LabelMatrix edges(f.topo.edge_count(), 2);
+  edges.assign_column(1, pairs, "toyPairwise");
+  LabelMatrix carriers(f.topo.carrier_count(), 2);
+  carriers.assign_column(0, singles, "toySingular");
+  for (const auto& [matrix, column, view] : {std::tuple{&edges, std::size_t{1}, &pairs},
+                                             std::tuple{&carriers, std::size_t{0}, &singles}}) {
+    const LabelColumn labels = matrix->column(column, view->pairwise ? &f.topo : nullptr);
+    EXPECT_EQ(labels.stride, 2u);
+    std::size_t configured = 0;
+    std::size_t r = 0;
+    for (std::size_t e = 0; e < matrix->entities(); ++e) {
+      if (r < view->rows() && view->entity[r] == e) {
+        EXPECT_EQ(labels.label(e), view->label[r]);
+        ++r;
+      } else {
+        EXPECT_EQ(labels.label(e), -1);
+      }
+      if (labels.label(e) >= 0) ++configured;
+      // The other column was never assigned.
+      EXPECT_EQ(matrix->column(1 - column).label(e), -1);
+    }
+    EXPECT_EQ(configured, view->rows());
+  }
+
+  // A market-filtered view fills only its market's entities.
+  const ParamView market1 =
+      build_param_view(f.topo, f.catalog, f.assignment, 0, netsim::MarketId{1});
+  LabelMatrix filtered(f.topo.carrier_count(), 1);
+  filtered.assign_column(0, market1, "toySingular");
+  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+    const bool in_market = f.topo.carriers[c].market == 1;
+    EXPECT_EQ(filtered.column(0).label(c) >= 0, in_market) << "carrier " << c;
+  }
+  carriers.set(0, 1, 4);
+  EXPECT_EQ(carriers.column(1).label(0), 4);
+  carriers.set(0, 1, -1);
+  EXPECT_EQ(carriers.column(1).label(0), -1);
+}
+
+TEST(LabelMatrix, RefusesADictionaryWiderThanACell) {
+  Fixture f;
+  ParamView view = build_param_view(f.topo, f.catalog, f.assignment, 0);
+  LabelMatrix matrix(f.topo.carrier_count(), 1);
+  view.labels.values.resize(kNoLabel);  // codes 0..0xFFFE: the widest that fits
+  EXPECT_NO_THROW(matrix.assign_column(0, view, "toySingular"));
+  view.labels.values.resize(std::size_t{kNoLabel} + 1);
+  try {
+    matrix.assign_column(0, view, "toySingular");
+    FAIL() << "a 65536-value dictionary was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("toySingular"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ParamView, LabelsRoundTripValues) {

@@ -2,14 +2,20 @@
 // decision by brute force — each backoff prefix scans every configured slot
 // of the parameter, compares attribute codes one by one, and applies the
 // 75% threshold and the quorum of DESIGN.md §5 — and must agree with the
-// engine's packed-word tables on seeded small random worlds: a fresh
-// engine, a clone that outlives its original, the clone after incremental
-// relearns with random add/update/erase deltas and label splices, and
-// cold-start recommend_for with attribute values the inventory never saw.
+// engine's packed-word tables and label matrices on seeded small random
+// worlds: a fresh engine, a clone that outlives its original, the clone
+// after incremental relearns with random add/update/erase deltas and label
+// splices, every singular and every pair-wise slot, cold-start
+// recommend_for (singular, and pair-wise toward a planned neighbor) with
+// attribute values the inventory never saw, and the §6 weighted local vote.
+// The reference finds a subject's own slot by scanning the view's rows,
+// never through an index the engine serves from.
+#include <cmath>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -73,50 +79,24 @@ class NaiveRecommender {
   Expected recommend(config::ParamId param, const std::vector<AttrCode>& codes,
                      CarrierId neighbor, const std::vector<CarrierId>& hood,
                      std::optional<std::size_t> self) const {
-    const AuricOptions& options = engine_.options();
-    const std::vector<AttrRef>& deps = engine_.dependencies(param).dependent;
-    const int levels =
-        deps.empty() ? 1 : std::min(options.backoff_levels, static_cast<int>(deps.size()));
-    const std::set<CarrierId> local(hood.begin(), hood.end());
     for (bool is_local : {true, false}) {
-      if (is_local && !options.use_proximity) continue;
-      for (int level = 0; level < levels; ++level) {
-        const std::size_t width = deps.size() - static_cast<std::size_t>(level);
-        std::map<config::ValueIndex, std::int32_t> tally;
-        std::int32_t group = 0;
-        const auto& slots = slots_[static_cast<std::size_t>(param)];
-        for (std::size_t s = 0; s < slots.size(); ++s) {
-          if (self && *self == s) continue;
-          if (is_local && local.count(slots[s].carrier) == 0) continue;
-          if (!matches(slots[s], deps, width, codes, neighbor)) continue;
-          ++tally[slots[s].value];
-          ++group;
-        }
-        Expected e;
-        for (const auto& [value, count] : tally) {  // ascending: ties keep the smaller value
-          if (count > e.votes) {
-            e.runner_up = e.votes;
-            e.votes = count;
-            e.value = value;
-          } else if (count > e.runner_up) {
-            e.runner_up = count;
-          }
-        }
-        e.group = group;
-        if (group == 0) continue;
-        if (static_cast<double>(e.votes) / static_cast<double>(group) < options.vote_threshold) {
-          continue;
-        }
-        const bool quorum = group >= 3 || (!is_local && level + 1 == levels);
-        if (!quorum) continue;
-        e.level = level;
-        e.source = is_local ? RecommendationSource::kLocalVote : RecommendationSource::kGlobalVote;
-        return e;
+      if (is_local && !engine_.options().use_proximity) continue;
+      if (auto e = ladder(param, codes, neighbor, is_local ? &hood : nullptr, self, {})) {
+        return *e;
       }
     }
     Expected fallback;
     fallback.value = engine_.catalog().at(param).default_index;
     return fallback;
+  }
+
+  /// The §6 weighted local vote alone: each voter counts its carrier's
+  /// weight; counts are re-expressed in voter units as the engine does.
+  std::optional<Expected> weighted_local(config::ParamId param, const std::vector<AttrCode>& codes,
+                                         CarrierId neighbor, const std::vector<CarrierId>& hood,
+                                         std::optional<std::size_t> self,
+                                         const std::vector<double>& weights) const {
+    return ladder(param, codes, neighbor, &hood, self, weights);
   }
 
   const std::vector<Observation>& slots(config::ParamId param) const {
@@ -126,6 +106,65 @@ class NaiveRecommender {
  private:
   const AuricEngine& engine_;
   std::vector<std::vector<Observation>> slots_;  // [param]
+
+  /// The backoff ladder over every slot (global, `hood` null) or over the
+  /// slots whose subject lies in `hood` (local; quorum at every level).
+  std::optional<Expected> ladder(config::ParamId param, const std::vector<AttrCode>& codes,
+                                 CarrierId neighbor, const std::vector<CarrierId>* hood,
+                                 std::optional<std::size_t> self,
+                                 const std::vector<double>& weights) const {
+    const AuricOptions& options = engine_.options();
+    const std::vector<AttrRef>& deps = engine_.dependencies(param).dependent;
+    const int levels =
+        deps.empty() ? 1 : std::min(options.backoff_levels, static_cast<int>(deps.size()));
+    std::set<CarrierId> local;
+    if (hood != nullptr) local.insert(hood->begin(), hood->end());
+    for (int level = 0; level < levels; ++level) {
+      const std::size_t width = deps.size() - static_cast<std::size_t>(level);
+      std::map<config::ValueIndex, double> tally;
+      double total = 0.0;
+      std::int32_t group = 0;
+      const auto& slots = slots_[static_cast<std::size_t>(param)];
+      for (std::size_t s = 0; s < slots.size(); ++s) {
+        if (self && *self == s) continue;
+        if (hood != nullptr && local.count(slots[s].carrier) == 0) continue;
+        if (!matches(slots[s], deps, width, codes, neighbor)) continue;
+        const double w =
+            weights.empty() ? 1.0 : weights[static_cast<std::size_t>(slots[s].carrier)];
+        tally[slots[s].value] += w;
+        total += w;
+        ++group;
+      }
+      if (group == 0) continue;
+      Expected e;
+      double best = 0.0;
+      double runner = 0.0;
+      for (const auto& [value, weight] : tally) {  // ascending: ties keep the smaller value
+        if (weight > best) {
+          runner = best;
+          best = weight;
+          e.value = value;
+        } else if (weight > runner) {
+          runner = weight;
+        }
+      }
+      if (best / total < options.vote_threshold) continue;
+      const bool quorum = group >= 3 || (hood == nullptr && level + 1 == levels);
+      if (!quorum) continue;
+      // Weighted counts are re-expressed in voter units, as the engine does.
+      const auto units = [&](double w) {
+        return static_cast<std::int32_t>(std::lround(weights.empty() ? w : w / total * group));
+      };
+      e.votes = units(best);
+      e.runner_up = units(runner);
+      e.group = group;
+      e.level = level;
+      e.source = hood != nullptr ? RecommendationSource::kLocalVote
+                                 : RecommendationSource::kGlobalVote;
+      return e;
+    }
+    return std::nullopt;
+  }
 
   bool matches(const Observation& o, const std::vector<AttrRef>& deps, std::size_t width,
                const std::vector<AttrCode>& codes, CarrierId neighbor) const {
@@ -154,25 +193,38 @@ void expect_matches(const Expected& want, const Recommendation& rec, int engine_
             static_cast<double>(want.votes - want.runner_up) / static_cast<double>(want.group));
 }
 
+/// The subject's own slot, found by scanning the view's rows: its entity
+/// and label, or nullopt when the slot is not configured.
+std::optional<std::pair<std::int64_t, ml::ClassLabel>> own_slot(const ParamView& view,
+                                                                 CarrierId carrier,
+                                                                 CarrierId neighbor) {
+  for (std::size_t r = 0; r < view.rows(); ++r) {
+    if (view.carrier[r] == carrier && view.neighbor[r] == neighbor) {
+      return std::pair{static_cast<std::int64_t>(view.entity[r]), view.label[r]};
+    }
+  }
+  return std::nullopt;
+}
+
 /// The backoff level behind the engine's recommendation, read from the
 /// voting layer along the same local-then-global path.
 int engine_level(const AuricEngine& engine, config::ParamId param, CarrierId carrier,
-                 CarrierId neighbor, std::int64_t self_row) {
-  const ParamView& view = engine.view(param);
+                 CarrierId neighbor) {
+  const auto self = own_slot(engine.view(param), carrier, neighbor);
   const BackoffVoting& voting = engine.voting(param);
   const double threshold = engine.options().vote_threshold;
-  if (const auto d = voting.local(view, engine.topology().neighborhood(carrier), carrier,
-                                  neighbor, self_row, threshold)) {
+  if (const auto d =
+          voting.local(engine.label_column(param), engine.topology().neighborhood(carrier),
+                       carrier, neighbor, self ? self->first : -1, threshold)) {
     return d->level;
   }
-  const auto d = self_row >= 0 ? voting.vote_excluding(
-                                     carrier, neighbor,
-                                     view.label[static_cast<std::size_t>(self_row)], threshold)
-                               : voting.vote(carrier, neighbor, threshold);
+  const auto d = self ? voting.vote_excluding(carrier, neighbor, self->second, threshold)
+                      : voting.vote(carrier, neighbor, threshold);
   return d ? d->level : -1;
 }
 
-/// Every singular slot and a seeded sample of pair-wise slots.
+/// Every singular and every pair-wise slot, the weighted local vote on a
+/// sample of them, and cold starts.
 void check_engine(const AuricEngine& engine, const config::ConfigAssignment& assignment,
                   std::uint64_t seed) {
   const NaiveRecommender naive(engine, assignment);
@@ -184,38 +236,76 @@ void check_engine(const AuricEngine& engine, const config::ConfigAssignment& ass
     for (const auto& column : attr_codes) codes.push_back(column[static_cast<std::size_t>(c)]);
     return codes;
   };
-  const auto check = [&](config::ParamId param, CarrierId carrier, CarrierId neighbor) {
-    SCOPED_TRACE(testing::Message() << "param " << param << " carrier " << carrier
-                                    << " neighbor " << neighbor);
+  const auto naive_self = [&](config::ParamId param, CarrierId carrier, CarrierId neighbor) {
     std::optional<std::size_t> self;
     const auto& slots = naive.slots(param);
     for (std::size_t s = 0; s < slots.size(); ++s) {
       if (slots[s].carrier == carrier && slots[s].neighbor == neighbor) self = s;
     }
-    std::int64_t self_row = -1;
-    const ParamView& view = engine.view(param);
-    for (std::uint32_t row : view.rows_of(carrier)) {
-      if (view.neighbor[row] == neighbor) self_row = row;
-    }
-    const Expected want =
-        naive.recommend(param, codes_of(carrier), neighbor, topo.neighborhood(carrier), self);
+    return self;
+  };
+  const auto check = [&](config::ParamId param, CarrierId carrier, CarrierId neighbor) {
+    SCOPED_TRACE(testing::Message() << "param " << param << " carrier " << carrier
+                                    << " neighbor " << neighbor);
+    const Expected want = naive.recommend(param, codes_of(carrier), neighbor,
+                                          topo.neighborhood(carrier),
+                                          naive_self(param, carrier, neighbor));
     expect_matches(want, engine.recommend(param, carrier, neighbor),
-                   engine_level(engine, param, carrier, neighbor, self_row));
+                   engine_level(engine, param, carrier, neighbor));
   };
   for (config::ParamId param : engine.catalog().singular_ids()) {
     for (const netsim::Carrier& c : topo.carriers) check(param, c.id, kInvalidCarrier);
   }
   for (config::ParamId param : engine.catalog().pairwise_ids()) {
-    for (int i = 0; i < 12; ++i) {
+    for (const netsim::X2Edge& edge : topo.edges) check(param, edge.from, edge.to);
+  }
+
+  // The §6 weighted local vote (dyadic weights, so every weight sum is
+  // exact in any order) over 2-hop neighborhoods, each subject's own slot
+  // excluded.
+  std::vector<double> weights(topo.carrier_count());
+  for (double& w : weights) w = 0.25 * static_cast<double>(rng.uniform_int(1, 12));
+  const auto check_weighted = [&](config::ParamId param, CarrierId carrier, CarrierId neighbor) {
+    SCOPED_TRACE(testing::Message() << "weighted param " << param << " carrier " << carrier
+                                    << " neighbor " << neighbor);
+    const std::vector<CarrierId> hood = topo.neighborhood_hops(carrier, 2);
+    const auto self = own_slot(engine.view(param), carrier, neighbor);
+    const auto got = engine.voting(param).local(engine.label_column(param), hood, carrier,
+                                                neighbor, self ? self->first : -1,
+                                                engine.options().vote_threshold, weights);
+    const auto want = naive.weighted_local(param, codes_of(carrier), neighbor, hood,
+                                           naive_self(param, carrier, neighbor), weights);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got) return;
+    EXPECT_EQ(got->level, want->level);
+    EXPECT_EQ(engine.view(param).labels.values[static_cast<std::size_t>(got->vote.label)],
+              want->value);
+    EXPECT_EQ(got->vote.count, want->votes);
+    EXPECT_EQ(got->vote.runner_up, want->runner_up);
+    EXPECT_EQ(got->vote.group_size, want->group);
+  };
+  for (config::ParamId param : engine.catalog().singular_ids()) {
+    for (int i = 0; i < 8; ++i) {
+      check_weighted(param,
+                     static_cast<CarrierId>(rng.uniform_int(
+                         0, static_cast<std::int64_t>(topo.carrier_count()) - 1)),
+                     kInvalidCarrier);
+    }
+  }
+  for (config::ParamId param : engine.catalog().pairwise_ids()) {
+    for (int i = 0; i < 8; ++i) {
       const auto& edge = topo.edges[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(topo.edge_count()) - 1))];
-      check(param, edge.from, edge.to);
+      check_weighted(param, edge.from, edge.to);
     }
   }
 
   // Cold start: planned carriers cloned from inventory ones, some with an
-  // attribute value no carrier has (the all-ones unseen field).
+  // attribute value no carrier has (the all-ones unseen field), planned
+  // into the clone's X2 neighborhood; pair-wise slots point at each planned
+  // neighbor in turn.
   const AttrWords words(engine.schema(), attr_codes);
+  const double threshold = engine.options().vote_threshold;
   for (int i = 0; i < 16; ++i) {
     netsim::Carrier planned = topo.carriers[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(topo.carrier_count()) - 1))];
@@ -225,14 +315,20 @@ void check_engine(const AuricEngine& engine, const config::ConfigAssignment& ass
     planned.id = static_cast<CarrierId>(topo.carrier_count() + 7);
     const std::vector<AttrCode> codes = engine.schema().encode(planned);
     const std::uint64_t word = words.pack(codes);
-    for (config::ParamId param : engine.catalog().singular_ids()) {
-      SCOPED_TRACE(testing::Message() << "cold start " << i << " param " << param);
-      const double threshold = engine.options().vote_threshold;
+    const auto check_cold = [&](config::ParamId param, CarrierId neighbor) {
+      SCOPED_TRACE(testing::Message() << "cold start " << i << " param " << param
+                                      << " neighbor " << neighbor);
       const BackoffVoting& voting = engine.voting(param);
-      auto d = voting.local_word(engine.view(param), x2, word, kInvalidCarrier, -1, threshold);
-      if (!d) d = voting.vote_word(word, kInvalidCarrier, threshold);
-      expect_matches(naive.recommend(param, codes, kInvalidCarrier, x2, std::nullopt),
-                     engine.recommend_for(planned, x2, param), d ? d->level : -1);
+      auto d = voting.local_word(engine.label_column(param), x2, word, neighbor, -1, threshold);
+      if (!d) d = voting.vote_word(word, neighbor, threshold);
+      expect_matches(naive.recommend(param, codes, neighbor, x2, std::nullopt),
+                     engine.recommend_for(planned, x2, param, neighbor), d ? d->level : -1);
+    };
+    for (config::ParamId param : engine.catalog().singular_ids()) {
+      check_cold(param, kInvalidCarrier);
+    }
+    for (config::ParamId param : engine.catalog().pairwise_ids()) {
+      for (CarrierId neighbor : x2) check_cold(param, neighbor);
     }
   }
 }

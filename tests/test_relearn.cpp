@@ -41,6 +41,9 @@ std::vector<VotingModel::GroupSummary> sorted_groups(const VotingModel& model) {
 /// the bit-identical claim, not an epsilon.
 void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
   const auto& catalog = a.catalog();
+  // The label matrices the local vote reads: every cell, both kinds.
+  EXPECT_EQ(a.singular_labels(), b.singular_labels());
+  EXPECT_EQ(a.pairwise_labels(), b.pairwise_labels());
   for (config::ParamId param = 0; param < static_cast<config::ParamId>(catalog.size());
        ++param) {
     SCOPED_TRACE("param " + std::to_string(param));
@@ -52,8 +55,6 @@ void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
     EXPECT_EQ(va.value, vb.value);
     EXPECT_EQ(va.label, vb.label);
     EXPECT_EQ(va.labels.values, vb.labels.values);
-    EXPECT_EQ(va.rows_by_carrier, vb.rows_by_carrier);
-    EXPECT_EQ(va.carrier_offsets, vb.carrier_offsets);
 
     const DependencyModel& da = a.dependencies(param);
     const DependencyModel& db = b.dependencies(param);
@@ -169,6 +170,42 @@ TEST(IncrementalRelearn, NewValueSplicesJustThatParameterAlphabet) {
   engine.incremental_relearn(back, {}, &undo);
   EXPECT_EQ(undo.params_remapped, 1u);
   expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, back, f.options()));
+}
+
+TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
+  Fixture f;
+  AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
+  std::vector<std::size_t> configured;
+  for (std::size_t e = 0; e < f.topo.edge_count(); ++e) {
+    if (f.assignment.pairwise[0].value[e] != config::kUnset) configured.push_back(e);
+  }
+  ASSERT_GE(configured.size(), 2u);
+  const config::ParamId param = f.catalog.pairwise_ids()[0];
+
+  // Day 1: values 1 and 4 appear (1 sorts below the resident 2, so every
+  // existing code of the column shifts up) while one edge is erased.
+  config::ConfigAssignment day1 = f.assignment;
+  day1.pairwise[0].value[configured[0]] = 1;
+  day1.pairwise[0].value[configured[1]] = 4;
+  day1.pairwise[0].value[configured.back()] = config::kUnset;
+  IncrementalRelearnStats stats;
+  engine.incremental_relearn(day1, {}, &stats);
+  EXPECT_EQ(stats.params_remapped, 1u);
+  expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, day1, f.options()));
+  const LabelColumn labels = engine.label_column(param);
+  EXPECT_EQ(labels.label(configured[0]), 0);  // value 1
+  EXPECT_EQ(labels.label(configured.back()), -1);
+
+  // Day 2: value 1 vanishes again (codes shift back down) and the erased
+  // edge returns.
+  config::ConfigAssignment day2 = day1;
+  day2.pairwise[0].value[configured[0]] = 2;
+  day2.pairwise[0].value[configured.back()] = 2;
+  IncrementalRelearnStats undo;
+  engine.incremental_relearn(day2, {}, &undo);
+  EXPECT_EQ(undo.params_remapped, 1u);
+  expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, day2, f.options()));
+  EXPECT_EQ(engine.label_column(param).label(configured[0]), 0);  // value 2 now codes 0
 }
 
 TEST(IncrementalRelearn, RepeatedDeltasStayExactOverManyRounds) {

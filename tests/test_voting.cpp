@@ -1,5 +1,7 @@
 #include "core/voting.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "test_helpers.h"
@@ -19,8 +21,16 @@ struct Fixture {
   AttrWords words{schema, codes};
   ParamView view = build_param_view(topo, catalog, assignment, 0);
   std::vector<AttrRef> deps{{false, schema.index_of("carrier_frequency")}};
+  LabelMatrix matrix;
 
   void rebuild_view() { view = build_param_view(topo, catalog, assignment, 0); }
+
+  /// The singular view's labels as a one-column carrier matrix.
+  LabelColumn labels() {
+    matrix = LabelMatrix(topo.carrier_count(), 1);
+    matrix.assign_column(0, view, "toySingular");
+    return matrix.column(0);
+  }
 };
 
 TEST(AttrWords, RoundTripsEveryCodeAndTheUnseenSentinel) {
@@ -111,7 +121,7 @@ TEST(LocalVote, MarginReflectsTheRunnerUp) {
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const std::vector<netsim::CarrierId> candidates{0, 2, 4};
-  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.60);
+  const auto vote = local_vote(f.labels(), f.words, model.mask(), key, candidates, -1, 0.60);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->count, 2);
   EXPECT_EQ(vote->runner_up, 1);
@@ -122,7 +132,7 @@ TEST(LocalVote, MarginReflectsTheRunnerUp) {
   std::vector<double> weights(f.topo.carrier_count(), 1.0);
   weights[2] = 0.1;
   const auto weighted =
-      local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.60, weights);
+      local_vote(f.labels(), f.words, model.mask(), key, candidates, -1, 0.60, weights);
   ASSERT_TRUE(weighted.has_value());
   EXPECT_LE(weighted->runner_up, vote->runner_up);
   EXPECT_GE(weighted->margin(), vote->margin());
@@ -147,22 +157,65 @@ TEST(LocalVote, RestrictsToCandidates) {
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   const std::vector<netsim::CarrierId> candidates{2};
-  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75);
+  const auto vote = local_vote(f.labels(), f.words, model.mask(), key, candidates, -1, 0.75);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->group_size, 1);
   const std::vector<netsim::CarrierId> wrong{1};  // 1900 MHz: no matching rows
-  EXPECT_FALSE(local_vote(f.view, f.words, model.mask(), key, wrong, -1, 0.75).has_value());
+  EXPECT_FALSE(local_vote(f.labels(), f.words, model.mask(), key, wrong, -1, 0.75).has_value());
 }
 
-TEST(LocalVote, ExcludeRowSkipsSelf) {
+TEST(LocalVote, ExcludeEntitySkipsSelf) {
   Fixture f;
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
-  const std::int64_t self_row = static_cast<std::int64_t>(f.view.rows_of(0)[0]);
+  const std::int64_t self = 0;  // carrier 0's own singular entity
   const std::vector<netsim::CarrierId> candidates{0, 2};
-  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, self_row, 0.75);
+  const auto vote = local_vote(f.labels(), f.words, model.mask(), key, candidates, self, 0.75);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(vote->group_size, 1);  // only carrier 2 remains
+}
+
+TEST(LocalVote, PairwiseColumnFiltersByNeighborAndSkipsTheOwnEdge) {
+  // A pair-wise column: a candidate votes once per configured edge whose
+  // neighbor matches the neighbor-side key, and the excluded edge never
+  // votes even when its subject is among the candidates. Every attribute
+  // takes a turn as the neighbor-side dependent.
+  Fixture f;
+  const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
+  LabelMatrix edges(f.topo.edge_count(), 1);
+  edges.assign_column(0, pairs, "toyPairwise");
+  std::int32_t voters = 0;
+  std::int32_t filtered = 0;  // candidate edges a neighbor-side key turned away
+  for (std::size_t attr = 0; attr < f.codes.size(); ++attr) {
+    const std::vector<AttrRef> deps{{true, attr}};
+    const VotingModel model(pairs, deps, f.words);
+    for (std::size_t r = 0; r < pairs.rows(); ++r) {
+      const netsim::CarrierId c = pairs.carrier[r];
+      std::vector<netsim::CarrierId> candidates = f.topo.neighborhood_hops(c, 2);
+      candidates.insert(candidates.begin(), c);
+      const auto own = static_cast<std::size_t>(pairs.neighbor[r]);
+      std::int32_t expected = 0;
+      for (std::size_t q = 0; q < pairs.rows(); ++q) {
+        if (q == r || std::find(candidates.begin(), candidates.end(), pairs.carrier[q]) ==
+                          candidates.end()) {
+          continue;
+        }
+        const auto n = static_cast<std::size_t>(pairs.neighbor[q]);
+        if (f.codes[attr][n] == f.codes[attr][own]) {
+          ++expected;
+        } else {
+          ++filtered;
+        }
+      }
+      const auto vote = local_vote(edges.column(0, &f.topo), f.words, model.mask(),
+                                   model.key_for(c, pairs.neighbor[r]), candidates,
+                                   static_cast<std::int64_t>(pairs.entity[r]), 0.0);
+      EXPECT_EQ(vote ? vote->group_size : 0, expected) << "attr " << attr << " row " << r;
+      voters += expected;
+    }
+  }
+  EXPECT_GT(voters, 0);
+  EXPECT_GT(filtered, 0);
 }
 
 TEST(LocalVote, CarrierWeightsShiftTheWinner) {
@@ -173,11 +226,13 @@ TEST(LocalVote, CarrierWeightsShiftTheWinner) {
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
   // Unweighted: 2-vs-1 -> 66% < 75% -> abstain.
-  EXPECT_FALSE(local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75).has_value());
+  EXPECT_FALSE(
+      local_vote(f.labels(), f.words, model.mask(), key, candidates, -1, 0.75).has_value());
   // The deviating carrier's vote weighted down (poor KPI history): 3 wins.
   std::vector<double> weights(f.topo.carrier_count(), 1.0);
   weights[2] = 0.1;
-  const auto vote = local_vote(f.view, f.words, model.mask(), key, candidates, -1, 0.75, weights);
+  const auto vote =
+      local_vote(f.labels(), f.words, model.mask(), key, candidates, -1, 0.75, weights);
   ASSERT_TRUE(vote.has_value());
   EXPECT_EQ(f.view.labels.values[static_cast<std::size_t>(vote->label)], 3);
 }
@@ -190,8 +245,8 @@ TEST(BackoffVoting, FallsBackWhenQuorumFailsAtFullMatch) {
   // leave-one-out shrinks it under the quorum of 3, so level 1 (frequency
   // only) decides.
   const BackoffVoting backoff(f.view, deps, f.words, /*levels=*/2, /*min_voters=*/3);
-  const auto decision = backoff.vote_excluding(10, netsim::kInvalidCarrier,
-                                               f.view.label[f.view.rows_of(10)[0]], 0.75);
+  const auto decision =
+      backoff.vote_excluding(10, netsim::kInvalidCarrier, f.labels().label(10), 0.75);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->level, 1);
   EXPECT_EQ(f.view.labels.values[static_cast<std::size_t>(decision->vote.label)], 3);
@@ -214,13 +269,70 @@ TEST(BackoffVoting, NeighborSideKeyWithoutANeighborThrows) {
   const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
   const std::vector<AttrRef> deps{{true, f.schema.index_of("carrier_frequency")}};
   const BackoffVoting backoff(pairs, deps, f.words, 1);
+  LabelMatrix edges(f.topo.edge_count(), 1);
+  edges.assign_column(0, pairs, "toyPairwise");
+  const LabelColumn labels = edges.column(0, &f.topo);
   // Both ladders go through the one key builder; neither may read the
   // attribute column at kInvalidCarrier.
+  EXPECT_THROW(
+      backoff.local(labels, f.topo.neighborhood(0), 0, netsim::kInvalidCarrier, -1, 0.75),
+      std::logic_error);
   EXPECT_THROW(backoff.local(pairs, f.topo.neighborhood(0), 0, netsim::kInvalidCarrier, -1, 0.75),
                std::logic_error);
   EXPECT_THROW(backoff.vote(0, netsim::kInvalidCarrier, 0.75), std::logic_error);
-  const auto decision = backoff.local(pairs, f.topo.neighborhood(0), 0, 2, -1, 0.75);
+  const auto decision = backoff.local(labels, f.topo.neighborhood(0), 0, 2, -1, 0.75);
   EXPECT_FALSE(decision.has_value());  // carrier 0's two relations are under the quorum
+}
+
+TEST(BackoffVoting, ViewAndColumnLocalVotesAgree) {
+  // The view overload finds rows by binary search, the column overload
+  // reads matrix cells: the same decision for every subject, on both a
+  // singular and a pair-wise view (neighbor-side key), with and without
+  // weights and with each subject's own slot excluded.
+  Fixture f;
+  f.assignment.singular[0].value[2] = 9;
+  f.assignment.singular[0].value[5] = config::kUnset;
+  f.rebuild_view();
+  std::vector<double> weights(f.topo.carrier_count(), 1.0);
+  weights[3] = 0.25;
+  weights[6] = 2.0;
+  const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
+  LabelMatrix edges(f.topo.edge_count(), 1);
+  edges.assign_column(0, pairs, "toyPairwise");
+  const std::vector<AttrRef> pair_deps{{false, f.schema.index_of("carrier_frequency")},
+                                       {true, f.schema.index_of("market")}};
+  const BackoffVoting singular(f.view, f.deps, f.words, 1, /*min_voters=*/1);
+  const BackoffVoting pairwise(pairs, pair_deps, f.words, 2, /*min_voters=*/1);
+  const LabelColumn single_labels = f.labels();
+  const LabelColumn pair_labels = edges.column(0, &f.topo);
+  const auto same = [](const std::optional<BackoffVoting::Decision>& a,
+                       const std::optional<BackoffVoting::Decision>& b) {
+    ASSERT_EQ(a.has_value(), b.has_value());
+    if (!a) return;
+    EXPECT_EQ(a->level, b->level);
+    EXPECT_EQ(a->vote.label, b->vote.label);
+    EXPECT_EQ(a->vote.count, b->vote.count);
+    EXPECT_EQ(a->vote.runner_up, b->vote.runner_up);
+    EXPECT_EQ(a->vote.group_size, b->vote.group_size);
+  };
+  for (const std::span<const double> w :
+       {std::span<const double>{}, std::span<const double>(weights)}) {
+    for (std::size_t r = 0; r < f.view.rows(); ++r) {
+      const netsim::CarrierId c = f.view.carrier[r];
+      const auto hood = f.topo.neighborhood_hops(c, 2);
+      same(singular.local(f.view, hood, c, netsim::kInvalidCarrier, static_cast<std::int64_t>(r),
+                          0.5, w),
+           singular.local(single_labels, hood, c, netsim::kInvalidCarrier,
+                          static_cast<std::int64_t>(f.view.entity[r]), 0.5, w));
+    }
+    for (std::size_t r = 0; r < pairs.rows(); ++r) {
+      const netsim::CarrierId c = pairs.carrier[r];
+      const auto hood = f.topo.neighborhood_hops(c, 2);
+      same(pairwise.local(pairs, hood, c, pairs.neighbor[r], static_cast<std::int64_t>(r), 0.5, w),
+           pairwise.local(pair_labels, hood, c, pairs.neighbor[r],
+                          static_cast<std::int64_t>(pairs.entity[r]), 0.5, w));
+    }
+  }
 }
 
 TEST(BackoffVoting, ReorderKeepsTablesOfAnUnchangedSet) {
@@ -282,7 +394,7 @@ TEST(BackoffVoting, LocalBackoffUsesCandidateRows) {
   const BackoffVoting backoff(f.view, deps, f.words, 2, /*min_voters=*/2);
   // Neighborhood of carrier 4 (site 2, 700): carriers 5, 2, 6 -> matching
   // rows at level 0: carriers 2 and 6 (same freq AND market) = quorum 2.
-  const auto decision = backoff.local(f.view, f.topo.neighborhood(4), 4,
+  const auto decision = backoff.local(f.labels(), f.topo.neighborhood(4), 4,
                                       netsim::kInvalidCarrier, -1, 0.75);
   ASSERT_TRUE(decision.has_value());
   EXPECT_EQ(decision->level, 0);
