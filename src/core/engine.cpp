@@ -137,7 +137,7 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
   const auto param = static_cast<config::ParamId>(p);
   {
     obs::ScopedTimer timer(metrics.phase_param_view);
-    views_[p] = build_param_view(*topology_, *catalog_, assignment, param);
+    views_[p] = build_param_view(*topology_, *catalog_, assignment, param, options_.market);
   }
   {
     obs::ScopedTimer timer(metrics.phase_dependency);
@@ -157,6 +157,11 @@ void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment
   obs::ScopedSpan span("engine.incremental_relearn");
   EngineMetrics& metrics = engine_metrics();
   obs::ScopedTimer timer(metrics.incremental_seconds);
+  if (options_.market) {
+    // The entity-order merge below would read every out-of-market slot as
+    // an add.
+    throw std::invalid_argument("incremental_relearn: engine is scoped to one market");
+  }
   if (assignment.singular.size() != catalog_->singular_ids().size() ||
       assignment.pairwise.size() != catalog_->pairwise_ids().size()) {
     throw std::invalid_argument("incremental_relearn: assignment does not match the catalog");
@@ -604,11 +609,12 @@ Recommendation AuricEngine::decide(config::ParamId param, netsim::CarrierId carr
     std::optional<BackoffVoting::Decision> decision;
     if (options_.proximity_hops == 1) {
       decision = model.local(labels, topology_->neighborhood(carrier), carrier, neighbor, self,
-                             options_.vote_threshold);
+                             options_.vote_threshold, options_.carrier_weights);
     } else {
       const std::vector<netsim::CarrierId> hood =
           topology_->neighborhood_hops(carrier, options_.proximity_hops);
-      decision = model.local(labels, hood, carrier, neighbor, self, options_.vote_threshold);
+      decision = model.local(labels, hood, carrier, neighbor, self, options_.vote_threshold,
+                             options_.carrier_weights);
     }
     if (decision) {
       adopt(decision->vote, RecommendationSource::kLocalVote);
@@ -699,7 +705,7 @@ Recommendation AuricEngine::recommend_for(const netsim::Carrier& new_carrier,
   if (options_.use_proximity) {
     if (const auto decision =
             model.local_word(label_column(param), x2_neighbors, word, neighbor, -1,
-                             options_.vote_threshold)) {
+                             options_.vote_threshold, options_.carrier_weights)) {
       adopt(decision->vote, RecommendationSource::kLocalVote);
       return rec;
     }

@@ -51,6 +51,14 @@ struct AuricOptions {
   /// path) and every build writes into its own pre-sized slot, so any width
   /// produces byte-identical models to the serial loop (CI-enforced).
   int learn_threads = 1;
+  /// Learn over one market's subjects only (the paper's per-market
+  /// protocol): peer groups, dependencies and label-matrix cells cover the
+  /// carriers of `market` and the relations whose subject lies in it. Unset
+  /// learns the whole inventory. A scoped engine cannot incremental_relearn.
+  std::optional<netsim::MarketId> market;
+  /// §6 performance-feedback extension: per-carrier local-vote weights, one
+  /// per topology carrier. Empty = plain counting (what serving uses).
+  std::vector<double> carrier_weights;
 };
 
 /// How a relearn refreshes the engine — shared by `auric replay
@@ -149,7 +157,7 @@ class AuricEngine {
   /// of O(inventory). The assignment must describe the same topology and
   /// catalog the engine was built over. A splice that would overflow a
   /// label cell throws std::invalid_argument before touching that
-  /// parameter.
+  /// parameter; so does an engine scoped to a market (AuricOptions::market).
   void incremental_relearn(const config::ConfigAssignment& assignment,
                            const IncrementalRelearnOptions& options = {},
                            IncrementalRelearnStats* stats = nullptr);

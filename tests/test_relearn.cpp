@@ -350,5 +350,17 @@ TEST(IncrementalRelearn, RejectsAMismatchedAssignment) {
   EXPECT_THROW(engine.incremental_relearn(extra), std::invalid_argument);
 }
 
+TEST(IncrementalRelearn, RefusesAMarketScopedEngine) {
+  // A scoped engine's views hold one market's rows; the entity-order merge
+  // would read every other market's configured slot as an add.
+  Fixture f;
+  AuricOptions options = f.options();
+  options.market = netsim::MarketId{0};
+  AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, options);
+  const std::size_t rows = engine.view(0).rows();
+  EXPECT_THROW(engine.incremental_relearn(f.assignment), std::invalid_argument);
+  EXPECT_EQ(engine.view(0).rows(), rows);  // refused before touching anything
+}
+
 }  // namespace
 }  // namespace auric::core
