@@ -20,12 +20,14 @@
 namespace auric::bench {
 namespace {
 
-double run(const ExperimentContext& ctx, const eval::CfEvalOptions& options, int markets) {
-  const eval::CfEvaluator evaluator(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                    options);
+/// Mean per-market accuracy of the learner `options` over the first
+/// `markets` markets, each learned and scored on its own.
+double run(const ExperimentContext& ctx, core::AuricOptions options, int markets) {
   double sum = 0.0;
   for (int m = 0; m < markets; ++m) {
-    sum += eval::overall_accuracy(evaluator.evaluate_all(static_cast<netsim::MarketId>(m)));
+    options.market = static_cast<netsim::MarketId>(m);
+    sum += eval::overall_accuracy(eval::evaluate_all(
+        core::AuricEngine(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment, options)));
   }
   return 100.0 * sum / markets;
 }
@@ -40,8 +42,7 @@ int body(util::Args& args) {
 
   // A. Voting threshold sweep.
   for (double threshold : {0.55, 0.65, 0.75, 0.85, 0.95}) {
-    eval::CfEvalOptions options;
-    options.local = true;
+    core::AuricOptions options;
     options.vote_threshold = threshold;
     table.add_row({"A: vote threshold", util::format_fixed(threshold, 2),
                    util::format_fixed(run(ctx, options, markets), 2)});
@@ -49,8 +50,7 @@ int body(util::Args& args) {
 
   // B. Chi-square significance sweep.
   for (double p : {0.05, 0.01, 0.001}) {
-    eval::CfEvalOptions options;
-    options.local = true;
+    core::AuricOptions options;
     options.p_value = p;
     table.add_row({"B: chi-square p", util::format_fixed(p, 3),
                    util::format_fixed(run(ctx, options, markets), 2)});
@@ -58,12 +58,12 @@ int body(util::Args& args) {
 
   // C. Proximity radius.
   {
-    eval::CfEvalOptions global;
+    core::AuricOptions global;
+    global.use_proximity = false;
     table.add_row({"C: proximity", "global",
                    util::format_fixed(run(ctx, global, markets), 2)});
     for (int hops : {1, 2}) {
-      eval::CfEvalOptions options;
-      options.local = true;
+      core::AuricOptions options;
       options.proximity_hops = hops;
       table.add_row({"C: proximity", std::to_string(hops) + "-hop X2",
                      util::format_fixed(run(ctx, options, markets), 2)});
@@ -75,12 +75,14 @@ int body(util::Args& args) {
   //    fragmented peer groups is the backoff ladder (the local learner's
   //    global fallback already papers over most of it).
   {
-    eval::CfEvalOptions off;
+    core::AuricOptions off;
+    off.use_proximity = false;
     off.max_dependent = 0;   // keep every flagged attribute
     off.backoff_levels = 1;  // no backoff
     table.add_row({"D: cap+backoff (global)", "off (paper-literal exact match)",
                    util::format_fixed(run(ctx, off, markets), 2)});
-    eval::CfEvalOptions on;
+    core::AuricOptions on;
+    on.use_proximity = false;
     table.add_row({"D: cap+backoff (global)", "on (max_dependent=14, 5 levels)",
                    util::format_fixed(run(ctx, on, markets), 2)});
   }
@@ -88,15 +90,13 @@ int body(util::Args& args) {
   // E. Attribute elimination: setting p so high that nothing is eliminated
   //    makes CF behave like exact-match-on-everything (k-NN-flavored).
   {
-    eval::CfEvalOptions all_attrs;
-    all_attrs.local = true;
+    core::AuricOptions all_attrs;
     all_attrs.p_value = 1.0;  // every attribute "dependent"
     all_attrs.max_dependent = 0;
     all_attrs.backoff_levels = 1;
     table.add_row({"E: attr elimination", "off (match on all attributes)",
                    util::format_fixed(run(ctx, all_attrs, markets), 2)});
-    eval::CfEvalOptions selected;
-    selected.local = true;
+    core::AuricOptions selected;
     table.add_row({"E: attr elimination", "on (chi-square selected)",
                    util::format_fixed(run(ctx, selected, markets), 2)});
   }
@@ -104,13 +104,11 @@ int body(util::Args& args) {
   // F. Performance-feedback extension (§6): weight voters by KPI quality.
   {
     const smartlaunch::KpiModel kpi(ctx.topology, ctx.catalog, ctx.assignment);
-    eval::CfEvalOptions weighted;
-    weighted.local = true;
+    core::AuricOptions weighted;
     weighted.carrier_weights = kpi.all_qualities();
     table.add_row({"F: KPI-weighted votes", "on",
                    util::format_fixed(run(ctx, weighted, markets), 2)});
-    eval::CfEvalOptions plain;
-    plain.local = true;
+    core::AuricOptions plain;
     table.add_row({"F: KPI-weighted votes", "off",
                    util::format_fixed(run(ctx, plain, markets), 2)});
   }

@@ -33,16 +33,26 @@ int body(util::Args& args) {
   std::sort(variability.begin(), variability.end(),
             [](const auto& a, const auto& b) { return a.distinct_overall > b.distinct_overall; });
 
-  eval::CfEvalOptions options;
-  options.local = true;
-  const eval::CfEvaluator evaluator(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                    options);
+  // Market-major: learn each market's local-learner engine once and score
+  // every charted parameter on it; results[i][m] feeds series i's table.
+  const std::size_t series =
+      std::min(static_cast<std::size_t>(std::max(top_params, 0)), variability.size());
+  std::vector<std::vector<eval::CfParamResult>> results(series);
+  core::AuricOptions options;
+  for (std::size_t m = 0; m < ctx.topology.markets.size(); ++m) {
+    options.market = static_cast<netsim::MarketId>(m);
+    const core::AuricEngine engine(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
+                                   options);
+    for (std::size_t i = 0; i < series; ++i) {
+      results[i].push_back(eval::evaluate_param(engine, variability[i].param));
+    }
+  }
 
-  for (int i = 0; i < top_params && i < static_cast<int>(variability.size()); ++i) {
-    const config::ParamId param = variability[static_cast<std::size_t>(i)].param;
-    util::print_banner(util::format("Fig. 11 series %d: %s (%zu distinct network-wide)", i + 1,
+  for (std::size_t i = 0; i < series; ++i) {
+    const config::ParamId param = variability[i].param;
+    util::print_banner(util::format("Fig. 11 series %zu: %s (%zu distinct network-wide)", i + 1,
                                     ctx.catalog.at(param).name.c_str(),
-                                    variability[static_cast<std::size_t>(i)].distinct_overall));
+                                    variability[i].distinct_overall));
     util::Table table({"market", "rows", "distinct values", "local CF accuracy %"});
     std::unique_ptr<util::CsvWriter> csv;
     if (!csv_path.empty()) {
@@ -51,10 +61,8 @@ int body(util::Args& args) {
           std::vector<std::string>{"market", "distinct", "accuracy"});
     }
     for (std::size_t m = 0; m < ctx.topology.markets.size(); ++m) {
-      const auto market = static_cast<netsim::MarketId>(m);
-      const eval::CfParamResult result = evaluator.evaluate_param(param, market);
-      const std::size_t distinct =
-          variability[static_cast<std::size_t>(i)].distinct_per_market[m];
+      const eval::CfParamResult& result = results[i][m];
+      const std::size_t distinct = variability[i].distinct_per_market[m];
       table.add_row({ctx.topology.markets[m].name, std::to_string(result.rows),
                      std::to_string(distinct), util::format_fixed(100.0 * result.accuracy(), 2)});
       if (csv) {

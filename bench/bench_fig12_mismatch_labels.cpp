@@ -22,17 +22,15 @@ int body(util::Args& args) {
   ExperimentContext ctx = make_context(args);
   if (args.help_requested()) return 0;
 
-  eval::CfEvalOptions options;
-  options.local = true;
-  const eval::CfEvaluator evaluator(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                    options);
-
+  core::AuricOptions options;  // the local learner, one market at a time
   std::vector<eval::CfPrediction> mismatches;
   std::size_t rows = 0;
   std::size_t correct = 0;
   for (std::size_t m = 0; m < ctx.topology.markets.size(); ++m) {
-    const auto results =
-        evaluator.evaluate_all(static_cast<netsim::MarketId>(m), &mismatches);
+    options.market = static_cast<netsim::MarketId>(m);
+    const auto results = eval::evaluate_all(
+        core::AuricEngine(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment, options),
+        &mismatches);
     for (const auto& r : results) {
       rows += r.rows;
       correct += r.correct;
@@ -75,12 +73,12 @@ int body(util::Args& args) {
   config::ConfigAssignment improved = ctx.assignment;
   const std::size_t pushed =
       eval::apply_good_recommendations(mismatches, ctx.catalog, improved);
-  const eval::CfEvaluator re_evaluator(ctx.topology, ctx.schema, ctx.catalog, improved,
-                                       options);
   std::size_t re_rows = 0;
   std::size_t re_correct = 0;
   for (std::size_t m = 0; m < ctx.topology.markets.size(); ++m) {
-    for (const auto& r : re_evaluator.evaluate_all(static_cast<netsim::MarketId>(m))) {
+    options.market = static_cast<netsim::MarketId>(m);
+    for (const auto& r : eval::evaluate_all(
+             core::AuricEngine(ctx.topology, ctx.schema, ctx.catalog, improved, options))) {
       re_rows += r.rows;
       re_correct += r.correct;
     }

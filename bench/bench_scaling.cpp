@@ -39,12 +39,13 @@ int body(util::Args& args) {
     util::Timer timer;
     double acc[2];
     for (int local = 0; local <= 1; ++local) {
-      eval::CfEvalOptions options;
-      options.local = local == 1;
-      const eval::CfEvaluator evaluator(topology, schema, base.catalog, assignment, options);
+      core::AuricOptions options;
+      options.use_proximity = local == 1;
       double sum = 0.0;
       for (int m = 0; m < markets_eval; ++m) {
-        sum += eval::overall_accuracy(evaluator.evaluate_all(static_cast<netsim::MarketId>(m)));
+        options.market = static_cast<netsim::MarketId>(m);
+        sum += eval::overall_accuracy(eval::evaluate_all(
+            core::AuricEngine(topology, schema, base.catalog, assignment, options)));
       }
       acc[local] = 100.0 * sum / markets_eval;
     }

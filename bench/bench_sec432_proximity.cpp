@@ -25,14 +25,9 @@ int body(util::Args& args) {
       args.get_int("deep-dive-markets", 4, "number of deep-dive markets (Table 3 subset)"));
   if (args.help_requested()) return 0;
 
-  eval::CfEvalOptions global_opts;
-  eval::CfEvalOptions local_opts;
-  local_opts.local = true;
-
-  const eval::CfEvaluator global_eval(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                      global_opts);
-  const eval::CfEvaluator local_eval(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                     local_opts);
+  core::AuricOptions global_opts;
+  global_opts.use_proximity = false;
+  core::AuricOptions local_opts;  // 1-hop X2 proximity first
 
   util::Table table({"market", "rows", "global CF acc %", "local CF acc %", "delta"});
   double global_sum = 0.0;
@@ -41,9 +36,11 @@ int body(util::Args& args) {
   double local_deep = 0.0;
   util::Timer timer;
   for (int m = 0; m < ctx.topo_params.num_markets; ++m) {
-    const auto market = static_cast<netsim::MarketId>(m);
-    const auto global_results = global_eval.evaluate_all(market);
-    const auto local_results = local_eval.evaluate_all(market);
+    global_opts.market = local_opts.market = static_cast<netsim::MarketId>(m);
+    const auto global_results = eval::evaluate_all(
+        core::AuricEngine(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment, global_opts));
+    const auto local_results = eval::evaluate_all(
+        core::AuricEngine(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment, local_opts));
     const double g = 100.0 * eval::overall_accuracy(global_results);
     const double l = 100.0 * eval::overall_accuracy(local_results);
     global_sum += g;

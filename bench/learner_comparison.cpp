@@ -1,6 +1,7 @@
 #include "learner_comparison.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "core/param_view.h"
 #include "eval/cf_eval.h"
@@ -61,15 +62,19 @@ std::vector<MarketComparison> run_learner_comparison(const ExperimentContext& ct
   const bool run_mlp = learner_enabled(options, "mlp");
   const bool run_cf = learner_enabled(options, "cf");
 
-  eval::CfEvalOptions cf_options;  // global learner: no proximity
-  const eval::CfEvaluator cf_eval(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment,
-                                  cf_options);
+  core::AuricOptions cf_options;  // global learner: no proximity
+  cf_options.use_proximity = false;
 
   std::vector<MarketComparison> out;
   util::Timer timer;
   for (int m = 0; m < options.deep_dive_markets; ++m) {
     MarketComparison comparison;
     comparison.market = static_cast<netsim::MarketId>(m);
+    std::optional<core::AuricEngine> cf_engine;
+    if (run_cf) {
+      cf_options.market = comparison.market;
+      cf_engine.emplace(ctx.topology, ctx.schema, ctx.catalog, ctx.assignment, cf_options);
+    }
     for (std::size_t p = 0; p < ctx.catalog.size(); ++p) {
       const auto param = static_cast<config::ParamId>(p);
       const core::ParamView view = core::build_param_view(
@@ -82,7 +87,7 @@ std::vector<MarketComparison> run_learner_comparison(const ExperimentContext& ct
       result.distinct_values = view.labels.size();
 
       if (run_cf) {
-        result.accuracy[4] = cf_eval.evaluate_param(param, comparison.market).accuracy();
+        result.accuracy[4] = eval::evaluate_param(*cf_engine, param).accuracy();
       }
 
       if (run_rf || run_knn || run_dt || run_mlp) {

@@ -2,39 +2,21 @@
 // (§4.2: "treats each carrier like a new carrier of interest and uses the
 // rest as the existing carriers for learning and recommendation").
 //
-// For CF + voting this protocol is exact and cheap: the peer groups are
-// aggregated once, and each row's own observation is subtracted from its
-// group before voting. The local learner restricts the voters to the 1-hop
-// X2 neighborhood and — like the production engine — falls back to the
-// global vote and then the rule-book default.
+// The engine already decides this way: AuricEngine::recommend with
+// exclude_self removes the slot's own observation from every vote. So
+// evaluation only scores: it walks the engine's rows and compares each
+// recommendation with the configured value. The learner (global or local,
+// radius, threshold, KPI weights) and the scope (AuricOptions::market) are
+// the engine's options.
 #pragma once
 
-#include <optional>
 #include <vector>
 
-#include "config/assignment.h"
 #include "config/catalog.h"
-#include "core/dependency.h"
-#include "core/param_view.h"
-#include "core/voting.h"
-#include "netsim/attributes.h"
+#include "core/engine.h"
 #include "netsim/topology.h"
 
 namespace auric::eval {
-
-struct CfEvalOptions {
-  double p_value = 0.01;
-  double vote_threshold = 0.75;
-  int max_dependent = 14;  ///< see core::DependencyOptions
-  int backoff_levels = 5;  ///< see core::BackoffVoting
-  bool local = false;  ///< geographical proximity (1-hop X2) first
-  int proximity_hops = 1;
-  bool fallback_global = true;  ///< local learner falls back to global vote
-
-  /// §6 performance-feedback extension: per-carrier voting weights (empty =
-  /// plain counting). Only affects the local vote path.
-  std::vector<double> carrier_weights;
-};
 
 /// Per-row evaluation record (kept only when a sink is provided).
 struct CfPrediction {
@@ -57,37 +39,16 @@ struct CfParamResult {
   }
 };
 
-class CfEvaluator {
- public:
-  /// `attr_codes` must be schema.encode_all(topology).
-  CfEvaluator(const netsim::Topology& topology, const netsim::AttributeSchema& schema,
-              const config::ParamCatalog& catalog, const config::ConfigAssignment& assignment,
-              CfEvalOptions options);
+/// Scores every slot of `param` that `engine` learned from (one market's
+/// slots when the engine is scoped), each recommended as if new. `mismatches`,
+/// when non-null, receives the rows whose prediction differs from the current
+/// value (Fig. 12 input), in entity order.
+CfParamResult evaluate_param(const core::AuricEngine& engine, config::ParamId param,
+                             std::vector<CfPrediction>* mismatches = nullptr);
 
-  /// Evaluates one parameter; when `market` is set, both learning and
-  /// evaluation are scoped to that market's carriers (the paper's per-market
-  /// protocol). `mismatches`, when non-null, receives the rows whose
-  /// prediction differs from the current value (Fig. 12 input).
-  CfParamResult evaluate_param(config::ParamId param,
-                               std::optional<netsim::MarketId> market = std::nullopt,
-                               std::vector<CfPrediction>* mismatches = nullptr) const;
-
-  /// Evaluates every catalog parameter; results are in catalog-id order.
-  /// Accuracy across parameters is row-weighted.
-  std::vector<CfParamResult> evaluate_all(std::optional<netsim::MarketId> market = std::nullopt,
-                                          std::vector<CfPrediction>* mismatches = nullptr) const;
-
-  const CfEvalOptions& options() const { return options_; }
-
- private:
-  const netsim::Topology* topology_;
-  const netsim::AttributeSchema* schema_;
-  const config::ParamCatalog* catalog_;
-  const config::ConfigAssignment* assignment_;
-  CfEvalOptions options_;
-  std::vector<std::vector<netsim::AttrCode>> attr_codes_;
-  core::AttrWords attr_words_;
-};
+/// Evaluates every catalog parameter; results are in catalog-id order.
+std::vector<CfParamResult> evaluate_all(const core::AuricEngine& engine,
+                                        std::vector<CfPrediction>* mismatches = nullptr);
 
 /// Row-weighted accuracy over a set of per-parameter results.
 double overall_accuracy(const std::vector<CfParamResult>& results);

@@ -12,69 +12,85 @@ struct Fixture {
   config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
   netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+
+  /// The global learner (no proximity), optionally scoped to one market.
+  core::AuricEngine engine(std::optional<netsim::MarketId> market = std::nullopt,
+                           bool local = false) const {
+    core::AuricOptions options;
+    options.use_proximity = local;
+    options.market = market;
+    return core::AuricEngine(topo, schema, catalog, assignment, options);
+  }
 };
 
-TEST(CfEvaluator, PerfectAssignmentScoresPerfectly) {
+TEST(CfEvaluation, PerfectAssignmentScoresPerfectly) {
   Fixture f;
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, {});
-  const CfParamResult result = evaluator.evaluate_param(0);
+  const CfParamResult result = evaluate_param(f.engine(), 0);
   EXPECT_EQ(result.rows, 16u);
   EXPECT_EQ(result.correct, 16u);
   EXPECT_DOUBLE_EQ(result.accuracy(), 1.0);
   EXPECT_EQ(result.fallback_default, 0u);
+  EXPECT_EQ(result.local_decided, 0u);
 }
 
-TEST(CfEvaluator, MismatchSinkCapturesDeviations) {
+TEST(CfEvaluation, MismatchSinkCapturesDeviations) {
   Fixture f;
   f.assignment.singular[0].value[2] = 9;  // one deviating carrier
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, {});
   std::vector<CfPrediction> mismatches;
-  const CfParamResult result = evaluator.evaluate_param(0, std::nullopt, &mismatches);
+  const CfParamResult result = evaluate_param(f.engine(), 0, &mismatches);
   EXPECT_EQ(result.correct + mismatches.size(), result.rows);
   ASSERT_EQ(mismatches.size(), 1u);
   EXPECT_EQ(mismatches[0].carrier, 2);
+  EXPECT_EQ(mismatches[0].entity, 2u);
   EXPECT_EQ(mismatches[0].actual, 9);
   EXPECT_EQ(mismatches[0].predicted, 3);  // the band majority
   EXPECT_EQ(mismatches[0].param, 0);
 }
 
-TEST(CfEvaluator, MarketScopingEvaluatesSubsets) {
+TEST(CfEvaluation, MarketScopingEvaluatesSubsets) {
   Fixture f;
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, {});
-  const CfParamResult m0 = evaluator.evaluate_param(0, netsim::MarketId{0});
-  const CfParamResult m1 = evaluator.evaluate_param(0, netsim::MarketId{1});
-  EXPECT_EQ(m0.rows, 10u);
-  EXPECT_EQ(m1.rows, 6u);
+  for (const netsim::MarketId market : {netsim::MarketId{0}, netsim::MarketId{1}}) {
+    const core::AuricEngine engine = f.engine(market);
+    const core::ParamView& view = engine.view(0);
+    for (const netsim::CarrierId carrier : view.carrier) {
+      EXPECT_EQ(f.topo.carriers[static_cast<std::size_t>(carrier)].market, market);
+    }
+    EXPECT_EQ(evaluate_param(engine, 0).rows, market == 0 ? 10u : 6u);
+  }
 }
 
-TEST(CfEvaluator, EvaluateAllCoversCatalog) {
+TEST(CfEvaluation, EvaluateAllCoversCatalog) {
   Fixture f;
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, {});
-  const auto results = evaluator.evaluate_all();
+  const auto results = evaluate_all(f.engine());
   ASSERT_EQ(results.size(), f.catalog.size());
+  for (std::size_t p = 0; p < results.size(); ++p) EXPECT_EQ(results[p].param, p);
   EXPECT_DOUBLE_EQ(overall_accuracy(results), 1.0);
 }
 
-TEST(CfEvaluator, LocalModeUsesProximity) {
+TEST(CfEvaluation, LocalModeUsesProximity) {
   Fixture f;
-  CfEvalOptions options;
-  options.local = true;
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, options);
-  const CfParamResult result = evaluator.evaluate_param(0);
+  const CfParamResult result = evaluate_param(f.engine(std::nullopt, /*local=*/true), 0);
   EXPECT_DOUBLE_EQ(result.accuracy(), 1.0);
 }
 
-TEST(CfEvaluator, LocalWithoutGlobalFallbackUsesDefaults) {
+TEST(CfEvaluation, TalliesFollowTheEngineDecisionSource) {
+  // Every row is scored by the engine's own leave-one-out decision, so the
+  // per-source tallies are the engine's recommendation sources.
   Fixture f;
-  CfEvalOptions options;
-  options.local = true;
-  options.fallback_global = false;
-  const CfEvaluator evaluator(f.topo, f.schema, f.catalog, f.assignment, options);
-  const CfParamResult result = evaluator.evaluate_param(0);
-  // Tiny neighborhoods fail the quorum, so everything lands on the default
-  // (index 5), which matches no carrier's value (3 or 7).
-  EXPECT_EQ(result.fallback_default, result.rows);
-  EXPECT_DOUBLE_EQ(result.accuracy(), 0.0);
+  f.assignment.singular[0].value[2] = 9;
+  const core::AuricEngine engine = f.engine(std::nullopt, /*local=*/true);
+  const core::ParamView& view = engine.view(0);
+  std::size_t local = 0;
+  std::size_t fallback = 0;
+  for (std::size_t r = 0; r < view.rows(); ++r) {
+    const core::Recommendation rec = engine.recommend(0, view.carrier[r]);
+    local += rec.source == core::RecommendationSource::kLocalVote;
+    fallback += rec.source == core::RecommendationSource::kRulebookDefault;
+  }
+  const CfParamResult result = evaluate_param(engine, 0);
+  EXPECT_EQ(result.local_decided, local);
+  EXPECT_EQ(result.fallback_default, fallback);
+  EXPECT_EQ(result.rows, view.rows());
 }
 
 TEST(OverallAccuracy, RowWeighted) {

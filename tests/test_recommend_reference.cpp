@@ -7,7 +7,8 @@
 // after incremental relearns with random add/update/erase deltas and label
 // splices, every singular and every pair-wise slot, cold-start
 // recommend_for (singular, and pair-wise toward a planned neighbor) with
-// attribute values the inventory never saw, and the §6 weighted local vote.
+// attribute values the inventory never saw, the §6 weighted local vote
+// (alone and through recommend()), and an engine scoped to one market.
 // The reference finds a subject's own slot by scanning the view's rows,
 // never through an index the engine serves from.
 #include <cmath>
@@ -49,11 +50,14 @@ struct Expected {
 
 /// The naive recommender: the configured slots of `assignment` and the
 /// engine's learned dependent lists, nothing else of the engine's state.
+/// For an engine scoped to a market, only slots whose subject carrier lies
+/// in that market vote, globally or locally.
 class NaiveRecommender {
  public:
   NaiveRecommender(const AuricEngine& engine, const config::ConfigAssignment& assignment)
       : engine_(engine), slots_(engine.catalog().size()) {
     const netsim::Topology& topo = engine.topology();
+    const std::optional<netsim::MarketId> market = engine.options().market;
     for (std::size_t p = 0; p < slots_.size(); ++p) {
       const auto param = static_cast<config::ParamId>(p);
       const bool pairwise = engine.catalog().at(param).kind == config::ParamKind::kPairwise;
@@ -69,6 +73,9 @@ class NaiveRecommender {
         } else {
           o.carrier = static_cast<CarrierId>(e);
         }
+        if (market && topo.carriers[static_cast<std::size_t>(o.carrier)].market != *market) {
+          continue;
+        }
         slots_[p].push_back(o);
       }
     }
@@ -76,15 +83,17 @@ class NaiveRecommender {
 
   /// Decision for a subject with carrier-side `codes` (one per attribute).
   /// `self` (an index into the parameter's slots) is left out of every vote.
+  /// The local vote counts the engine's carrier weights (none = one each).
   Expected recommend(config::ParamId param, const std::vector<AttrCode>& codes,
                      CarrierId neighbor, const std::vector<CarrierId>& hood,
                      std::optional<std::size_t> self) const {
-    for (bool is_local : {true, false}) {
-      if (is_local && !engine_.options().use_proximity) continue;
-      if (auto e = ladder(param, codes, neighbor, is_local ? &hood : nullptr, self, {})) {
+    const AuricOptions& options = engine_.options();
+    if (options.use_proximity) {
+      if (auto e = ladder(param, codes, neighbor, &hood, self, options.carrier_weights)) {
         return *e;
       }
     }
+    if (auto e = ladder(param, codes, neighbor, nullptr, self, {})) return *e;
     Expected fallback;
     fallback.value = engine_.catalog().at(param).default_index;
     return fallback;
@@ -212,11 +221,15 @@ int engine_level(const AuricEngine& engine, config::ParamId param, CarrierId car
                  CarrierId neighbor) {
   const auto self = own_slot(engine.view(param), carrier, neighbor);
   const BackoffVoting& voting = engine.voting(param);
-  const double threshold = engine.options().vote_threshold;
-  if (const auto d =
-          voting.local(engine.label_column(param), engine.topology().neighborhood(carrier),
-                       carrier, neighbor, self ? self->first : -1, threshold)) {
-    return d->level;
+  const AuricOptions& options = engine.options();
+  const double threshold = options.vote_threshold;
+  if (options.use_proximity) {
+    if (const auto d =
+            voting.local(engine.label_column(param), engine.topology().neighborhood(carrier),
+                         carrier, neighbor, self ? self->first : -1, threshold,
+                         options.carrier_weights)) {
+      return d->level;
+    }
   }
   const auto d = self ? voting.vote_excluding(carrier, neighbor, self->second, threshold)
                       : voting.vote(carrier, neighbor, threshold);
@@ -319,7 +332,8 @@ void check_engine(const AuricEngine& engine, const config::ConfigAssignment& ass
       SCOPED_TRACE(testing::Message() << "cold start " << i << " param " << param
                                       << " neighbor " << neighbor);
       const BackoffVoting& voting = engine.voting(param);
-      auto d = voting.local_word(engine.label_column(param), x2, word, neighbor, -1, threshold);
+      auto d = voting.local_word(engine.label_column(param), x2, word, neighbor, -1, threshold,
+                                 engine.options().carrier_weights);
       if (!d) d = voting.vote_word(word, neighbor, threshold);
       expect_matches(naive.recommend(param, codes, neighbor, x2, std::nullopt),
                      engine.recommend_for(planned, x2, param, neighbor), d ? d->level : -1);
@@ -392,6 +406,27 @@ TEST_P(RecommendReference, EngineMatchesBruteForceVotes) {
     EXPECT_GT(stats.params_remapped, 0u);  // the deltas did splice some alphabets
     SCOPED_TRACE(testing::Message() << "relearned day " << day);
     check_engine(clone, assignment, seed + 2 + static_cast<std::uint64_t>(day));
+  }
+
+  // The per-market evaluation protocol: an engine learned over market 1
+  // alone, checked against a reference that drops every other market's
+  // slots by itself.
+  AuricOptions scoped;
+  scoped.market = netsim::MarketId{1};
+  {
+    SCOPED_TRACE("market-scoped");
+    check_engine(AuricEngine(topo, schema, catalog, assignment, scoped), assignment, seed + 5);
+  }
+  // The §6 weighted local vote through recommend() (dyadic weights: every
+  // weight sum is exact in any order).
+  AuricOptions weighted;
+  weighted.carrier_weights.resize(topo.carrier_count());
+  for (double& w : weighted.carrier_weights) {
+    w = 0.25 * static_cast<double>(rng.uniform_int(1, 12));
+  }
+  {
+    SCOPED_TRACE("weighted");
+    check_engine(AuricEngine(topo, schema, catalog, assignment, weighted), assignment, seed + 6);
   }
 }
 
