@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <exception>
 
-#include "obs/trace.h"
 #include "util/log.h"
 #include "util/obs_flags.h"
 #include "util/strings.h"
@@ -50,8 +49,6 @@ int run_bench(int argc, char** argv, const char* title, int (*body)(util::Args& 
     util::print_banner(title);
     const std::string metrics_out = args.get_string(
         "metrics-out", "", "write a metrics snapshot here after the run (.prom/.csv/.json)");
-    const std::string trace_out =
-        args.get_string("trace-out", "", "write the span trace here as JSONL after the run");
     const obs::LivePlaneOptions live_options = util::declare_live_plane_flags(args);
     util::LivePlaneScope live(args.help_requested() ? obs::LivePlaneOptions{} : live_options);
     const int rc = body(args);  // bodies return immediately under --help
@@ -63,10 +60,6 @@ int run_bench(int argc, char** argv, const char* title, int (*body)(util::Args& 
     if (!metrics_out.empty()) {
       obs::write_metrics_file(obs::MetricsRegistry::global(), metrics_out);
       util::log_info("metrics snapshot written to " + metrics_out);
-    }
-    if (!trace_out.empty()) {
-      obs::write_trace_file(obs::TraceRecorder::global(), trace_out);
-      util::log_info("span trace written to " + trace_out);
     }
     return rc;
   } catch (const std::exception& e) {

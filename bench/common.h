@@ -47,8 +47,9 @@ ExperimentContext make_context(util::Args& args);
 obs::Histogram& phase_histogram(const std::string& phase);
 
 /// Standard wrapper: parses args, handles --help, runs `body`, reports
-/// errors on stderr with a non-zero exit. Declares --metrics-out/--trace-out
-/// and dumps both after the body completes.
+/// errors on stderr with a non-zero exit. Declares --metrics-out (dumped
+/// after the body completes) and the live-plane flags, whose --trace-out is
+/// written as the run ends.
 int run_bench(int argc, char** argv, const char* title,
               int (*body)(util::Args& args));
 

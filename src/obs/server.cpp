@@ -8,6 +8,13 @@
 
 namespace auric::obs {
 
+namespace {
+
+constexpr const char* kPlainText = "text/plain; charset=utf-8";
+
+/// /profilez: parses `seconds` out of `query` (default 1, clamped to
+/// [1, 30]), runs profile_process, renders a "# samples=N dropped=M" header
+/// plus folded stacks.
 std::string profilez_text(std::string_view query, int* status) {
   *status = 200;
   if (!Profiler::supported()) {
@@ -36,6 +43,34 @@ std::string profilez_text(std::string_view query, int* status) {
   return out;
 }
 
+}  // namespace
+
+std::optional<HttpResponse> debug_endpoint(std::string_view path, std::string_view query,
+                                           const MetricsRegistry& registry,
+                                           const TraceRecorder* traces, const LogBuffer* logs) {
+  if (path == "/metrics") {
+    return HttpResponse{200, "text/plain; version=0.0.4; charset=utf-8",
+                        registry.prometheus_text(), {}};
+  }
+  if (path == "/varz") {
+    return HttpResponse{200, "application/json", registry.json_text(), {}};
+  }
+  if (path == "/tracez") {
+    if (traces == nullptr) return HttpResponse{404, kPlainText, "tracing not wired\n", {}};
+    return HttpResponse{200, "application/x-ndjson", tracez_text(*traces, query), {}};
+  }
+  if (path == "/logz") {
+    if (logs == nullptr) return HttpResponse{404, kPlainText, "log buffer not wired\n", {}};
+    return HttpResponse{200, kPlainText, logs->text(), {}};
+  }
+  if (path == "/profilez") {
+    int status = 200;
+    std::string body = profilez_text(query, &status);
+    return HttpResponse{status, kPlainText, std::move(body), {}};
+  }
+  return std::nullopt;
+}
+
 MetricsServer::MetricsServer(const MetricsRegistry& registry, Options options)
     : registry_(&registry), options_(std::move(options)) {}
 
@@ -51,10 +86,7 @@ void MetricsServer::start() {
   lopts.max_request_bytes = options_.max_request_bytes;
   lopts.name = "metrics server";
   listener_ = std::make_unique<HttpListener>(
-      [this](const HttpRequest& request) {
-        Response r = handle(request.method, request.target);
-        return HttpResponse{r.status, std::move(r.content_type), std::move(r.body), {}};
-      },
+      [this](const HttpRequest& request) { return handle(request.method, request.target); },
       std::move(lopts));
   try {
     listener_->start();
@@ -82,7 +114,7 @@ void MetricsServer::set_json_source(std::string path, std::function<std::string(
 MetricsServer::Response MetricsServer::handle(std::string_view method,
                                               std::string_view target) const {
   if (method != "GET") {
-    return {405, "text/plain; charset=utf-8", "only GET is supported\n"};
+    return {405, kPlainText, "only GET is supported\n", {}};
   }
   // Split the query string off; /tracez and /profilez take parameters, the
   // rest ignore them.
@@ -92,35 +124,15 @@ MetricsServer::Response MetricsServer::handle(std::string_view method,
     query = target.substr(qpos + 1);
     target = target.substr(0, qpos);
   }
-  if (target == "/metrics") {
-    return {200, "text/plain; version=0.0.4; charset=utf-8", registry_->prometheus_text()};
-  }
-  if (target == "/varz") {
-    return {200, "application/json", registry_->json_text()};
-  }
   if (target == "/healthz") {
     if (rules_ == nullptr) {
       // No rule engine wired: alive == healthy.
-      return {200, "application/json", "{\"status\":\"ok\",\"rules\":0,\"firing\":[]}"};
+      return {200, "application/json", "{\"status\":\"ok\",\"rules\":0,\"firing\":[]}", {}};
     }
-    return {rules_->healthy() ? 200 : 503, "application/json", rules_->healthz_json()};
+    return {rules_->healthy() ? 200 : 503, "application/json", rules_->healthz_json(), {}};
   }
-  if (target == "/tracez") {
-    if (traces_ == nullptr) {
-      return {404, "text/plain; charset=utf-8", "tracing not wired\n"};
-    }
-    return {200, "application/x-ndjson", tracez_text(*traces_, query)};
-  }
-  if (target == "/profilez") {
-    int status = 200;
-    std::string body = profilez_text(query, &status);
-    return {status, "text/plain; charset=utf-8", std::move(body)};
-  }
-  if (target == "/logz") {
-    if (logs_ == nullptr) {
-      return {404, "text/plain; charset=utf-8", "log buffer not wired\n"};
-    }
-    return {200, "text/plain; charset=utf-8", logs_->text()};
+  if (std::optional<Response> debug = debug_endpoint(target, query, *registry_, traces_, logs_)) {
+    return std::move(*debug);
   }
   if (target == "/" || target.empty()) {
     std::string index = "auric live plane\n/metrics /healthz /varz /tracez /logz /profilez";
@@ -129,7 +141,7 @@ MetricsServer::Response MetricsServer::handle(std::string_view method,
       for (const auto& [path, source] : extra_) index += " " + path;
     }
     index += "\n";
-    return {200, "text/plain; charset=utf-8", std::move(index)};
+    return {200, kPlainText, std::move(index), {}};
   }
   {
     // Auxiliary endpoints (e.g. /modelz): copy the source out under the
@@ -141,10 +153,10 @@ MetricsServer::Response MetricsServer::handle(std::string_view method,
       if (it != extra_.end()) source = it->second;
     }
     if (source) {
-      return {200, "application/json", source()};
+      return {200, "application/json", source(), {}};
     }
   }
-  return {404, "text/plain; charset=utf-8", "unknown endpoint\n"};
+  return {404, kPlainText, "unknown endpoint\n", {}};
 }
 
 }  // namespace auric::obs

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -89,13 +90,8 @@ class MetricsServer {
     return listener_ == nullptr ? 0 : listener_->requests_served();
   }
 
-  /// One parsed response; exposed so tests can exercise routing without a
-  /// socket.
-  struct Response {
-    int status = 200;
-    std::string content_type = "text/plain; charset=utf-8";
-    std::string body;
-  };
+  /// One response; exposed so tests can exercise routing without a socket.
+  using Response = HttpResponse;
 
   /// Routes one request line (method + target; /tracez and /profilez read
   /// the query string) to an endpoint. The socket path and tests share
@@ -117,11 +113,15 @@ class MetricsServer {
   std::unique_ptr<HttpListener> listener_;
 };
 
-/// The /profilez handler body, shared with the serve daemon's routing:
-/// parses `seconds` out of `query`, runs profile_process, renders a
-/// "# samples=N dropped=M" header plus folded stacks. Sets `*status` to 501
-/// when the profiler is compiled out, 409 when one is already running, 400
-/// on a bad parameter.
-std::string profilez_text(std::string_view query, int* status);
+/// The read-only debug endpoints, one body for both HTTP planes (this
+/// server and the serve daemon): GET /metrics, /varz, /tracez, /logz and
+/// /profilez at `path`, with `query` the string past '?'. A null `traces`
+/// or `logs` answers its endpoint 404; /profilez answers 501 when the
+/// profiler is compiled out, 409 when one is already running and 400 on a
+/// bad `seconds`. Returns nullopt for any other path, so the caller's router
+/// goes on; /healthz, the index and extra endpoints stay the caller's.
+std::optional<HttpResponse> debug_endpoint(std::string_view path, std::string_view query,
+                                           const MetricsRegistry& registry,
+                                           const TraceRecorder* traces, const LogBuffer* logs);
 
 }  // namespace auric::obs

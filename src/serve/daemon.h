@@ -7,6 +7,9 @@
 //   GET  /diff?carrier=N                     SmartLaunch plan (vendor vs Auric)
 //   GET  /healthz                            ok|degraded|overloaded|draining
 //   GET  /metrics, /varz                     registry exposition
+//   GET  /tracez, /logz, /profilez           recent spans, log tail, profile
+//                                            (obs::debug_endpoint, shared
+//                                            with the live plane)
 //   GET  /modelz                             model-quality plane: ModelWatch
 //                                            telemetry + the last relearn audit
 //   POST /relearn                            rebuild, shadow-audit, hot-swap

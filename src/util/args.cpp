@@ -32,6 +32,9 @@ Args::Args(int argc, const char* const* argv) {
 std::optional<std::string> Args::lookup(const std::string& name,
                                         const std::string& default_value,
                                         const std::string& help) {
+  for (const Declared& d : declared_) {
+    if (d.name == name) throw std::logic_error("flag --" + name + " declared twice");
+  }
   declared_.push_back({name, default_value, help});
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;

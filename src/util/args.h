@@ -20,6 +20,8 @@ class Args {
 
   /// Declares a flag with a default; returns the parsed or default value.
   /// Declaring is also how flags become "known" for the final validation.
+  /// Each name is declared once: a second declaration throws
+  /// std::logic_error naming the flag.
   std::string get_string(const std::string& name, const std::string& default_value,
                          const std::string& help = "");
   std::int64_t get_int(const std::string& name, std::int64_t default_value,

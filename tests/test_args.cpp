@@ -61,6 +61,22 @@ TEST(Args, HelpRequested) {
   EXPECT_NE(args.usage().find("dataset size"), std::string::npos);
 }
 
+TEST(Args, DeclaringAFlagTwiceThrowsNamingIt) {
+  // Two declarations of one name would list it twice in usage() and let
+  // two owners act on it; any getter, any default, present or not.
+  for (const bool present : {false, true}) {
+    Args args = present ? make({"--trace-out=a.jsonl"}) : make({});
+    args.get_string("trace-out", "", "first owner");
+    try {
+      args.get_bool("trace-out", false, "second owner");
+      ADD_FAILURE() << "second declaration accepted";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("--trace-out"), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(args.usage().find("second owner"), std::string::npos);
+  }
+}
+
 TEST(Args, NegativeNumberAsValue) {
   Args args = make({"--offset", "-5"});
   // "-5" does not start with "--", so it binds as the value.

@@ -17,6 +17,7 @@
 
 #include "config/ground_truth.h"
 #include "config/rulebook.h"
+#include "obs/log_buffer.h"
 #include "obs/rules.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -24,6 +25,7 @@
 #include "smartlaunch/sharded_ems.h"
 #include "test_helpers.h"
 #include "util/drain.h"
+#include "util/log.h"
 #include "util/strings.h"
 
 namespace auric::serve {
@@ -95,6 +97,24 @@ TEST(ServeDaemon, RoutesTheControlAndDataPlane) {
   put.method = "PUT";
   EXPECT_EQ(daemon.handle(put).status, 405);
   // After all that, nothing is stuck in the admission window.
+  EXPECT_EQ(daemon.admitted(), 0u);
+}
+
+TEST(ServeDaemon, LogzServesTheProcessLogTail) {
+  // The daemon answers the live plane's read-only debug endpoints through
+  // the same obs::debug_endpoint body, /logz included.
+  Fixture f;
+  ServeDaemon daemon = f.daemon(f.options());
+  daemon.warm_up();
+  const std::string marker = "serve-logz-marker-" + std::to_string(daemon.generation());
+  util::log_warn(marker);
+  const obs::HttpResponse logz = daemon.handle(get("/logz"));
+  EXPECT_EQ(logz.status, 200);
+  EXPECT_EQ(logz.content_type, "text/plain; charset=utf-8");
+  EXPECT_NE(logz.body.find(marker), std::string::npos);
+  EXPECT_EQ(logz.body, obs::LogBuffer::global().text());
+  EXPECT_NE(daemon.handle(get("/")).body.find("/logz"), std::string::npos);
+  EXPECT_EQ(daemon.handle(get("/tracez")).status, 200);
   EXPECT_EQ(daemon.admitted(), 0u);
 }
 
