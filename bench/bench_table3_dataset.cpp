@@ -13,6 +13,7 @@
 // per-carrier value count runs denser than the paper's ~38/carrier because
 // we account every configured pair-wise relation instance (see
 // EXPERIMENTS.md).
+#include <algorithm>
 #include <cstdio>
 
 #include "common.h"
@@ -24,9 +25,11 @@ namespace {
 
 int body(util::Args& args) {
   ExperimentContext ctx = make_context(args);
-  const int deep_dive =
+  const int deep_dive_flag =
       static_cast<int>(args.get_int("deep-dive-markets", 4, "number of deep-dive markets"));
   if (args.help_requested()) return 0;
+  // A world with fewer markets than the flag deep-dives all of them.
+  const int deep_dive = std::min(deep_dive_flag, static_cast<int>(ctx.topology.markets.size()));
 
   // Per-market configured-value counts.
   std::vector<std::size_t> values_per_market(ctx.topology.markets.size(), 0);
@@ -57,7 +60,8 @@ int body(util::Args& args) {
     table.add_row({market.name, timezone_name(market.timezone), util::with_commas(carriers),
                    util::with_commas(enodebs), util::with_commas(values)});
   }
-  table.add_row({"All four", "", util::with_commas(carriers_total),
+  table.add_row({deep_dive == 4 ? "All four" : util::format("All %d", deep_dive), "",
+                 util::with_commas(carriers_total),
                  util::with_commas(enodebs_total), util::with_commas(values_total)});
   table.print();
 

@@ -67,7 +67,10 @@ std::vector<MarketComparison> run_learner_comparison(const ExperimentContext& ct
 
   std::vector<MarketComparison> out;
   util::Timer timer;
-  for (int m = 0; m < options.deep_dive_markets; ++m) {
+  // A world with fewer markets than the flag deep-dives all of them.
+  const int markets =
+      std::min(options.deep_dive_markets, static_cast<int>(ctx.topology.markets.size()));
+  for (int m = 0; m < markets; ++m) {
     MarketComparison comparison;
     comparison.market = static_cast<netsim::MarketId>(m);
     std::optional<core::AuricEngine> cf_engine;

@@ -94,6 +94,10 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   }
   dependencies_.resize(n);
   contingency_.resize(n);
+  // Distinct parameters write distinct cells, so the learn fan-out fills
+  // both matrices race-free.
+  singular_labels_ = LabelMatrix(topology.carrier_count(), catalog.singular_ids().size());
+  pairwise_labels_ = LabelMatrix(topology.edge_count(), catalog.pairwise_ids().size());
   DependencyOptions dep_options;
   dep_options.p_value = options_.p_value;
   dep_options.max_dependent = options_.max_dependent;
@@ -117,16 +121,6 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   }
   voting_.reserve(n);
   for (std::size_t p = 0; p < n; ++p) voting_.push_back(std::move(*voting_slots[p]));
-  {
-    // The views' serve-side layout, timed with the phase that built them.
-    obs::ScopedTimer timer(metrics.phase_param_view);
-    singular_labels_ = LabelMatrix(topology.carrier_count(), catalog.singular_ids().size());
-    pairwise_labels_ = LabelMatrix(topology.edge_count(), catalog.pairwise_ids().size());
-    for (std::size_t p = 0; p < n; ++p) {
-      label_matrix(p).assign_column(positions_[p], views_[p],
-                                    catalog.at(static_cast<config::ParamId>(p)).name);
-    }
-  }
   metrics.learns.inc();
 }
 
@@ -135,20 +129,30 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
                               std::vector<std::optional<BackoffVoting>>& voting_slots) {
   EngineMetrics& metrics = engine_metrics();
   const auto param = static_cast<config::ParamId>(p);
+  ParamView& view = views_[p];
   {
+    // The view and its serve-side layout, the label-matrix column.
     obs::ScopedTimer timer(metrics.phase_param_view);
-    views_[p] = build_param_view(*topology_, *catalog_, assignment, param, options_.market);
+    view = build_param_view(*topology_, *catalog_, assignment, param, options_.market);
+    label_matrix(p).assign_column(positions_[p], view, catalog_->at(param).name);
   }
   {
     obs::ScopedTimer timer(metrics.phase_dependency);
-    contingency_[p] = build_contingency(views_[p], *attr_codes_, *schema_);
+    contingency_[p] = build_contingency(view, *attr_codes_, *schema_);
     dependencies_[p] = dependencies_from_contingency(contingency_[p], dep_options);
   }
   {
     obs::ScopedTimer timer(metrics.phase_voting);
-    voting_slots[p].emplace(views_[p], dependencies_[p].dependent, *attr_words_,
+    voting_slots[p].emplace(view, dependencies_[p].dependent, *attr_words_,
                             options_.backoff_levels);
   }
+  // The matrix column now holds every row's label by entity: release the
+  // rows, keeping the dictionary that decodes the column.
+  ParamView kept;
+  kept.param = view.param;
+  kept.pairwise = view.pairwise;
+  kept.labels = std::move(view.labels);
+  view = std::move(kept);
 }
 
 void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment,
@@ -158,8 +162,8 @@ void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment
   EngineMetrics& metrics = engine_metrics();
   obs::ScopedTimer timer(metrics.incremental_seconds);
   if (options_.market) {
-    // The entity-order merge below would read every out-of-market slot as
-    // an add.
+    // The diff against the matrix column below would read every
+    // out-of-market slot as an add.
     throw std::invalid_argument("incremental_relearn: engine is scoped to one market");
   }
   if (assignment.singular.size() != catalog_->singular_ids().size() ||
@@ -205,50 +209,45 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   const std::size_t pos = positions_[p];
   const config::ParamColumn& col =
       view.pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
+  LabelMatrix& matrix = label_matrix(p);
+  if (col.value.size() != matrix.entities()) {
+    throw std::invalid_argument("incremental_relearn: assignment entity space mismatch");
+  }
 
-  // Slot deltas in entity order. View rows are maintained entity-ascending —
-  // the order build_param_view scans — so one merge pass over the column and
-  // the rows finds every add/update/erase.
+  // Slot deltas in entity order: one pass diffs the column against the
+  // learned label-matrix column, decoding each cell through the dictionary.
+  // The same pass counts the learned rows per label: a brand-new value or a
+  // vanished one shifts every dense label code (the dictionary is sorted),
+  // which is the one thing deltas cannot patch — those parameters splice
+  // their alphabet below.
   struct Change {
     std::size_t entity = 0;
     config::ValueIndex old_value = config::kUnset;  ///< kUnset = slot was unconfigured (add)
     config::ValueIndex new_value = config::kUnset;  ///< kUnset = slot got erased
   };
   std::vector<Change> changes;
-  {
-    std::size_t r = 0;
-    for (std::size_t e = 0; e < col.value.size(); ++e) {
-      config::ValueIndex old_value = config::kUnset;
-      if (r < view.rows() && view.entity[r] == e) {
-        old_value = view.value[r];
-        ++r;
-      }
-      if (col.value[e] == old_value) continue;
-      changes.push_back({e, old_value, col.value[e]});
+  std::vector<std::int64_t> label_rows(view.labels.size(), 0);
+  std::size_t rows_before = 0;
+  const LabelColumn cells = matrix.column(pos);
+  for (std::size_t e = 0; e < col.value.size(); ++e) {
+    const ml::ClassLabel label = cells.label(e);
+    config::ValueIndex old_value = config::kUnset;
+    if (label >= 0) {
+      old_value = view.labels.values[static_cast<std::size_t>(label)];
+      ++label_rows[static_cast<std::size_t>(label)];
+      ++rows_before;
     }
-    if (r != view.rows()) {
-      throw std::invalid_argument("incremental_relearn: assignment entity space mismatch");
-    }
+    if (col.value[e] != old_value) changes.push_back({e, old_value, col.value[e]});
   }
   if (changes.empty()) return false;  // untouched parameter: models already exact
 
-  const std::size_t rows_before = view.rows();
   stats.params_touched = 1;
-  bool rows_changed = false;
   bool labels_changed = false;
-  // Per-label row counts after the delta decide whether the value alphabet
-  // changed: a brand-new value or a vanished one shifts every dense label
-  // code (the dictionary is sorted), which is the one thing deltas cannot
-  // patch — those parameters rebuild below.
-  std::vector<std::int64_t> label_rows(view.labels.size(), 0);
-  for (ml::ClassLabel l : view.label) ++label_rows[static_cast<std::size_t>(l)];
   for (const Change& ch : changes) {
     if (ch.old_value == config::kUnset) {
       ++stats.rows_added;
-      rows_changed = true;
     } else if (ch.new_value == config::kUnset) {
       ++stats.rows_erased;
-      rows_changed = true;
     } else {
       ++stats.rows_updated;
     }
@@ -284,8 +283,8 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     check_label_width(kept + added.size(), catalog_->at(param).name);
   }
 
-  // Capture the old label codes before mutating the view: the contingency
-  // and voting deltas below subtract the outgoing observation.
+  // Capture the old label codes before re-coding: the contingency and
+  // voting deltas below subtract the outgoing observation.
   struct Delta {
     netsim::CarrierId carrier = netsim::kInvalidCarrier;
     netsim::CarrierId neighbor = netsim::kInvalidCarrier;
@@ -307,38 +306,6 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
       if (ch.old_value != config::kUnset) d.old_label = view.labels.code_of(ch.old_value);
       if (ch.new_value != config::kUnset) d.new_label = view.labels.code_of(ch.new_value);
       deltas.push_back(d);
-    }
-  }
-
-  // 1. Bring the view rows up to date, preserving entity order.
-  if (rows_changed) {
-    ParamView next;
-    const std::size_t expected = rows_before + stats.rows_added - stats.rows_erased;
-    next.carrier.reserve(expected);
-    next.neighbor.reserve(expected);
-    next.entity.reserve(expected);
-    next.value.reserve(expected);
-    for (std::size_t e = 0; e < col.value.size(); ++e) {
-      if (col.value[e] == config::kUnset) continue;
-      if (view.pairwise) {
-        const netsim::X2Edge& edge = topology_->edges[e];
-        next.carrier.push_back(edge.from);
-        next.neighbor.push_back(edge.to);
-      } else {
-        next.carrier.push_back(static_cast<netsim::CarrierId>(e));
-        next.neighbor.push_back(netsim::kInvalidCarrier);
-      }
-      next.entity.push_back(e);
-      next.value.push_back(col.value[e]);
-    }
-    view.carrier = std::move(next.carrier);
-    view.neighbor = std::move(next.neighbor);
-    view.entity = std::move(next.entity);
-    view.value = std::move(next.value);
-  } else {
-    for (const Change& ch : changes) {
-      const auto it = std::lower_bound(view.entity.begin(), view.entity.end(), ch.entity);
-      view.value[static_cast<std::size_t>(it - view.entity.begin())] = ch.new_value;
     }
   }
 
@@ -426,50 +393,26 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     }
     voting_[p].remap_labels(mid_to_final);
 
-    // Re-code the rows in the final dictionary. When the row set is stable,
-    // every surviving row's label moves through the composed old -> final
-    // map and the changed rows are patched directly — no per-row dictionary
-    // lookups.
+    // Re-code the column in the final dictionary: every learned cell moves
+    // through the composed old -> final map (a dropped label's cells all
+    // changed, so the slot deltas below overwrite them).
     std::vector<ml::ClassLabel> old_to_final(old_to_mid.size());
     for (std::size_t c = 0; c < old_to_mid.size(); ++c) {
       old_to_final[c] = mid_to_final[static_cast<std::size_t>(old_to_mid[c])];
     }
+    for (std::size_t e = 0; e < col.value.size(); ++e) {
+      const ml::ClassLabel label = cells.label(e);
+      if (label >= 0) matrix.set(e, pos, old_to_final[static_cast<std::size_t>(label)]);
+    }
     view.labels = std::move(final_labels);
-    if (rows_changed) {
-      view.label.clear();
-      view.label.reserve(view.value.size());
-      for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
-    } else {
-      for (ml::ClassLabel& l : view.label) l = old_to_final[static_cast<std::size_t>(l)];
-      for (const Change& ch : changes) {
-        const auto it = std::lower_bound(view.entity.begin(), view.entity.end(), ch.entity);
-        view.label[static_cast<std::size_t>(it - view.entity.begin())] =
-            view.labels.code_of(ch.new_value);
-      }
-    }
     stats.params_remapped = 1;
-  } else if (rows_changed) {
-    // Label space unchanged: re-code rows only when the row set itself
-    // moved.
-    view.label.clear();
-    view.label.reserve(view.value.size());
-    for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
-  } else {
-    for (const Change& ch : changes) {
-      const auto it = std::lower_bound(view.entity.begin(), view.entity.end(), ch.entity);
-      view.label[static_cast<std::size_t>(it - view.entity.begin())] =
-          view.labels.code_of(ch.new_value);
-    }
   }
 
-  // The label-matrix column: every slot delta writes its cell; a splice may
-  // have moved every code, so it also rewrites the column's rows.
-  LabelMatrix& matrix = label_matrix(p);
+  // 1. The label-matrix column: every slot delta writes its cell.
   for (const Change& ch : changes) {
     matrix.set(ch.entity, pos,
                ch.new_value == config::kUnset ? -1 : view.labels.code_of(ch.new_value));
   }
-  if (labels_changed) matrix.assign_column(pos, view, catalog_->at(param).name);
 
   // 2. Contingency deltas: the maintained tables now hold exactly the
   // integer counts a from-scratch tally of the new population would.
@@ -517,8 +460,11 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
         dependencies_[p] = std::move(next);
         return true;
       } else {
+        // The rows a fresh build aggregates, transient: the engine keeps
+        // only the matrix column.
         dependencies_[p] = std::move(next);
-        voting_[p] = BackoffVoting(view, dependencies_[p].dependent, *attr_words_,
+        voting_[p] = BackoffVoting(build_param_view(*topology_, *catalog_, assignment, param),
+                                   dependencies_[p].dependent, *attr_words_,
                                    options_.backoff_levels);
         stats.params_rebuilt = 1;
         return true;
@@ -542,6 +488,10 @@ const ParamView& AuricEngine::view(config::ParamId param) const {
 
 const DependencyModel& AuricEngine::dependencies(config::ParamId param) const {
   return dependencies_.at(static_cast<std::size_t>(param));
+}
+
+const ContingencyState& AuricEngine::contingency(config::ParamId param) const {
+  return contingency_.at(static_cast<std::size_t>(param));
 }
 
 const BackoffVoting& AuricEngine::voting(config::ParamId param) const {

@@ -143,9 +143,10 @@ class AuricEngine {
               AuricOptions options = {});
 
   /// Re-learns in place from the current `assignment`, touching only the
-  /// parameters whose configured slots differ from the learned population:
-  /// slot deltas (add/update/erase) are applied to the maintained view rows,
-  /// label-matrix cells, contingency tables and voting groups; a value
+  /// parameters whose configured slots differ from the learned population
+  /// (each parameter's assignment column is diffed against its label-matrix
+  /// column): slot deltas (add/update/erase) are applied to the label-matrix
+  /// cells, contingency tables and voting groups; a value
   /// appearing or vanishing splices the label alphabet in place (an exact
   /// monotone re-coding, no re-tally) and re-codes that parameter's matrix
   /// column; the chi-square dependency scan re-runs only per `options`
@@ -167,8 +168,13 @@ class AuricEngine {
   const netsim::AttributeSchema& schema() const { return *schema_; }
   const config::ParamCatalog& catalog() const { return *catalog_; }
 
+  /// `param`'s learned view without its rows: `param`, `pairwise` and the
+  /// `labels` dictionary that decodes label_column(). rows() is 0 after
+  /// construction; the label matrices are the only per-row store.
   const ParamView& view(config::ParamId param) const;
   const DependencyModel& dependencies(config::ParamId param) const;
+  /// The re-test sufficient statistics incremental_relearn maintains.
+  const ContingencyState& contingency(config::ParamId param) const;
   const BackoffVoting& voting(config::ParamId param) const;
 
   /// `param`'s column of the engine's label matrices — what the local vote
@@ -247,7 +253,7 @@ class AuricEngine {
   /// a clone's models to stay valid after the original is destroyed.
   std::shared_ptr<const std::vector<std::vector<netsim::AttrCode>>> attr_codes_;
   std::shared_ptr<const AttrWords> attr_words_;
-  std::vector<ParamView> views_;              // by catalog param id
+  std::vector<ParamView> views_;              ///< by catalog param id; rows released after learn
   std::vector<std::size_t> positions_;        ///< kind_position by catalog param id
   LabelMatrix singular_labels_;
   LabelMatrix pairwise_labels_;
@@ -256,8 +262,9 @@ class AuricEngine {
   std::vector<BackoffVoting> voting_;
   const ModelWatch* watch_ = nullptr;
 
-  /// Builds view + contingency + dependencies + voting for parameter `p`
-  /// into the pre-sized slots (thread-safe across distinct `p`).
+  /// Builds view + label-matrix column + contingency + dependencies + voting
+  /// for parameter `p` into the pre-sized slots, then releases the view's
+  /// rows (thread-safe across distinct `p`: each writes its own cells).
   void learn_param(std::size_t p, const config::ConfigAssignment& assignment,
                    const DependencyOptions& dep_options,
                    std::vector<std::optional<BackoffVoting>>& voting_slots);

@@ -10,7 +10,8 @@
 // The local learner does not read views: it reads a LabelMatrix, which
 // holds one row of label codes per entity (carrier or X2 edge) across every
 // parameter of that kind, so a candidate's labels for all parameters sit in
-// one contiguous row (DESIGN.md §5).
+// one contiguous row (DESIGN.md §5). A learned AuricEngine keeps only the
+// matrices: its views release their rows and keep the dictionary.
 #pragma once
 
 #include <cstdint>

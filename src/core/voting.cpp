@@ -106,7 +106,7 @@ VotingModel::VotingModel(const VotingModel& finer, std::span<const AttrRef> deps
   }
   build(finer.pairs_.size() - finer.garbage_, [&](auto&& add) {
     for (const Slot& slot : finer.slots_) {
-      if (slot.total == 0) continue;
+      if (slot.size == 0) continue;
       const GroupKey key{slot.key.carrier & mask_.carrier, slot.key.neighbor & mask_.neighbor};
       for (const auto& [label, count] : finer.run(slot)) add(key, label, count);
     }
@@ -125,31 +125,33 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
   };
   std::vector<Observation> observations;
   observations.reserve(n);
+  // Observations per slot. A coarse group can hold far more than a Slot's
+  // 16-bit size codes, so the tally lives here; size only marks the slot
+  // claimed until the fold below.
+  std::vector<std::uint32_t> bucket_end(slots_.size(), 0);
   for_each([&](const GroupKey& key, ml::ClassLabel label, std::int32_t votes) {
     const std::size_t index = claim(key);
-    slots_[index].total += votes;
-    ++slots_[index].size;  // observations, until the fold below
+    slots_[index].size = 1;
+    ++bucket_end[index];
     observations.push_back({static_cast<std::uint32_t>(index), label, votes});
   });
 
   // Bucket the observations by group (counting sort over slots), then fold
   // each bucket into its distinct (label, count) run.
   std::uint32_t offset = 0;
-  for (Slot& slot : slots_) {
-    slot.begin = offset;
-    offset += slot.size;
-    slot.size = 0;
+  for (std::uint32_t& end : bucket_end) {
+    const std::uint32_t count = end;
+    end = offset;  // the bucket's begin, until the placement below advances it
+    offset += count;
   }
   std::vector<LabelCount> staged(observations.size());
-  for (const Observation& o : observations) {
-    Slot& slot = slots_[o.slot];
-    staged[slot.begin + slot.size++] = {o.label, o.votes};
-  }
+  for (const Observation& o : observations) staged[bucket_end[o.slot]++] = {o.label, o.votes};
   pairs_.reserve(staged.size());
-  for (Slot& slot : slots_) {
-    if (slot.total == 0) continue;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    Slot& slot = slots_[s];
+    if (slot.size == 0) continue;
     const auto begin = static_cast<std::uint32_t>(pairs_.size());
-    for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
+    for (std::uint32_t i = s == 0 ? 0 : bucket_end[s - 1]; i < bucket_end[s]; ++i) {
       const auto it = std::find_if(pairs_.begin() + begin, pairs_.end(),
                                    [&](const LabelCount& p) { return p.first == staged[i].first; });
       if (it != pairs_.end()) {
@@ -158,8 +160,10 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
         pairs_.push_back(staged[i]);
       }
     }
+    const std::size_t size = pairs_.size() - begin;
+    if (size > kMaxRun) throw std::logic_error("VotingModel: group has more labels than a run codes");
     slot.begin = begin;
-    slot.size = slot.capacity = static_cast<std::uint32_t>(pairs_.size()) - begin;
+    slot.size = slot.capacity = static_cast<std::uint16_t>(size);
   }
   pairs_.shrink_to_fit();
   if (capacity_for(groups_) < slots_.size()) rehash(capacity_for(groups_));
@@ -179,7 +183,7 @@ std::size_t VotingModel::find(const GroupKey& key) const {
   const std::size_t wrap = slots_.size() - 1;
   for (std::size_t i = home(key);; i = (i + 1) & wrap) {
     const Slot& slot = slots_[i];
-    if (slot.total == 0) return kNone;
+    if (slot.size == 0) return kNone;
     if (slot.key == key) return i;
   }
 }
@@ -188,7 +192,7 @@ std::size_t VotingModel::claim(const GroupKey& key) {
   if ((groups_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
   const std::size_t wrap = slots_.size() - 1;
   std::size_t i = home(key);
-  for (; slots_[i].total != 0; i = (i + 1) & wrap) {
+  for (; slots_[i].size != 0; i = (i + 1) & wrap) {
     if (slots_[i].key == key) return i;
   }
   slots_[i] = Slot{};
@@ -202,7 +206,7 @@ void VotingModel::erase_slot(std::size_t index) {
   // hole unless that would move one before its home slot.
   const std::size_t wrap = slots_.size() - 1;
   std::size_t hole = index;
-  for (std::size_t j = (index + 1) & wrap; slots_[j].total != 0; j = (j + 1) & wrap) {
+  for (std::size_t j = (index + 1) & wrap; slots_[j].size != 0; j = (j + 1) & wrap) {
     if (((j - home(slots_[j].key)) & wrap) >= ((j - hole) & wrap)) {
       slots_[hole] = slots_[j];
       hole = j;
@@ -218,14 +222,17 @@ void VotingModel::rehash(std::size_t capacity) {
   shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
   const std::size_t wrap = capacity - 1;
   for (const Slot& slot : old) {
-    if (slot.total == 0) continue;
+    if (slot.size == 0) continue;
     std::size_t i = home(slot.key);
-    while (slots_[i].total != 0) i = (i + 1) & wrap;
+    while (slots_[i].size != 0) i = (i + 1) & wrap;
     slots_[i] = slot;
   }
 }
 
 void VotingModel::append_pair(Slot& slot, ml::ClassLabel label, std::int32_t count) {
+  if (slot.size == kMaxRun) {
+    throw std::logic_error("VotingModel: group has more labels than a run codes");
+  }
   if (slot.size < slot.capacity) {
     pairs_[slot.begin + slot.size++] = {label, count};
     return;
@@ -248,7 +255,7 @@ void VotingModel::compact_pairs() {
   std::vector<LabelCount> next;
   next.reserve(pairs_.size() - garbage_);
   for (Slot& slot : slots_) {
-    if (slot.total == 0) continue;
+    if (slot.size == 0) continue;
     const auto begin = static_cast<std::uint32_t>(next.size());
     const auto pairs = run(slot);
     next.insert(next.end(), pairs.begin(), pairs.end());
@@ -270,11 +277,13 @@ GroupKey VotingModel::key_of(std::uint64_t carrier_word, netsim::CarrierId neigh
   return key;
 }
 
-std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts, std::int32_t total,
+std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts,
                                         ml::ClassLabel excluded, bool exclude_one,
                                         double threshold) {
   Vote best;
+  std::int32_t total = 0;
   for (const auto& [label, count] : counts) {
+    total += count;
     std::int32_t c = count;
     if (exclude_one && label == excluded) --c;
     if (c > best.count || (c == best.count && best.label >= 0 && label < best.label)) {
@@ -296,15 +305,15 @@ std::vector<VotingModel::GroupSummary> VotingModel::group_summaries() const {
   std::vector<GroupSummary> out;
   out.reserve(groups_);
   for (const Slot& slot : slots_) {
-    if (slot.total == 0) continue;
+    if (slot.size == 0) continue;
     GroupSummary summary;
     summary.codes.reserve(deps_.size());
     for (const AttrRef& ref : deps_) {
       summary.codes.push_back(
           words_->code(ref.neighbor_side ? slot.key.neighbor : slot.key.carrier, ref.attr));
     }
-    summary.total = slot.total;
     for (const auto& [label, count] : run(slot)) {
+      summary.total += count;
       if (count > summary.winner_count ||
           (count == summary.winner_count && summary.winner >= 0 && label < summary.winner)) {
         summary.winner = label;
@@ -327,12 +336,10 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
     index = claim(key);
     Slot& slot = slots_[index];
     slot.begin = static_cast<std::uint32_t>(pairs_.size());
-    slot.total = delta;
     append_pair(slot, label, delta);
     return;
   }
   Slot& slot = slots_[index];
-  slot.total += delta;
   LabelCount* pairs = pairs_.data() + slot.begin;
   std::uint32_t i = 0;
   while (i < slot.size && pairs[i].first != label) ++i;
@@ -344,8 +351,7 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing an absent label");
     append_pair(slot, label, delta);
   }
-  if (slot.total < 0) throw std::logic_error("VotingModel::adjust: group size went negative");
-  if (slot.total == 0) {
+  if (slot.size == 0) {  // the group's last voter left
     garbage_ += slot.capacity;
     erase_slot(index);
   }
@@ -354,7 +360,6 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
 
 void VotingModel::remap_labels(std::span<const ml::ClassLabel> old_to_new) {
   for (const Slot& slot : slots_) {
-    if (slot.total == 0) continue;
     for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
       ml::ClassLabel& label = pairs_[i].first;
       const ml::ClassLabel next = old_to_new[static_cast<std::size_t>(label)];
@@ -375,14 +380,14 @@ void VotingModel::reorder_deps(std::span<const AttrRef> new_deps) {
 std::optional<Vote> VotingModel::vote(const GroupKey& key, double threshold) const {
   const std::size_t index = find(key);
   if (index == kNone) return std::nullopt;
-  return winner(run(slots_[index]), slots_[index].total, -1, false, threshold);
+  return winner(run(slots_[index]), -1, false, threshold);
 }
 
 std::optional<Vote> VotingModel::vote_excluding(const GroupKey& key, ml::ClassLabel own_label,
                                                 double threshold) const {
   const std::size_t index = find(key);
   if (index == kNone) return std::nullopt;
-  return winner(run(slots_[index]), slots_[index].total, own_label, true, threshold);
+  return winner(run(slots_[index]), own_label, true, threshold);
 }
 
 /// One configured peer slot of a local vote: the packed words of its

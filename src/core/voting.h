@@ -175,17 +175,22 @@ class VotingModel {
 
  private:
   /// One open-addressing slot. A group's (label, count) pairs are the run
-  /// pairs_[begin, begin + size), with room up to begin + capacity;
-  /// total == 0 marks an empty slot.
+  /// pairs_[begin, begin + size), with room up to begin + capacity. A live
+  /// group holds at least one pair with a count above 0, so size == 0 marks
+  /// an empty slot, and the group's voter total is the sum of its run. Size
+  /// and capacity are bounded by the label alphabet, which check_label_width
+  /// caps at 0xFFFF values (DESIGN.md §5).
   struct Slot {
     GroupKey key;
     std::uint32_t begin = 0;
-    std::uint32_t size = 0;
-    std::uint32_t capacity = 0;
-    std::int32_t total = 0;
+    std::uint16_t size = 0;
+    std::uint16_t capacity = 0;
   };
+  static_assert(sizeof(Slot) == 24, "a voting slot is a key plus a packed run reference");
   using LabelCount = std::pair<ml::ClassLabel, std::int32_t>;
   static constexpr std::size_t kNone = ~std::size_t{0};
+  /// Longest run a Slot codes: one pair per label, at most 0xFFFF labels.
+  static constexpr std::size_t kMaxRun = 0xFFFF;
 
   std::vector<AttrRef> deps_;
   const AttrWords* words_;
@@ -203,7 +208,7 @@ class VotingModel {
 
   std::size_t home(const GroupKey& key) const;
   std::size_t find(const GroupKey& key) const;
-  /// Slot of `key`, claiming an empty one (total still 0) when absent.
+  /// Slot of `key`, claiming an empty one (size still 0) when absent.
   std::size_t claim(const GroupKey& key);
   void erase_slot(std::size_t index);
   void rehash(std::size_t capacity);
@@ -213,9 +218,9 @@ class VotingModel {
     return {pairs_.data() + slot.begin, slot.size};
   }
 
-  static std::optional<Vote> winner(std::span<const LabelCount> counts, std::int32_t total,
-                                    ml::ClassLabel excluded, bool exclude_one,
-                                    double threshold);
+  /// The run's winning vote; the group total is the run's sum.
+  static std::optional<Vote> winner(std::span<const LabelCount> counts, ml::ClassLabel excluded,
+                                    bool exclude_one, double threshold);
 };
 
 /// Voting with support-driven backoff.
@@ -283,7 +288,8 @@ class BackoffVoting {
   /// The same local vote for a caller holding only `view` and no label
   /// matrix: each candidate's rows are found by binary search over the
   /// carrier-sorted rows, and `exclude_row` (>= 0) is a view row. Decides
-  /// exactly as the column overload on the view's one-column matrix.
+  /// exactly as the column overload on the view's one-column matrix. Needs a
+  /// view from build_param_view: an engine's views hold no rows.
   std::optional<Decision> local(const ParamView& view,
                                 std::span<const netsim::CarrierId> candidates,
                                 netsim::CarrierId carrier, netsim::CarrierId neighbor,

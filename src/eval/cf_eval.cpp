@@ -4,19 +4,34 @@ namespace auric::eval {
 
 CfParamResult evaluate_param(const core::AuricEngine& engine, config::ParamId param,
                              std::vector<CfPrediction>* mismatches) {
-  const core::ParamView& view = engine.view(param);
+  // The configured cells of the parameter's label column, in entity order:
+  // the rows the engine learned from.
+  const core::LabelColumn column = engine.label_column(param);
+  const std::vector<config::ValueIndex>& values = engine.view(param).labels.values;
+  const netsim::Topology& topology = engine.topology();
+  const std::size_t entities =
+      column.topology != nullptr ? topology.edge_count() : topology.carrier_count();
   CfParamResult result;
   result.param = param;
-  result.rows = view.rows();
-  for (std::size_t r = 0; r < view.rows(); ++r) {
+  for (std::size_t e = 0; e < entities; ++e) {
+    const ml::ClassLabel label = column.label(e);
+    if (label < 0) continue;
+    const config::ValueIndex actual = values[static_cast<std::size_t>(label)];
+    netsim::CarrierId carrier = static_cast<netsim::CarrierId>(e);
+    netsim::CarrierId neighbor = netsim::kInvalidCarrier;
+    if (column.topology != nullptr) {
+      carrier = topology.edges[e].from;
+      neighbor = topology.edges[e].to;
+    }
+    ++result.rows;
     const core::Recommendation rec =
-        engine.recommend(param, view.carrier[r], view.neighbor[r], /*exclude_self=*/true);
+        engine.recommend(param, carrier, neighbor, /*exclude_self=*/true);
     if (rec.source == core::RecommendationSource::kRulebookDefault) ++result.fallback_default;
     if (rec.source == core::RecommendationSource::kLocalVote) ++result.local_decided;
-    if (rec.value == view.value[r]) {
+    if (rec.value == actual) {
       ++result.correct;
     } else if (mismatches != nullptr) {
-      mismatches->push_back({param, view.entity[r], rec.value, view.value[r], view.carrier[r]});
+      mismatches->push_back({param, e, rec.value, actual, carrier});
     }
   }
   return result;

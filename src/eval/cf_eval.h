@@ -4,7 +4,8 @@
 //
 // The engine already decides this way: AuricEngine::recommend with
 // exclude_self removes the slot's own observation from every vote. So
-// evaluation only scores: it walks the engine's rows and compares each
+// evaluation only scores: it walks the configured cells of the engine's
+// label column (the rows it learned from) and compares each
 // recommendation with the configured value. The learner (global or local,
 // radius, threshold, KPI weights) and the scope (AuricOptions::market) are
 // the engine's options.

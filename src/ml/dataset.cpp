@@ -37,6 +37,7 @@ LabelDictionary LabelDictionary::build(std::span<const config::ValueIndex> label
   dict.values.assign(labels.begin(), labels.end());
   std::sort(dict.values.begin(), dict.values.end());
   dict.values.erase(std::unique(dict.values.begin(), dict.values.end()), dict.values.end());
+  dict.values.shrink_to_fit();  // one slot per label, not per row
   return dict;
 }
 

@@ -51,9 +51,11 @@ TEST(CfEvaluation, MarketScopingEvaluatesSubsets) {
   Fixture f;
   for (const netsim::MarketId market : {netsim::MarketId{0}, netsim::MarketId{1}}) {
     const core::AuricEngine engine = f.engine(market);
-    const core::ParamView& view = engine.view(0);
-    for (const netsim::CarrierId carrier : view.carrier) {
-      EXPECT_EQ(f.topo.carriers[static_cast<std::size_t>(carrier)].market, market);
+    const core::LabelColumn labels = engine.label_column(0);
+    for (const netsim::Carrier& carrier : f.topo.carriers) {
+      if (labels.label(static_cast<std::size_t>(carrier.id)) >= 0) {
+        EXPECT_EQ(carrier.market, market);
+      }
     }
     EXPECT_EQ(evaluate_param(engine, 0).rows, market == 0 ? 10u : 6u);
   }
@@ -64,6 +66,8 @@ TEST(CfEvaluation, EvaluateAllCoversCatalog) {
   const auto results = evaluate_all(f.engine());
   ASSERT_EQ(results.size(), f.catalog.size());
   for (std::size_t p = 0; p < results.size(); ++p) EXPECT_EQ(results[p].param, p);
+  // The pair-wise parameter scores one row per configured edge.
+  EXPECT_EQ(results[1].rows, f.assignment.pairwise[0].configured_count());
   EXPECT_DOUBLE_EQ(overall_accuracy(results), 1.0);
 }
 
@@ -79,18 +83,21 @@ TEST(CfEvaluation, TalliesFollowTheEngineDecisionSource) {
   Fixture f;
   f.assignment.singular[0].value[2] = 9;
   const core::AuricEngine engine = f.engine(std::nullopt, /*local=*/true);
-  const core::ParamView& view = engine.view(0);
+  const core::LabelColumn labels = engine.label_column(0);
+  std::size_t configured = 0;
   std::size_t local = 0;
   std::size_t fallback = 0;
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    const core::Recommendation rec = engine.recommend(0, view.carrier[r]);
+  for (const netsim::Carrier& carrier : f.topo.carriers) {
+    if (labels.label(static_cast<std::size_t>(carrier.id)) < 0) continue;
+    ++configured;
+    const core::Recommendation rec = engine.recommend(0, carrier.id);
     local += rec.source == core::RecommendationSource::kLocalVote;
     fallback += rec.source == core::RecommendationSource::kRulebookDefault;
   }
   const CfParamResult result = evaluate_param(engine, 0);
   EXPECT_EQ(result.local_decided, local);
   EXPECT_EQ(result.fallback_default, fallback);
-  EXPECT_EQ(result.rows, view.rows());
+  EXPECT_EQ(result.rows, configured);
 }
 
 TEST(OverallAccuracy, RowWeighted) {

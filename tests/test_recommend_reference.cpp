@@ -202,24 +202,33 @@ void expect_matches(const Expected& want, const Recommendation& rec, int engine_
             static_cast<double>(want.votes - want.runner_up) / static_cast<double>(want.group));
 }
 
-/// The subject's own slot, found by scanning the view's rows: its entity
-/// and label, or nullopt when the slot is not configured.
-std::optional<std::pair<std::int64_t, ml::ClassLabel>> own_slot(const ParamView& view,
+/// The subject's own slot, read from the engine's label column: its entity
+/// (the carrier, or its edge toward `neighbor`) and label, or nullopt when
+/// the slot is not configured.
+std::optional<std::pair<std::int64_t, ml::ClassLabel>> own_slot(const AuricEngine& engine,
+                                                                 config::ParamId param,
                                                                  CarrierId carrier,
                                                                  CarrierId neighbor) {
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    if (view.carrier[r] == carrier && view.neighbor[r] == neighbor) {
-      return std::pair{static_cast<std::int64_t>(view.entity[r]), view.label[r]};
+  const LabelColumn labels = engine.label_column(param);
+  const netsim::Topology& topo = engine.topology();
+  std::optional<std::size_t> entity;
+  if (labels.topology == nullptr) {
+    entity = static_cast<std::size_t>(carrier);
+  } else {
+    const auto c = static_cast<std::size_t>(carrier);
+    for (std::size_t e = topo.edge_offsets[c]; e < topo.edge_offsets[c + 1]; ++e) {
+      if (topo.edges[e].to == neighbor) entity = e;
     }
   }
-  return std::nullopt;
+  if (!entity || labels.label(*entity) < 0) return std::nullopt;
+  return std::pair{static_cast<std::int64_t>(*entity), labels.label(*entity)};
 }
 
 /// The backoff level behind the engine's recommendation, read from the
 /// voting layer along the same local-then-global path.
 int engine_level(const AuricEngine& engine, config::ParamId param, CarrierId carrier,
                  CarrierId neighbor) {
-  const auto self = own_slot(engine.view(param), carrier, neighbor);
+  const auto self = own_slot(engine, param, carrier, neighbor);
   const BackoffVoting& voting = engine.voting(param);
   const AuricOptions& options = engine.options();
   const double threshold = options.vote_threshold;
@@ -282,7 +291,7 @@ void check_engine(const AuricEngine& engine, const config::ConfigAssignment& ass
     SCOPED_TRACE(testing::Message() << "weighted param " << param << " carrier " << carrier
                                     << " neighbor " << neighbor);
     const std::vector<CarrierId> hood = topo.neighborhood_hops(carrier, 2);
-    const auto self = own_slot(engine.view(param), carrier, neighbor);
+    const auto self = own_slot(engine, param, carrier, neighbor);
     const auto got = engine.voting(param).local(engine.label_column(param), hood, carrier,
                                                 neighbor, self ? self->first : -1,
                                                 engine.options().vote_threshold, weights);

@@ -1,6 +1,7 @@
 // Incremental relearn (DESIGN.md §18): delta-applied engines must be
-// indistinguishable from engines rebuilt from scratch — same views, same
-// chi-square results bit-for-bit, same voting groups, same recommendations —
+// indistinguishable from engines rebuilt from scratch — same label matrices
+// and dictionaries, same contingency tables, same chi-square results
+// bit-for-bit, same voting groups, same recommendations —
 // across adds, updates, erases and label-alphabet changes; the drift
 // threshold and the ModelWatch union trigger gate the re-test; and the
 // per-parameter fan-out is byte-identical at any thread count.
@@ -47,14 +48,19 @@ void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
   for (config::ParamId param = 0; param < static_cast<config::ParamId>(catalog.size());
        ++param) {
     SCOPED_TRACE("param " + std::to_string(param));
-    const ParamView& va = a.view(param);
-    const ParamView& vb = b.view(param);
-    EXPECT_EQ(va.carrier, vb.carrier);
-    EXPECT_EQ(va.neighbor, vb.neighbor);
-    EXPECT_EQ(va.entity, vb.entity);
-    EXPECT_EQ(va.value, vb.value);
-    EXPECT_EQ(va.label, vb.label);
-    EXPECT_EQ(va.labels.values, vb.labels.values);
+    // The engine keeps no view rows: the dictionary decodes the matrices.
+    EXPECT_EQ(a.view(param).rows(), 0u);
+    EXPECT_EQ(b.view(param).rows(), 0u);
+    EXPECT_EQ(a.view(param).labels.values, b.view(param).labels.values);
+
+    const ContingencyState& ca = a.contingency(param);
+    const ContingencyState& cb = b.contingency(param);
+    EXPECT_EQ(ca.refs, cb.refs);
+    ASSERT_EQ(ca.tables.size(), cb.tables.size());
+    for (std::size_t t = 0; t < ca.tables.size(); ++t) {
+      EXPECT_EQ(ca.tables[t].counts, cb.tables[t].counts);
+      EXPECT_EQ(ca.tables[t].total, cb.tables[t].total);
+    }
 
     const DependencyModel& da = a.dependencies(param);
     const DependencyModel& db = b.dependencies(param);
@@ -208,6 +214,24 @@ TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
   EXPECT_EQ(engine.label_column(param).label(configured[0]), 0);  // value 2 now codes 0
 }
 
+TEST(IncrementalRelearn, DependentSetChangeRebuildsTheVotingTables) {
+  // Values that followed the band now follow the market: the re-test swaps
+  // the dependent set, so the voting tables rebuild from a transient view of
+  // the new assignment (the engine keeps no rows of its own).
+  Fixture f;
+  AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
+  config::ConfigAssignment next = f.assignment;
+  for (const netsim::Carrier& c : f.topo.carriers) {
+    next.singular[0].value[static_cast<std::size_t>(c.id)] = c.market == 0 ? 3 : 7;
+  }
+  IncrementalRelearnStats stats;
+  engine.incremental_relearn(next, {}, &stats);
+  EXPECT_EQ(stats.params_touched, 1u);
+  EXPECT_EQ(stats.params_remapped, 0u);
+  EXPECT_EQ(stats.params_rebuilt, 1u);
+  expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, next, f.options()));
+}
+
 TEST(IncrementalRelearn, RepeatedDeltasStayExactOverManyRounds) {
   Fixture f;
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
@@ -241,7 +265,9 @@ TEST(IncrementalRelearn, DriftThresholdGatesTheRetest) {
   engine.incremental_relearn(next, gated, &stats);
   EXPECT_EQ(stats.params_touched, 1u);
   EXPECT_EQ(stats.params_retested, 0u);
-  EXPECT_EQ(engine.view(0).value[0], 7);
+  EXPECT_EQ(engine.view(0).labels.values[static_cast<std::size_t>(
+                engine.label_column(0).label(0))],
+            7);
 
   // A shifted distribution — most slots change — crosses the threshold and
   // re-tests.
@@ -351,15 +377,15 @@ TEST(IncrementalRelearn, RejectsAMismatchedAssignment) {
 }
 
 TEST(IncrementalRelearn, RefusesAMarketScopedEngine) {
-  // A scoped engine's views hold one market's rows; the entity-order merge
-  // would read every other market's configured slot as an add.
+  // A scoped engine's label matrices hold one market's cells; the diff
+  // against them would read every other market's configured slot as an add.
   Fixture f;
   AuricOptions options = f.options();
   options.market = netsim::MarketId{0};
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, options);
-  const std::size_t rows = engine.view(0).rows();
+  const LabelMatrix before = engine.singular_labels();
   EXPECT_THROW(engine.incremental_relearn(f.assignment), std::invalid_argument);
-  EXPECT_EQ(engine.view(0).rows(), rows);  // refused before touching anything
+  EXPECT_EQ(engine.singular_labels(), before);  // refused before touching anything
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 #include "core/voting.h"
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -333,6 +336,141 @@ TEST(BackoffVoting, ViewAndColumnLocalVotesAgree) {
                           static_cast<std::int64_t>(pairs.entity[r]), 0.5, w));
     }
   }
+}
+
+/// A singular view of `rows` observations, all on `carrier`, where the first
+/// `first` rows carry label 0 and the rest label 1.
+ParamView one_carrier_view(netsim::CarrierId carrier, std::size_t rows, std::size_t first) {
+  ParamView view;
+  view.labels.values = {3, 7};
+  for (std::size_t r = 0; r < rows; ++r) {
+    view.carrier.push_back(carrier);
+    view.neighbor.push_back(netsim::kInvalidCarrier);
+    view.entity.push_back(static_cast<std::size_t>(carrier));
+    view.value.push_back(r < first ? 3 : 7);
+    view.label.push_back(r < first ? 0 : 1);
+  }
+  return view;
+}
+
+TEST(VotingModel, GroupLargerThanASixteenBitCountVotesExactly) {
+  // A slot codes its run length in 16 bits, but a group's voter total is
+  // the sum of its counts: 70,000 observations must vote exactly, at the
+  // full level and at the level aggregated from it.
+  Fixture f;
+  const ParamView view = one_carrier_view(0, 70000, 50000);
+  const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
+                                  {false, f.schema.index_of("market")}};
+  const BackoffVoting backoff(view, deps, f.words, 2, 1);
+  for (int level = 0; level < 2; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const VotingModel& model = backoff.model_at(level);
+    ASSERT_EQ(model.group_count(), 1u);
+    const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
+    const auto vote = model.vote(key, 0.7);
+    ASSERT_TRUE(vote.has_value());
+    EXPECT_EQ(vote->label, 0);
+    EXPECT_EQ(vote->count, 50000);
+    EXPECT_EQ(vote->runner_up, 20000);
+    EXPECT_EQ(vote->group_size, 70000);
+    const auto loo = model.vote_excluding(key, 1, 0.7);
+    ASSERT_TRUE(loo.has_value());
+    EXPECT_EQ(loo->runner_up, 19999);
+    EXPECT_EQ(loo->group_size, 69999);
+    const auto summaries = model.group_summaries();
+    ASSERT_EQ(summaries.size(), 1u);
+    EXPECT_EQ(summaries[0].total, 70000);
+    EXPECT_EQ(summaries[0].winner, 0);
+    EXPECT_EQ(summaries[0].winner_count, 50000);
+  }
+  // 50,000 : 20,000 is 71.4%; 2,000 more runner-up votes drop it below 70%.
+  VotingModel model(view, deps, f.words);
+  const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
+  for (int i = 0; i < 2000; ++i) model.adjust(key, 1, 1);
+  EXPECT_FALSE(model.vote(key, 0.7).has_value());
+  const auto vote = model.vote(key, 0.5);
+  ASSERT_TRUE(vote.has_value());
+  EXPECT_EQ(vote->group_size, 72000);
+}
+
+TEST(VotingModel, AdjustDrainingAGroupErasesItsSlotAndAReAddRecreatesIt) {
+  Fixture f;
+  VotingModel model(f.view, f.deps, f.words);
+  const GroupKey low = model.key_for(0, netsim::kInvalidCarrier);   // 8 voters, label 0
+  const GroupKey mid = model.key_for(1, netsim::kInvalidCarrier);   // 8 voters, label 1
+  for (int i = 0; i < 7; ++i) model.adjust(low, 0, -1);
+  EXPECT_EQ(model.group_count(), 2u);
+  EXPECT_EQ(model.vote(low, 0.75)->group_size, 1);
+  model.adjust(low, 0, -1);  // the last voter leaves
+  EXPECT_EQ(model.group_count(), 1u);
+  EXPECT_FALSE(model.vote(low, 0.0).has_value());
+  EXPECT_THROW(model.adjust(low, 0, -1), std::logic_error);
+  // The neighbouring group survives the erase untouched.
+  EXPECT_EQ(model.vote(mid, 0.75)->group_size, 8);
+
+  model.adjust(low, 5, 1);
+  EXPECT_EQ(model.group_count(), 2u);
+  const auto vote = model.vote(low, 0.75);
+  ASSERT_TRUE(vote.has_value());
+  EXPECT_EQ(vote->label, 5);
+  EXPECT_EQ(vote->group_size, 1);
+}
+
+TEST(VotingModel, RunsGrowPastTheirCapacityThroughRelocationAndCompaction) {
+  // Two groups take turns gaining a new label: every append finds the run
+  // full and away from the tail, so it relocates; the dead space left
+  // behind trips compaction. The result must equal a fresh build of the
+  // same population.
+  Fixture f;
+  VotingModel model(f.view, f.deps, f.words);
+  const GroupKey low = model.key_for(0, netsim::kInvalidCarrier);
+  const GroupKey mid = model.key_for(1, netsim::kInvalidCarrier);
+  // The population the adjusted model must hold: the view's rows plus every
+  // (carrier, label) voter added below, less the one removed.
+  std::vector<std::pair<netsim::CarrierId, ml::ClassLabel>> voters;
+  for (ml::ClassLabel label = 2; label < 300; ++label) {
+    model.adjust(low, label, 1);
+    voters.emplace_back(0, label);
+    model.adjust(mid, label, 1);
+    voters.emplace_back(1, label);
+  }
+  for (int i = 0; i < 20; ++i) {
+    model.adjust(low, 150, 1);  // grows an existing pair in place
+    voters.emplace_back(0, 150);
+  }
+  model.adjust(mid, 299, -1);  // drops the run's last pair
+  voters.erase(std::find(voters.begin(), voters.end(),
+                         std::pair<netsim::CarrierId, ml::ClassLabel>(1, 299)));
+  ParamView expected = f.view;
+  for (const auto& [carrier, label] : voters) {
+    expected.carrier.push_back(carrier);
+    expected.neighbor.push_back(netsim::kInvalidCarrier);
+    expected.entity.push_back(static_cast<std::size_t>(carrier));
+    expected.value.push_back(0);
+    expected.label.push_back(label);
+  }
+  const VotingModel fresh(expected, f.deps, f.words);
+
+  const auto a = model.group_summaries();
+  const auto b = fresh.group_summaries();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t g = 0; g < a.size(); ++g) {
+    EXPECT_EQ(a[g].codes, b[g].codes);
+    EXPECT_EQ(a[g].winner, b[g].winner);
+    EXPECT_EQ(a[g].winner_count, b[g].winner_count);
+    EXPECT_EQ(a[g].total, b[g].total);
+  }
+  for (const GroupKey& key : {low, mid}) {
+    const auto got = model.vote(key, 0.0);
+    const auto want = fresh.vote(key, 0.0);
+    ASSERT_TRUE(got && want);
+    EXPECT_EQ(got->label, want->label);
+    EXPECT_EQ(got->count, want->count);
+    EXPECT_EQ(got->runner_up, want->runner_up);
+    EXPECT_EQ(got->group_size, want->group_size);
+  }
+  EXPECT_EQ(model.vote(low, 0.0)->label, 150);
+  EXPECT_EQ(model.vote(low, 0.0)->count, 21);
 }
 
 TEST(BackoffVoting, ReorderKeepsTablesOfAnUnchangedSet) {
