@@ -406,13 +406,11 @@ BENCHMARK(BM_ShardedReplay)->Arg(1)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecon
 
 // --- Checkpoint persistence -------------------------------------------------
 //
-// Both arms price one save() of a GROWN state image (a multi-week window's
+// The arm prices one save() of a GROWN state image (a multi-week window's
 // accumulated journal/quarantine/slot deltas) after a small per-iteration
-// mutation — the shape every post-launch checkpoint has. The journal arm
-// appends only the delta; the rewrite arm re-serializes the full image.
-// bytes_per_save (from auric_checkpoint_bytes_total) is the honest metric:
-// the journal layout must land >= 5x fewer bytes, and wall time follows.
-// fsync is off in both arms so the comparison prices serialization + write
+// mutation — the shape every post-launch checkpoint has: the store appends
+// only the delta. bytes_per_save (from auric_checkpoint_bytes_total) is the
+// honest metric. fsync is off so the arm prices serialization + write
 // volume, not the (noisy, device-bound) flush cost.
 
 io::LaunchState grown_launch_state() {
@@ -451,14 +449,11 @@ void mutate_launch_state(io::LaunchState& s, std::uint64_t step) {
   s.progress[1].second = std::to_string(880 + step);
 }
 
-void run_checkpoint_bench(benchmark::State& state, bool journal) {
+void BM_CheckpointJournal(benchmark::State& state) {
   const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       (journal ? "auric_bench_ckpt_journal" : "auric_bench_ckpt_rewrite"))
-          .string();
+      (std::filesystem::temp_directory_path() / "auric_bench_ckpt_journal").string();
   std::filesystem::remove_all(dir);
   io::LaunchStateStore::Options options;
-  options.journal = journal;
   options.fsync = false;
   const io::LaunchStateStore store(dir, options);
   io::LaunchState image = grown_launch_state();
@@ -476,16 +471,7 @@ void run_checkpoint_bench(benchmark::State& state, bool journal) {
       static_cast<double>(state.iterations()));
   std::filesystem::remove_all(dir);
 }
-
-void BM_CheckpointJournal(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/true);
-}
 BENCHMARK(BM_CheckpointJournal)->Unit(benchmark::kMicrosecond);
-
-void BM_CheckpointRewrite(benchmark::State& state) {
-  run_checkpoint_bench(state, /*journal=*/false);
-}
-BENCHMARK(BM_CheckpointRewrite)->Unit(benchmark::kMicrosecond);
 
 // --- Observability primitives ---------------------------------------------
 //

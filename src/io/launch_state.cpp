@@ -24,7 +24,7 @@ namespace auric::io {
 namespace {
 
 /// Checkpoint instrumentation. writes/bytes/latency cover every committed
-/// checkpoint in either mode; appends/compactions are journal-mode internals;
+/// checkpoint; appends/compactions split out the per-stream log work;
 /// torn_tails and replayed_records are the recovery path's evidence trail.
 struct CheckpointMetrics {
   obs::Counter& writes;
@@ -54,24 +54,17 @@ CheckpointMetrics& checkpoint_metrics() {
   return m;
 }
 
-constexpr const char* kJournalFile = "journal.csv";
-constexpr const char* kDeferredFile = "deferred.csv";
-constexpr const char* kQuarantineFile = "quarantine.csv";
-constexpr const char* kBreakerFile = "breaker.csv";
-constexpr const char* kEmsFile = "ems.csv";
-constexpr const char* kAppliedFile = "applied.csv";
-constexpr const char* kRelearnFile = "relearn.csv";
 constexpr const char* kProgressFile = "progress.csv";
 
 /// Progress key carrying the shard count of a sharded-layout checkpoint.
-/// Living inside progress.csv makes the layout mode part of the atomic
-/// commit: a crash between renames can never leave a checkpoint whose
-/// committed progress disagrees about which block files to read.
+/// Living inside progress.csv makes the layout part of the atomic commit: a
+/// crash between renames can never leave a checkpoint whose committed
+/// progress disagrees about which stream logs to read.
 constexpr const char* kShardsKey = "__shards";
 
 /// Progress key prefix sealing one stream journal: `__log.<stream id>` with
-/// value `<gen>:<sealed bytes>:<snapshot bytes>`. Presence of any such key
-/// is what marks a checkpoint as journal-layout.
+/// value `<gen>:<sealed bytes>:<snapshot bytes>`. Every committed checkpoint
+/// carries one per stream.
 constexpr const char* kLogKeyPrefix = "__log.";
 
 /// Header row of every stream journal. Ops use up to 1 + 5 operand columns.
@@ -91,23 +84,10 @@ constexpr const char* kPtProgressFsync = "checkpoint.progress_fsync";
 constexpr const char* kPtProgressRename = "checkpoint.progress_rename";
 constexpr const char* kPtDirFsync = "checkpoint.dir_fsync";
 constexpr const char* kPtCleanup = "checkpoint.cleanup";
-constexpr const char* kPtRewriteWrite = "rewrite.write";
-constexpr const char* kPtRewriteFsync = "rewrite.fsync";
-constexpr const char* kPtRewriteRename = "rewrite.rename";
 constexpr const char* kPtRecoverTruncate = "recover.truncate";
 
 std::string path_in(const std::string& dir, const std::string& file) {
   return (std::filesystem::path(dir) / file).string();
-}
-
-/// "journal.csv" with shard suffix 2 -> "journal.2.csv"; shard < 0 keeps the
-/// flat single-shard name. (Legacy rewrite-mode layout.)
-std::string shard_file(const char* file, int shard) {
-  if (shard < 0) return file;
-  const std::string_view name(file);
-  const std::size_t dot = name.rfind('.');
-  return std::string(name.substr(0, dot)) + "." + std::to_string(shard) +
-         std::string(name.substr(dot));
 }
 
 /// Stream id of a per-shard block: "journal" flat, "journal.2" for shard 2.
@@ -162,24 +142,6 @@ bool parse_log_name(const std::string& name, std::string& id, std::uint64_t& gen
   if (!valid_stream_id(id)) return false;
   gen = std::stoull(std::string(digits));
   return true;
-}
-
-/// True for any file the legacy rewrite layout owns (flat or shard-suffixed).
-bool is_legacy_file(const std::string& name) {
-  const std::string_view view(name);
-  if (!view.ends_with(".csv")) return false;
-  std::string_view stem = view.substr(0, view.size() - 4);
-  const std::size_t dot = stem.find('.');
-  if (dot != std::string_view::npos) {
-    const std::string_view shard = stem.substr(dot + 1);
-    stem = stem.substr(0, dot);
-    if (!all_digits(shard)) return false;
-    if (stem == "applied" || stem == "relearn") return false;
-  }
-  for (const char* known : kStreamBases) {
-    if (stem == known) return true;
-  }
-  return false;
 }
 
 std::string csv_body(const std::vector<std::string>& headers,
@@ -598,7 +560,7 @@ std::string_view stream_base(const std::string& id) {
                                   : std::string_view(id).substr(0, dot);
 }
 
-// --- Legacy (rewrite-layout) serialization --------------------------------
+// --- File helpers ---------------------------------------------------------
 
 long long checked_int(const util::CsvTable& csv, std::size_t row, const char* column,
                       long long lo, long long hi) {
@@ -609,21 +571,6 @@ long long checked_int(const util::CsvTable& csv, std::size_t row, const char* co
                                 ", " + std::to_string(hi) + "]");
   }
   return value;
-}
-
-std::uint64_t parse_u64(const util::CsvTable& csv, std::size_t row, const char* column) {
-  const std::string& text = csv.field(row, column);
-  try {
-    std::size_t consumed = 0;
-    const std::uint64_t value = std::stoull(text, &consumed);
-    if (consumed != text.size() || text.empty() || text[0] == '-') {
-      throw std::invalid_argument("trailing garbage");
-    }
-    return value;
-  } catch (const std::exception&) {
-    throw std::invalid_argument(csv.context(row) + ", column " + column + ": '" + text +
-                                "' is not an unsigned 64-bit integer");
-  }
 }
 
 void require_headers(const util::CsvTable& csv, std::initializer_list<const char*> required) {
@@ -648,150 +595,6 @@ std::uintmax_t write_atomic(const std::string& dir, const std::string& file,
   if (fsync) fs.sync_file(point_fsync, tmp_path);
   fs.rename_file(point_rename, tmp_path, final_path);
   return body.size();
-}
-
-/// Writes the five per-shard recovery blocks in the legacy flat-CSV layout;
-/// shard < 0 writes the flat single-shard names. Returns the bytes written.
-std::uintmax_t save_blocks(const std::string& dir, int shard, bool fsync,
-                           const std::vector<std::pair<netsim::CarrierId, std::uint64_t>>& journal,
-                           const std::vector<netsim::CarrierId>& deferred,
-                           const std::vector<std::pair<netsim::CarrierId, int>>& quarantine,
-                           const util::CircuitBreaker::Snapshot& breaker,
-                           const LaunchState::EmsState& ems) {
-  std::uintmax_t bytes = 0;
-  const auto write = [&](const char* file, const std::vector<std::string>& headers,
-                         const std::vector<std::vector<std::string>>& rows) {
-    bytes += write_atomic(dir, shard_file(file, shard), csv_body(headers, rows), fsync,
-                          kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
-  };
-
-  std::vector<std::vector<std::string>> rows;
-  for (const auto& [carrier, applied] : journal) {
-    rows.push_back({std::to_string(carrier), std::to_string(applied)});
-  }
-  write(kJournalFile, {"carrier", "applied"}, rows);
-
-  rows.clear();
-  for (netsim::CarrierId carrier : deferred) rows.push_back({std::to_string(carrier)});
-  write(kDeferredFile, {"carrier"}, rows);
-
-  rows.clear();
-  for (const auto& [carrier, rollbacks] : quarantine) {
-    rows.push_back({std::to_string(carrier), std::to_string(rollbacks)});
-  }
-  write(kQuarantineFile, {"carrier", "rollbacks"}, rows);
-
-  write(kBreakerFile,
-        {"state", "consecutive_failures", "cooldown_remaining", "trips", "refusals"},
-        {{util::circuit_state_name(breaker.state), std::to_string(breaker.consecutive_failures),
-          std::to_string(breaker.cooldown_remaining), std::to_string(breaker.trips),
-          std::to_string(breaker.refusals)}});
-
-  // ems.csv is a typed key/value file: scalar rows carry the counters and
-  // stream positions, carrier rows list unlocked / repaired ids.
-  rows.clear();
-  rows.push_back({"pushes_executed", std::to_string(ems.pushes_executed)});
-  rows.push_back({"lock_cycles", std::to_string(ems.lock_cycles)});
-  rows.push_back({"fault_stream", std::to_string(ems.fault_stream)});
-  rows.push_back({"flap_stream", std::to_string(ems.flap_stream)});
-  rows.push_back({"burst_stream", std::to_string(ems.burst_stream)});
-  for (netsim::CarrierId c : ems.unlocked) rows.push_back({"unlocked", std::to_string(c)});
-  for (netsim::CarrierId c : ems.repaired) rows.push_back({"repaired", std::to_string(c)});
-  write(kEmsFile, {"key", "value"}, rows);
-
-  return bytes;
-}
-
-/// Loads and validates the five per-shard recovery blocks written by
-/// save_blocks(); shard < 0 reads the legacy flat names.
-void load_blocks(const std::string& dir, int shard,
-                 std::vector<std::pair<netsim::CarrierId, std::uint64_t>>& journal_out,
-                 std::vector<netsim::CarrierId>& deferred_out,
-                 std::vector<std::pair<netsim::CarrierId, int>>& quarantine_out,
-                 util::CircuitBreaker::Snapshot& breaker_out,
-                 LaunchState::EmsState& ems_out) {
-  // A torn final line in any legacy CSV is an uncommitted tail: drop it
-  // (warning + counter) rather than refuse a checkpoint that a crash
-  // already proved survivable.
-  const util::CsvParseOptions tolerant{.tolerate_torn_tail = true};
-  const util::CsvTable journal =
-      util::CsvTable::load(path_in(dir, shard_file(kJournalFile, shard)), tolerant);
-  require_headers(journal, {"carrier", "applied"});
-  std::set<netsim::CarrierId> seen;
-  for (std::size_t r = 0; r < journal.row_count(); ++r) {
-    const auto carrier = static_cast<netsim::CarrierId>(
-        checked_int(journal, r, "carrier", 0, std::numeric_limits<std::int32_t>::max()));
-    if (!seen.insert(carrier).second) {
-      throw std::invalid_argument(journal.context(r) + ": duplicate journal entry for carrier " +
-                                  std::to_string(carrier));
-    }
-    journal_out.emplace_back(carrier, parse_u64(journal, r, "applied"));
-  }
-
-  const util::CsvTable deferred =
-      util::CsvTable::load(path_in(dir, shard_file(kDeferredFile, shard)), tolerant);
-  require_headers(deferred, {"carrier"});
-  for (std::size_t r = 0; r < deferred.row_count(); ++r) {
-    deferred_out.push_back(static_cast<netsim::CarrierId>(
-        checked_int(deferred, r, "carrier", 0, std::numeric_limits<std::int32_t>::max())));
-  }
-
-  const util::CsvTable quarantine =
-      util::CsvTable::load(path_in(dir, shard_file(kQuarantineFile, shard)), tolerant);
-  require_headers(quarantine, {"carrier", "rollbacks"});
-  for (std::size_t r = 0; r < quarantine.row_count(); ++r) {
-    quarantine_out.emplace_back(
-        static_cast<netsim::CarrierId>(
-            checked_int(quarantine, r, "carrier", 0, std::numeric_limits<std::int32_t>::max())),
-        static_cast<int>(checked_int(quarantine, r, "rollbacks", 0, 1 << 20)));
-  }
-
-  const util::CsvTable breaker =
-      util::CsvTable::load(path_in(dir, shard_file(kBreakerFile, shard)), tolerant);
-  require_headers(breaker,
-                  {"state", "consecutive_failures", "cooldown_remaining", "trips", "refusals"});
-  if (breaker.row_count() != 1) {
-    throw std::invalid_argument(breaker.source() + ": expected exactly 1 row, got " +
-                                std::to_string(breaker.row_count()));
-  }
-  try {
-    breaker_out.state = util::circuit_state_from_name(breaker.field(0, "state"));
-  } catch (const std::invalid_argument& e) {
-    throw std::invalid_argument(breaker.context(0) + ": " + e.what());
-  }
-  breaker_out.consecutive_failures =
-      static_cast<int>(checked_int(breaker, 0, "consecutive_failures", 0, 1 << 20));
-  breaker_out.cooldown_remaining =
-      static_cast<int>(checked_int(breaker, 0, "cooldown_remaining", 0, 1 << 20));
-  breaker_out.trips = static_cast<int>(checked_int(breaker, 0, "trips", 0, 1 << 30));
-  breaker_out.refusals = static_cast<int>(checked_int(breaker, 0, "refusals", 0, 1 << 30));
-
-  const util::CsvTable ems =
-      util::CsvTable::load(path_in(dir, shard_file(kEmsFile, shard)), tolerant);
-  require_headers(ems, {"key", "value"});
-  std::set<std::string> scalars_seen;
-  for (std::size_t r = 0; r < ems.row_count(); ++r) {
-    const std::string& key = ems.field(r, "key");
-    if (key == "unlocked" || key == "repaired") {
-      auto& list = key == "unlocked" ? ems_out.unlocked : ems_out.repaired;
-      list.push_back(static_cast<netsim::CarrierId>(
-          checked_int(ems, r, "value", 0, std::numeric_limits<std::int32_t>::max())));
-      continue;
-    }
-    std::uint64_t* slot = nullptr;
-    if (key == "pushes_executed") slot = &ems_out.pushes_executed;
-    else if (key == "lock_cycles") slot = &ems_out.lock_cycles;
-    else if (key == "fault_stream") slot = &ems_out.fault_stream;
-    else if (key == "flap_stream") slot = &ems_out.flap_stream;
-    else if (key == "burst_stream") slot = &ems_out.burst_stream;
-    if (slot == nullptr) {
-      throw std::invalid_argument(ems.context(r) + ": unknown key '" + key + "'");
-    }
-    if (!scalars_seen.insert(key).second) {
-      throw std::invalid_argument(ems.context(r) + ": duplicate key '" + key + "'");
-    }
-    *slot = parse_u64(ems, r, "value");
-  }
 }
 
 // --- save-side validation -------------------------------------------------
@@ -828,7 +631,13 @@ const std::string* LaunchState::find_progress(const std::string& key) const {
 LaunchStateStore::LaunchStateStore(std::string dir) : dir_(std::move(dir)) {}
 
 LaunchStateStore::LaunchStateStore(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options) {}
+    : dir_(std::move(dir)), options_(options) {
+  if (!options_.journal) {
+    throw std::invalid_argument(
+        "LaunchStateStore: Options::journal must be true (the journal is the only "
+        "checkpoint layout)");
+  }
+}
 
 bool LaunchStateStore::exists() const {
   return std::filesystem::exists(path_in(dir_, kProgressFile));
@@ -839,8 +648,7 @@ const std::vector<std::string>& LaunchStateStore::crash_point_catalog() {
       kPtSnapshotWrite, kPtSnapshotFsync, kPtSnapshotRename,
       kPtAppend,        kPtAppendFsync,   kPtPredirFsync,
       kPtProgressWrite, kPtProgressFsync, kPtProgressRename,
-      kPtDirFsync,      kPtCleanup,       kPtRewriteWrite,
-      kPtRewriteFsync,  kPtRewriteRename, kPtRecoverTruncate,
+      kPtDirFsync,      kPtCleanup,       kPtRecoverTruncate,
   };
   return kPoints;
 }
@@ -864,14 +672,7 @@ void LaunchStateStore::save(const LaunchState& state) const {
   CheckpointMetrics& metrics = checkpoint_metrics();
   obs::ScopedTimer timer(metrics.latency_seconds);
   std::filesystem::create_directories(dir_);
-  if (options_.journal) {
-    save_journal(state);
-  } else {
-    save_rewrite(state);
-  }
-}
 
-void LaunchStateStore::save_journal(const LaunchState& state) const {
   // Journal replay reconstructs keyed streams through ordered maps, so the
   // diffed input must already be in map order or resume would not be
   // bit-identical.
@@ -885,7 +686,6 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
   require_sorted_slots("relearn_applied_slots", state.relearn_applied_slots);
 
   FaultFs& fs = FaultFs::global();
-  CheckpointMetrics& metrics = checkpoint_metrics();
   const std::size_t shard_count = state.shards.size();
   const bool rebaseline = !primed_ || last_.shards.size() != shard_count;
   const std::vector<StreamDef> streams = stream_defs(shard_count);
@@ -1007,69 +807,6 @@ void LaunchStateStore::save_journal(const LaunchState& state) const {
   cleanup_unreferenced();
 }
 
-void LaunchStateStore::save_rewrite(const LaunchState& state) const {
-  FaultFs& fs = FaultFs::global();
-  CheckpointMetrics& metrics = checkpoint_metrics();
-  std::uintmax_t bytes = 0;
-
-  if (state.shards.empty()) {
-    bytes += save_blocks(dir_, -1, options_.fsync, state.journal, state.deferred,
-                         state.quarantine, state.breaker, state.ems);
-  } else {
-    for (std::size_t k = 0; k < state.shards.size(); ++k) {
-      const LaunchState::ShardState& shard = state.shards[k];
-      bytes += save_blocks(dir_, static_cast<int>(k), options_.fsync, shard.journal,
-                           shard.deferred, shard.quarantine, shard.breaker, shard.ems);
-    }
-  }
-
-  const auto slot_rows = [](const std::vector<LaunchState::SlotWrite>& writes) {
-    std::vector<std::vector<std::string>> out;
-    out.reserve(writes.size());
-    for (const LaunchState::SlotWrite& w : writes) {
-      out.push_back({w.pairwise ? "1" : "0", std::to_string(w.param_pos),
-                     std::to_string(w.entity), std::to_string(w.value)});
-    }
-    return out;
-  };
-  bytes += write_atomic(
-      dir_, kAppliedFile,
-      csv_body({"pairwise", "param_pos", "entity", "value"}, slot_rows(state.applied_slots)),
-      options_.fsync, kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
-  bytes += write_atomic(dir_, kRelearnFile,
-                        csv_body({"pairwise", "param_pos", "entity", "value"},
-                                 slot_rows(state.relearn_applied_slots)),
-                        options_.fsync, kPtRewriteWrite, kPtRewriteFsync, kPtRewriteRename);
-
-  // Make every block rename durable before committing a progress.csv that
-  // promises them.
-  if (options_.fsync) fs.sync_dir(kPtPredirFsync, dir_);
-
-  // progress.csv is committed LAST: its rename is the checkpoint's commit
-  // point. exists() keys off it, so a crash among the earlier renames can
-  // at worst leave a newer partial state behind an older committed one —
-  // and the next save() overwrites every file again. The sharded-layout
-  // marker lives here too, so the commit also decides which block files a
-  // later load() reads.
-  std::vector<std::vector<std::string>> rows;
-  if (!state.shards.empty()) {
-    rows.push_back({kShardsKey, std::to_string(state.shards.size())});
-  }
-  for (const auto& [key, value] : state.progress) rows.push_back({key, value});
-  bytes += write_atomic(dir_, kProgressFile, csv_body({"key", "value"}, rows), options_.fsync,
-                        kPtProgressWrite, kPtProgressFsync, kPtProgressRename);
-
-  // A rewrite-mode commit supersedes any journal layout in the directory.
-  logs_.clear();
-  last_ = LaunchState{};
-  primed_ = false;
-  metrics.writes.inc();
-  metrics.bytes.inc(bytes);
-
-  if (options_.fsync) fs.sync_dir(kPtDirFsync, dir_);
-  cleanup_unreferenced();
-}
-
 void LaunchStateStore::cleanup_unreferenced() const {
   FaultFs& fs = FaultFs::global();
   std::vector<std::string> doomed;
@@ -1086,11 +823,7 @@ void LaunchStateStore::cleanup_unreferenced() const {
     if (parse_log_name(name, id, gen)) {
       const auto it = logs_.find(id);
       if (it == logs_.end() || it->second.gen != gen) doomed.push_back(name);
-      continue;
     }
-    // A journal-mode commit supersedes the legacy flat files the checkpoint
-    // may have migrated from; rewrite mode owns them and keeps them.
-    if (options_.journal && is_legacy_file(name)) doomed.push_back(name);
   }
   // Directory iteration order is unspecified; sort so the FaultFs op
   // sequence (and thus crash-matrix indices) is reproducible.
@@ -1150,43 +883,12 @@ LaunchState LaunchStateStore::load() const {
   }
 
   if (logs.empty()) {
-    // Legacy rewrite-layout checkpoint.
-    load_stats_.legacy_layout = true;
-    if (shard_count == 0) {
-      load_blocks(dir_, -1, state.journal, state.deferred, state.quarantine, state.breaker,
-                  state.ems);
-    } else {
-      state.shards.resize(shard_count);
-      for (std::size_t k = 0; k < shard_count; ++k) {
-        LaunchState::ShardState& shard = state.shards[k];
-        load_blocks(dir_, static_cast<int>(k), shard.journal, shard.deferred, shard.quarantine,
-                    shard.breaker, shard.ems);
-      }
-    }
-    const auto load_slots = [&](const char* file) {
-      std::vector<LaunchState::SlotWrite> writes;
-      const util::CsvTable csv = util::CsvTable::load(path_in(dir_, file), tolerant);
-      require_headers(csv, {"pairwise", "param_pos", "entity", "value"});
-      for (std::size_t r = 0; r < csv.row_count(); ++r) {
-        LaunchState::SlotWrite w;
-        w.pairwise = checked_int(csv, r, "pairwise", 0, 1) != 0;
-        w.param_pos = static_cast<std::uint32_t>(
-            checked_int(csv, r, "param_pos", 0, std::numeric_limits<std::uint32_t>::max()));
-        w.entity = parse_u64(csv, r, "entity");
-        w.value = static_cast<std::int32_t>(
-            checked_int(csv, r, "value", 0, std::numeric_limits<std::int32_t>::max()));
-        writes.push_back(w);
-      }
-      return writes;
-    };
-    state.applied_slots = load_slots(kAppliedFile);
-    state.relearn_applied_slots = load_slots(kRelearnFile);
-    // Leave the store unprimed: the next save() re-baselines the legacy
-    // checkpoint into journal logs (or rewrites it, per the mode).
-    return state;
+    throw std::invalid_argument(path_in(dir_, kProgressFile) +
+                                ": no __log. journal seals; the pre-journal checkpoint "
+                                "layout is no longer read");
   }
 
-  // Journal-layout checkpoint: replay each sealed stream.
+  // Replay each sealed stream.
   const std::vector<StreamDef> streams = stream_defs(shard_count);
   if (streams.size() != logs.size()) {
     throw std::invalid_argument(path_in(dir_, kProgressFile) + ": expected " +
@@ -1341,7 +1043,7 @@ void LaunchStateStore::clear() const {
     if (std::string_view(name).ends_with(".tmp")) name = name.substr(0, name.size() - 4);
     std::string id;
     std::uint64_t gen = 0;
-    if (name == kProgressFile || is_legacy_file(name) || parse_log_name(name, id, gen)) {
+    if (name == kProgressFile || parse_log_name(name, id, gen)) {
       doomed.push_back(entry.path());
     }
   }

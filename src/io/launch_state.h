@@ -27,38 +27,27 @@
 // the checkpoint's single atomic commit point (doubles stored as hexfloats
 // so a resumed run's counters are bit-identical).
 //
-// Persistence comes in two modes (Options::journal):
-//
-//  * Journal mode (default). Every stream lives in an append-only log
-//    (`journal.log3.csv`, `ems.2.log7.csv`, ...) of CSV op records; each
-//    save() appends only the ops that transform the previously committed
-//    state into the new one, fsyncs the appended logs, and then commits by
-//    rewriting progress.csv (tmp + fsync + rename + directory fsync).
-//    progress.csv carries one reserved `__log.<stream>` row per log naming
-//    the generation and the SEALED byte length — bytes past the seal are an
-//    uncommitted tail from a crashed append, and recovery truncates them
-//    away before replaying the ops. When a log's appended tail outgrows its
-//    last full snapshot (Options::compact_factor) the stream is compacted:
-//    a fresh snapshot log at the next generation, tmp+fsync+renamed, with
-//    the old generation removed only after the commit that references the
-//    new one. Checkpoint cost is therefore O(day's deltas), not O(total
-//    state).
-//
-//  * Rewrite mode (Options::journal = false): the legacy layout — every
-//    stream rewritten as a flat CSV (journal.csv / journal.2.csv, ...) per
-//    checkpoint, now with the same fsync-before-rename durability. load()
-//    auto-detects which mode committed the checkpoint, so journal-mode
-//    stores resume from legacy checkpoints (and re-baseline them into logs
-//    on the next save).
+// Every stream lives in an append-only log (`journal.log3.csv`,
+// `ems.2.log7.csv`, ...) of CSV op records. Each save() appends only the ops
+// that transform the previously committed state into the new one, fsyncs the
+// appended logs, and then commits by rewriting progress.csv (tmp + fsync +
+// rename + directory fsync). progress.csv carries one reserved
+// `__log.<stream>` row per log naming the generation and the SEALED byte
+// length — bytes past the seal are an uncommitted tail from a crashed append,
+// and recovery truncates them away before replaying the ops. When a log's
+// appended tail outgrows its last full snapshot (Options::compact_factor) the
+// stream is compacted: a fresh snapshot log at the next generation,
+// tmp+fsync+renamed, with the old generation removed only after the commit
+// that references the new one. Checkpoint cost is therefore O(day's deltas),
+// not O(total state).
 //
 // Every write routes through io::FaultFs, so crash-injection tests can kill
 // the store at any named operation; the crash-point catalog below is the
 // matrix those tests iterate. load() validates everything it reads and
-// reports malformed state with file + line context ("journal.csv line 3:
-// ...") — a corrupt checkpoint must fail loudly, never resume partially.
-// The one tolerated defect is a torn final record in a legacy CSV (no
-// trailing newline): those are dropped with a warning, mirroring the
-// journal seal rule.
+// reports malformed state with file + line context ("journal.log3.csv line
+// 3: ...") — a corrupt checkpoint must fail loudly, never resume partially.
+// The one tolerated defect is a log tail past its seal, which is cut off.
+// A progress.csv without seals (the pre-journal layout) is refused.
 #pragma once
 
 #include <cstdint>
@@ -134,8 +123,7 @@ struct LaunchState {
 class LaunchStateStore {
  public:
   struct Options {
-    /// Append-only journal checkpoints (O(delta) per save). False restores
-    /// the legacy rewrite-every-file layout (O(total state) per save).
+    /// Must be true: the only layout is the journal; the constructor throws on false.
     bool journal = true;
     /// fsync appended logs / temp files before, and the directory after,
     /// the progress.csv commit rename. Off only for benches that price the
@@ -151,10 +139,10 @@ class LaunchStateStore {
   struct LoadStats {
     std::size_t torn_tails_truncated = 0;  ///< journal logs cut back to their seal
     std::size_t records_replayed = 0;      ///< journal op records applied
-    bool legacy_layout = false;            ///< checkpoint predates journal mode
   };
 
   explicit LaunchStateStore(std::string dir);
+  /// Throws std::invalid_argument when options.journal is false.
   LaunchStateStore(std::string dir, Options options);
 
   const std::string& dir() const { return dir_; }
@@ -163,9 +151,8 @@ class LaunchStateStore {
   /// True once a checkpoint has been committed (progress.csv exists).
   bool exists() const;
 
-  /// Persists `state`. Journal mode appends per-stream deltas and commits
-  /// them via the progress.csv rename; rewrite mode rewrites every file.
-  /// Either way a crash at any point leaves the previous committed
+  /// Persists `state`: appends per-stream deltas and commits them via the
+  /// progress.csv rename. A crash at any point leaves the previous committed
   /// checkpoint loadable. Throws std::runtime_error on I/O failure (the
   /// store stays usable: the next save() repairs any uncommitted tails).
   ///
@@ -177,7 +164,8 @@ class LaunchStateStore {
 
   /// Loads and validates a checkpoint, repairing (truncating) any journal
   /// tail left unsealed by a crashed append. Malformed state throws
-  /// std::invalid_argument naming the file and 1-based line.
+  /// std::invalid_argument naming the file and 1-based line; a progress.csv
+  /// with no `__log.` seals (the pre-journal layout) throws too.
   LaunchState load() const;
 
   /// Repairs performed by the most recent load() on this store.
@@ -200,13 +188,11 @@ class LaunchStateStore {
     std::uint64_t snapshot_bytes = 0;
   };
 
-  void save_journal(const LaunchState& state) const;
-  void save_rewrite(const LaunchState& state) const;
   void cleanup_unreferenced() const;
 
   std::string dir_;
   Options options_;
-  // Journal-mode commit cache: the last committed image and the per-stream
+  // Commit cache: the last committed image and the per-stream
   // log positions. Mutable because save()/load() are logically const to
   // callers (the checkpoint directory is the real state); guarded by the
   // pipeline's single-writer discipline, not a lock.

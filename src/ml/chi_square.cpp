@@ -10,6 +10,14 @@ constexpr int kMaxIterations = 500;
 constexpr double kEpsilon = 1e-14;
 constexpr double kTiny = 1e-300;
 
+/// ln Gamma(a). std::lgamma writes glibc's global signgam, a data race when
+/// dependency re-tests run on several pool threads; the reentrant lgamma_r
+/// returns the same value and keeps the sign local.
+double log_gamma(double a) {
+  int sign = 0;
+  return ::lgamma_r(a, &sign);
+}
+
 /// Series representation of P(a, x) (converges fast for x < a + 1).
 double gamma_p_series(double a, double x) {
   double term = 1.0 / a;
@@ -21,7 +29,7 @@ double gamma_p_series(double a, double x) {
     sum += term;
     if (std::fabs(term) < std::fabs(sum) * kEpsilon) break;
   }
-  return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return sum * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 
 /// Continued-fraction representation of Q(a, x) (for x >= a + 1), using the
@@ -43,7 +51,7 @@ double gamma_q_cf(double a, double x) {
     h *= delta;
     if (std::fabs(delta - 1.0) < kEpsilon) break;
   }
-  return h * std::exp(-x + a * std::log(x) - std::lgamma(a));
+  return h * std::exp(-x + a * std::log(x) - log_gamma(a));
 }
 }  // namespace
 

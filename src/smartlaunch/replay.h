@@ -86,8 +86,8 @@ struct ReplayOptions {
   /// Sharded runs (shards > 1) checkpoint at day granularity instead: the
   /// parallel launch stream has no serializable mid-day cursor.
   std::string state_dir;
-  /// Checkpoint durability knobs (journal vs. legacy rewrite layout, fsync,
-  /// compaction thresholds), passed to the io::LaunchStateStore.
+  /// Checkpoint durability knobs (fsync, compaction thresholds), passed to
+  /// the io::LaunchStateStore.
   io::LaunchStateStore::Options checkpoint;
   /// Restart from the checkpoint in state_dir (requires the replay to be
   /// constructed with the same inputs and options as the killed run).

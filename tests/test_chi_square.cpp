@@ -1,6 +1,10 @@
 #include "ml/chi_square.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -85,6 +89,35 @@ TEST(ChiSquareTest, DegenerateTableHasNoEvidence) {
   EXPECT_EQ(result.df, 0);
   EXPECT_DOUBLE_EQ(result.p_value, 1.0);
   EXPECT_FALSE(result.dependent(0.05));
+}
+
+/// Every survival-function value of a grid that crosses both the series and
+/// the continued-fraction branch, as raw bits.
+std::vector<std::uint64_t> sf_grid_bits() {
+  std::vector<std::uint64_t> bits;
+  for (int df = 1; df <= 30; ++df) {
+    for (int k = 1; k <= 80; ++k) {
+      bits.push_back(std::bit_cast<std::uint64_t>(chi_square_sf(0.75 * k, df)));
+    }
+  }
+  return bits;
+}
+
+TEST(ChiSquareSf, ConcurrentCallsMatchSerialBitForBit) {
+  // Dependency re-tests run on several pool threads at once; the p-value
+  // path must not share mutable state (glibc's lgamma writes signgam), and
+  // each thread must see exactly the serial values.
+  const std::vector<std::uint64_t> serial = sf_grid_bits();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::uint64_t>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&results, t] { results[static_cast<std::size_t>(t)] = sf_grid_bits(); });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(results[static_cast<std::size_t>(t)], serial) << "thread " << t;
+  }
 }
 
 class ChiSquareDetectionTest : public ::testing::TestWithParam<std::size_t> {};

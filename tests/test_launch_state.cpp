@@ -1,13 +1,17 @@
 #include "io/launch_state.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <random>
 
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "util/log.h"
 
 namespace auric::io {
 namespace {
@@ -17,14 +21,6 @@ std::string temp_dir(const char* tag) {
       std::filesystem::temp_directory_path() / ("auric_launch_state_" + std::string(tag));
   std::filesystem::remove_all(dir);
   return dir.string();
-}
-
-/// Legacy rewrite-every-file layout; most corruption tests target it because
-/// its flat CSVs are what an operator (or a torn disk) would edit.
-LaunchStateStore::Options rewrite_options() {
-  LaunchStateStore::Options options;
-  options.journal = false;
-  return options;
 }
 
 std::string thrown_message(const std::function<void()>& fn) {
@@ -120,50 +116,95 @@ void corrupt(const std::string& dir, const char* file, const std::string& conten
   out << content;
 }
 
-TEST(LaunchStateStore, MalformedJournalNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_journal"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\nxyz,2\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("journal.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+std::string read_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-TEST(LaunchStateStore, DuplicateJournalCarrierRejected) {
-  const LaunchStateStore store(temp_dir("dup_journal"), rewrite_options());
-  store.save(sample_state());
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\n3,4\n");
+std::vector<std::filesystem::path> log_files(const std::string& dir, const std::string& id) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(id + ".log", 0) == 0 && name.find(".csv") != std::string::npos) {
+      out.push_back(entry.path());
+    }
+  }
+  return out;
+}
+
+/// Sets the sealed byte length of stream `id` in progress.csv text.
+std::string with_seal(const std::string& progress, const std::string& id, std::uint64_t sealed) {
+  const std::string row = "__log." + id + ",";
+  const std::size_t at = progress.find(row);
+  if (at == std::string::npos) return progress;
+  const std::size_t value = at + row.size();
+  const std::size_t c1 = progress.find(':', value);
+  const std::size_t c2 = progress.find(':', c1 + 1);
+  return progress.substr(0, c1 + 1) + std::to_string(sealed) + progress.substr(c2);
+}
+
+/// Appends `record` to stream `id`'s log and extends its seal in
+/// progress.csv, so the record counts as committed. Returns the log's file
+/// name and the record's 1-based line number.
+std::pair<std::string, std::size_t> append_committed(const std::string& dir, const std::string& id,
+                                                     const std::string& record) {
+  const auto logs = log_files(dir, id);
+  if (logs.size() != 1) throw std::logic_error("expected one log for stream " + id);
+  std::string content = read_file(logs[0]) + record;
+  corrupt(dir, logs[0].filename().string().c_str(), content);
+  const auto progress = std::filesystem::path(dir) / "progress.csv";
+  corrupt(dir, "progress.csv", with_seal(read_file(progress), id, content.size()));
+  const auto lines = static_cast<std::size_t>(std::count(content.begin(), content.end(), '\n'));
+  return {logs[0].filename().string(), lines};
+}
+
+/// Loads `store` and expects a rejection that names the file and line in
+/// `where` and contains `detail`.
+void expect_rejected_at(const LaunchStateStore& store,
+                        const std::pair<std::string, std::size_t>& where,
+                        const std::string& detail) {
   const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("duplicate journal entry"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 3"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(where.first), std::string::npos) << msg;
+  EXPECT_NE(msg.find("line " + std::to_string(where.second) + ":"), std::string::npos) << msg;
+  EXPECT_NE(msg.find(detail), std::string::npos) << msg;
+}
+
+TEST(LaunchStateStore, MalformedJournalNamesFileAndLine) {
+  const LaunchStateStore store(temp_dir("bad_journal"));
+  store.save(sample_state());
+  const auto where = append_committed(store.dir(), "journal", "u,xyz,2,,,\n");
+  EXPECT_EQ(where.first, "journal.log1.csv");
+  expect_rejected_at(store, where, "'xyz' is not an integer");
+}
+
+TEST(LaunchStateStore, EraseOfAbsentJournalKeyRejected) {
+  // Upserts make repeated keys legal in a log; the replay-side invariant is
+  // that an erase names a key the log holds at that point.
+  const LaunchStateStore store(temp_dir("erase_absent"));
+  store.save(sample_state());
+  const auto where = append_committed(store.dir(), "journal", "e,5,,,,\n");
+  expect_rejected_at(store, where, "erase of absent key 5");
 }
 
 TEST(LaunchStateStore, UnknownBreakerStateNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_breaker"), rewrite_options());
+  const LaunchStateStore store(temp_dir("bad_breaker"));
   store.save(sample_state());
-  corrupt(store.dir(), "breaker.csv",
-          "state,consecutive_failures,cooldown_remaining,trips,refusals\nwedged,0,0,0,0\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("breaker.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("wedged"), std::string::npos) << msg;
+  const auto where = append_committed(store.dir(), "breaker", "set,wedged,0,0,0,0\n");
+  expect_rejected_at(store, where, "wedged");
 }
 
 TEST(LaunchStateStore, UnknownEmsKeyNamesFileAndLine) {
-  const LaunchStateStore store(temp_dir("bad_ems"), rewrite_options());
+  const LaunchStateStore store(temp_dir("bad_ems"));
   store.save(sample_state());
-  corrupt(store.dir(), "ems.csv", "key,value\npushes_executed,5\nwarp_factor,9\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("ems.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("warp_factor"), std::string::npos) << msg;
+  const auto where = append_committed(store.dir(), "ems", "set,warp_factor,9,,,\n");
+  expect_rejected_at(store, where, "unknown key 'warp_factor'");
 }
 
 TEST(LaunchStateStore, SlotWritePairwiseFlagValidated) {
-  const LaunchStateStore store(temp_dir("bad_applied"), rewrite_options());
+  const LaunchStateStore store(temp_dir("bad_applied"));
   store.save(sample_state());
-  corrupt(store.dir(), "applied.csv", "pairwise,param_pos,entity,value\n2,0,0,1\n");
-  const std::string msg = thrown_message([&] { (void)store.load(); });
-  EXPECT_NE(msg.find("applied.csv"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+  const auto where = append_committed(store.dir(), "applied", "u,2,0,0,1,\n");
+  expect_rejected_at(store, where, "value 2 outside [0, 1]");
 }
 
 TEST(LaunchStateStore, DuplicateProgressKeyRejected) {
@@ -175,10 +216,31 @@ TEST(LaunchStateStore, DuplicateProgressKeyRejected) {
   EXPECT_NE(msg.find("duplicate progress key"), std::string::npos) << msg;
 }
 
-TEST(LaunchStateStore, MissingFileFailsLoudly) {
-  const LaunchStateStore store(temp_dir("missing_file"), rewrite_options());
+TEST(LaunchStateStore, SealLessProgressRefused) {
+  // A progress.csv with no __log. seals is the pre-journal layout; it must
+  // be refused outright, not read as an empty checkpoint.
+  const LaunchStateStore store(temp_dir("sealless"));
   store.save(sample_state());
-  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.csv");
+  corrupt(store.dir(), "progress.csv", "key,value\nday,12\n");
+  const std::string msg = thrown_message([&] { (void)store.load(); });
+  EXPECT_NE(msg.find("progress.csv"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("pre-journal checkpoint layout is no longer read"), std::string::npos)
+      << msg;
+  EXPECT_THROW((void)store.load(), std::invalid_argument);
+}
+
+TEST(LaunchStateStore, RewriteLayoutOptionRejected) {
+  LaunchStateStore::Options options;
+  options.journal = false;
+  EXPECT_THROW(LaunchStateStore(temp_dir("no_rewrite"), options), std::invalid_argument);
+}
+
+TEST(LaunchStateStore, MissingFileFailsLoudly) {
+  const LaunchStateStore store(temp_dir("missing_file"));
+  store.save(sample_state());
+  const auto logs = log_files(store.dir(), "ems");
+  ASSERT_EQ(logs.size(), 1u);
+  std::filesystem::remove(logs[0]);
   EXPECT_THROW((void)store.load(), std::runtime_error);
 }
 
@@ -233,23 +295,21 @@ TEST(LaunchStateStore, ShardedStateRoundTripsPerShard) {
 }
 
 TEST(LaunchStateStore, ShardedLayoutUsesSuffixedFiles) {
-  const LaunchStateStore store(temp_dir("sharded_files"), rewrite_options());
+  const LaunchStateStore store(temp_dir("sharded_files"));
   store.save(sharded_state());
   const std::filesystem::path dir(store.dir());
   for (const char* base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
-    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".0.csv"))) << base;
-    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".1.csv"))) << base;
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".csv")))
-        << base << " flat file must not be written in sharded mode";
+    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".0.log1.csv"))) << base;
+    EXPECT_TRUE(std::filesystem::exists(dir / (std::string(base) + ".1.log1.csv"))) << base;
+    EXPECT_TRUE(log_files(store.dir(), base).empty())
+        << base << " flat log must not be written in sharded mode";
   }
 }
 
-TEST(LaunchStateStore, SingleShardLegacyLayoutHasNoMarker) {
-  const LaunchStateStore store(temp_dir("legacy_marker"));
-  store.save(sample_state());  // shards empty -> legacy flat layout
-  std::ifstream progress(std::filesystem::path(store.dir()) / "progress.csv");
-  std::string contents((std::istreambuf_iterator<char>(progress)),
-                       std::istreambuf_iterator<char>());
+TEST(LaunchStateStore, SingleShardLayoutHasNoShardsMarker) {
+  const LaunchStateStore store(temp_dir("flat_marker"));
+  store.save(sample_state());  // shards empty -> flat layout
+  const std::string contents = read_file(std::filesystem::path(store.dir()) / "progress.csv");
   EXPECT_EQ(contents.find("__shards"), std::string::npos);
   const LaunchState loaded = store.load();
   EXPECT_TRUE(loaded.shards.empty());
@@ -263,24 +323,13 @@ TEST(LaunchStateStore, ReservedProgressKeyRejected) {
 }
 
 TEST(LaunchStateStore, MissingShardFileFailsLoudly) {
-  const LaunchStateStore store(temp_dir("missing_shard_file"), rewrite_options());
+  const LaunchStateStore store(temp_dir("missing_shard_file"));
   store.save(sharded_state());
-  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.1.csv");
+  std::filesystem::remove(std::filesystem::path(store.dir()) / "ems.1.log1.csv");
   EXPECT_THROW((void)store.load(), std::runtime_error);
 }
 
 // --- Journal-layout behavior ----------------------------------------------
-
-std::vector<std::filesystem::path> log_files(const std::string& dir, const std::string& id) {
-  std::vector<std::filesystem::path> out;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(id + ".log", 0) == 0 && name.find(".csv") != std::string::npos) {
-      out.push_back(entry.path());
-    }
-  }
-  return out;
-}
 
 std::uint64_t checkpoint_bytes_total() {
   return obs::MetricsRegistry::global().counter("auric_checkpoint_bytes_total").value();
@@ -312,10 +361,10 @@ TEST(LaunchStateStore, JournalLayoutAppendsDeltasInsideCommit) {
   EXPECT_EQ(loaded.progress, state.progress);
 }
 
-TEST(LaunchStateStore, JournalCheckpointBytesAreFiveTimesBelowRewrite) {
+TEST(LaunchStateStore, DeltaSaveWritesAFifthOfTheSnapshotBytes) {
   // A grown state image (the "400K carriers after a month" shape, scaled
-  // down) with a one-launch delta: the journal checkpoint must write at
-  // least 5x fewer bytes than the rewrite-every-file checkpoint.
+  // down) with a one-launch delta: the delta save must write at most 1/5 of
+  // the bytes of the first, full-snapshot save.
   LaunchState grown;
   for (netsim::CarrierId c = 0; c < 2000; ++c) grown.journal.push_back({c, 64});
   for (netsim::CarrierId c = 0; c < 500; ++c) grown.quarantine.push_back({c * 3, 1});
@@ -329,22 +378,17 @@ TEST(LaunchStateStore, JournalCheckpointBytesAreFiveTimesBelowRewrite) {
   next.ems.pushes_executed += 3;
   next.progress = {{"day", "30"}, {"kpi", "0x1.9p-1"}};
 
-  const LaunchStateStore journal_store(temp_dir("bytes_journal"));
-  journal_store.save(grown);
-  const std::uint64_t journal_before = checkpoint_bytes_total();
-  journal_store.save(next);
-  const std::uint64_t journal_delta = checkpoint_bytes_total() - journal_before;
+  const LaunchStateStore store(temp_dir("bytes_delta"));
+  const std::uint64_t before = checkpoint_bytes_total();
+  store.save(grown);
+  const std::uint64_t snapshot_bytes = checkpoint_bytes_total() - before;
+  store.save(next);
+  const std::uint64_t delta_bytes = checkpoint_bytes_total() - before - snapshot_bytes;
 
-  const LaunchStateStore rewrite_store(temp_dir("bytes_rewrite"), rewrite_options());
-  rewrite_store.save(grown);
-  const std::uint64_t rewrite_before = checkpoint_bytes_total();
-  rewrite_store.save(next);
-  const std::uint64_t rewrite_delta = checkpoint_bytes_total() - rewrite_before;
-
-  ASSERT_GT(journal_delta, 0u);
-  EXPECT_GE(rewrite_delta, 5 * journal_delta)
-      << "journal wrote " << journal_delta << " bytes, rewrite wrote " << rewrite_delta;
-  EXPECT_EQ(journal_store.load().journal, rewrite_store.load().journal);
+  ASSERT_GT(delta_bytes, 0u);
+  EXPECT_GE(snapshot_bytes, 5 * delta_bytes)
+      << "snapshot save wrote " << snapshot_bytes << " bytes, delta save " << delta_bytes;
+  EXPECT_EQ(store.load().journal, next.journal);
 }
 
 TEST(LaunchStateStore, CompactionAdvancesGenerationAndDropsOldLog) {
@@ -390,30 +434,6 @@ TEST(LaunchStateStore, TornJournalTailTruncatedOnLoad) {
   EXPECT_EQ(std::filesystem::file_size(logs[0]), sealed_size) << "tail must be cut off on disk";
 }
 
-TEST(LaunchStateStore, LegacyCheckpointMigratesToJournalOnSave) {
-  const std::string dir = temp_dir("legacy_migrate");
-  LaunchState state = sample_state();
-  {
-    const LaunchStateStore legacy(dir, rewrite_options());
-    legacy.save(state);
-  }
-
-  const LaunchStateStore store(dir);  // journal mode over a legacy checkpoint
-  const LaunchState loaded = store.load();
-  EXPECT_TRUE(store.load_stats().legacy_layout);
-  EXPECT_EQ(loaded.journal, state.journal);
-
-  state.journal.push_back({30, 1});
-  store.save(state);  // re-baselines into journal logs
-  EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(dir) / "journal.csv"))
-      << "superseded legacy files must be cleaned up after the journal commit";
-  ASSERT_EQ(log_files(dir, "journal").size(), 1u);
-
-  const LaunchStateStore reopened(dir);
-  EXPECT_EQ(reopened.load().journal, state.journal);
-  EXPECT_FALSE(reopened.load_stats().legacy_layout);
-}
-
 TEST(LaunchStateStore, FreshStoreOverExistingJournalRebaselines) {
   const std::string dir = temp_dir("rebaseline");
   LaunchState state = sample_state();
@@ -438,36 +458,228 @@ TEST(LaunchStateStore, UnsortedJournalRejectedInJournalMode) {
   EXPECT_THROW(store.save(state), std::invalid_argument);
 }
 
-TEST(LaunchStateStore, TornLegacyCsvTailDroppedWithWarning) {
-  const LaunchStateStore store(temp_dir("legacy_torn"), rewrite_options());
-  LaunchState state = sample_state();
-  store.save(state);
-  // Simulate a torn final sector in the flat layout: the last row of
-  // journal.csv is cut mid-field, no trailing newline.
-  corrupt(store.dir(), "journal.csv", "carrier,applied\n3,17\n9,");
-  const LaunchState loaded = store.load();
-  ASSERT_EQ(loaded.journal.size(), 1u);
-  EXPECT_EQ(loaded.journal[0].first, 3);
-}
-
 TEST(LaunchStateStore, CrashPointCatalogIsStable) {
-  const auto& catalog = LaunchStateStore::crash_point_catalog();
-  EXPECT_GE(catalog.size(), 12u);
-  for (const std::string& point : catalog) {
-    EXPECT_TRUE(point.find('.') != std::string::npos) << point;
-  }
+  const std::vector<std::string> expected = {
+      "checkpoint.snapshot_write", "checkpoint.snapshot_fsync", "checkpoint.snapshot_rename",
+      "checkpoint.append",         "checkpoint.append_fsync",   "checkpoint.predir_fsync",
+      "checkpoint.progress_write", "checkpoint.progress_fsync", "checkpoint.progress_rename",
+      "checkpoint.dir_fsync",      "checkpoint.cleanup",        "recover.truncate"};
+  EXPECT_EQ(LaunchStateStore::crash_point_catalog(), expected);
 }
 
 TEST(LaunchStateStore, ClearRemovesShardFiles) {
-  const LaunchStateStore store(temp_dir("sharded_clear"), rewrite_options());
+  const LaunchStateStore store(temp_dir("sharded_clear"));
   store.save(sharded_state());
   store.clear();
   EXPECT_FALSE(store.exists());
-  const std::filesystem::path dir(store.dir());
-  for (const char* base : {"journal", "deferred", "quarantine", "breaker", "ems"}) {
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".0.csv"))) << base;
-    EXPECT_FALSE(std::filesystem::exists(dir / (std::string(base) + ".1.csv"))) << base;
+  EXPECT_TRUE(std::filesystem::is_empty(store.dir()));
+}
+
+// --- Seeded op-log fuzz: hostile bytes in a committed checkpoint ---
+
+/// A checkpoint directory as file name -> bytes.
+using DirImage = std::map<std::string, std::string>;
+
+DirImage read_dir(const std::string& dir) {
+  DirImage image;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    image[entry.path().filename().string()] = read_file(entry.path());
   }
+  return image;
+}
+
+void write_dir(const std::string& dir, const DirImage& image) {
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  for (const auto& [name, bytes] : image) {
+    std::ofstream out(std::filesystem::path(dir) / name, std::ios::binary);
+    out << bytes;
+  }
+}
+
+/// A committed checkpoint whose logs hold snapshots plus appended tails of
+/// every op kind (upserts, erases, pops, cuts, breaker sets).
+DirImage committed_checkpoint(const std::string& dir, bool sharded) {
+  LaunchStateStore::Options options;
+  options.fsync = false;
+  const LaunchStateStore store(dir, options);
+  LaunchState state = sharded ? sharded_state() : sample_state();
+  store.save(state);
+  for (int step = 0; step < 3; ++step) {
+    const auto churn = [step](auto& journal, auto& deferred, auto& quarantine, auto& breaker,
+                              auto& ems) {
+      if (!journal.empty()) journal.erase(journal.begin());
+      journal.push_back({100 + step, static_cast<std::uint64_t>(step)});
+      if (!deferred.empty()) deferred.erase(deferred.begin());
+      deferred.push_back(50 + step);
+      quarantine.push_back({200 + step, step + 1});
+      breaker.state = step % 2 == 0 ? util::CircuitBreaker::State::kHalfOpen
+                                    : util::CircuitBreaker::State::kClosed;
+      breaker.trips += 1;
+      ems.pushes_executed += 7;
+      if (!ems.unlocked.empty()) ems.unlocked.pop_back();
+      ems.repaired.push_back(300 + step);
+    };
+    if (sharded) {
+      LaunchState::ShardState& b = state.shards[static_cast<std::size_t>(step) % 2];
+      churn(b.journal, b.deferred, b.quarantine, b.breaker, b.ems);
+    } else {
+      churn(state.journal, state.deferred, state.quarantine, state.breaker, state.ems);
+    }
+    state.applied_slots.erase(state.applied_slots.begin());
+    state.applied_slots.push_back({true, 5, static_cast<std::uint64_t>(400 + step), step});
+    state.relearn_applied_slots = state.applied_slots;
+    state.progress[0].second = std::to_string(20 + step);
+    store.save(state);
+  }
+  return read_dir(dir);
+}
+
+/// Splits at `sep`, keeping empty parts, so join(split(t, c), c) == t.
+std::vector<std::string> split(const std::string& text, char sep) {
+  std::vector<std::string> parts(1);
+  for (const char c : text) {
+    if (c == sep) {
+      parts.emplace_back();
+    } else {
+      parts.back() += c;
+    }
+  }
+  return parts;
+}
+
+std::string join(const std::vector<std::string>& parts, char sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
+
+/// One mutant of `base`. A stream log gets a truncation, a byte flip, a
+/// dropped, duplicated or swapped line, or an operand edit, and half the
+/// time its seal is extended so the damage counts as committed.
+/// progress.csv gets a seal edit: a seal field replaced, a row dropped or
+/// duplicated, or the shard count changed.
+DirImage mutate(const DirImage& base, std::mt19937_64& rng) {
+  const auto pick = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  static const std::vector<std::string> kOperands = {
+      "",  "0", "1", "2", "-1", "+3", " 4", "7x", "x", "2147483647", "2147483648",
+      "18446744073709551615", "18446744073709551616", "u", "e", "push", "pop", "clear",
+      "set", "add", "cut", "open", "half_open", "wedged", "unlocked", "warp_factor",
+      "pushes_executed", "\"q\"", "\"", "a\"b"};
+  const auto operand = [&] { return kOperands[pick(kOperands.size())]; };
+  DirImage image = base;
+  auto it = std::next(image.begin(), static_cast<std::ptrdiff_t>(pick(image.size())));
+  const std::string& name = it->first;
+  std::string& bytes = it->second;
+  std::vector<std::string> lines = split(bytes, '\n');
+  const auto line_at = [&](std::size_t i) {
+    return lines.begin() + static_cast<std::ptrdiff_t>(i);
+  };
+
+  if (name == "progress.csv") {
+    const std::size_t row = 1 + pick(lines.size() - 1);
+    std::string& line = lines[row];
+    switch (pick(4)) {
+      case 0: {
+        std::vector<std::string> cells = split(line, ',');
+        std::vector<std::string> seal = split(cells.back(), ':');
+        std::string& field = seal[pick(seal.size())];
+        const std::uint64_t was = field.find_first_not_of("0123456789") == std::string::npos
+                                      ? std::stoull("0" + field)
+                                      : 0;
+        const std::string values[] = {std::to_string(was + 1), std::to_string(was - 1),
+                                      std::to_string(was + 1 + pick(64)), operand()};
+        field = values[pick(4)];
+        cells.back() = join(seal, ':');
+        line = join(cells, ',');
+        break;
+      }
+      case 1:
+        lines.erase(line_at(row));
+        break;
+      case 2:
+        lines.insert(line_at(row), line);
+        break;
+      default:
+        line = "__shards," + operand();
+        break;
+    }
+    bytes = join(lines, '\n');
+    return image;
+  }
+
+  switch (pick(6)) {
+    case 0:
+      bytes.resize(pick(bytes.size() + 1));
+      break;
+    case 1:
+      bytes[pick(bytes.size())] = static_cast<char>(pick(256));
+      break;
+    case 2:
+      lines.erase(line_at(pick(lines.size())));
+      bytes = join(lines, '\n');
+      break;
+    case 3: {
+      const std::size_t at = pick(lines.size());
+      lines.insert(line_at(at), lines[at]);
+      bytes = join(lines, '\n');
+      break;
+    }
+    case 4:
+      std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
+      bytes = join(lines, '\n');
+      break;
+    default: {
+      std::string& line = lines[pick(lines.size())];
+      std::vector<std::string> fields = split(line, ',');
+      fields[pick(fields.size())] = operand();
+      line = join(fields, ',');
+      bytes = join(lines, '\n');
+      break;
+    }
+  }
+  if (pick(2) == 0) {
+    const std::string stream = name.substr(0, name.rfind(".log"));
+    image.at("progress.csv") = with_seal(image.at("progress.csv"), stream, bytes.size());
+  }
+  return image;
+}
+
+TEST(LaunchStateStore, SeededFuzzedCheckpointsLoadOrFailNamingAFile) {
+  std::mt19937_64 rng(20211);
+  const std::string dir = temp_dir("fuzz_run");
+  // Torn tails past a seal are repaired with a warning; keep the corpus quiet.
+  const util::LogLevel level = util::log_level();
+  util::set_log_level(util::LogLevel::kError);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (const bool sharded : {false, true}) {
+    const DirImage base = committed_checkpoint(temp_dir("fuzz_base"), sharded);
+    ASSERT_EQ(base.size(), sharded ? 13u : 8u);
+    for (int i = 0; i < 400; ++i) {
+      const DirImage mutant = mutate(base, rng);
+      write_dir(dir, mutant);
+      SCOPED_TRACE((sharded ? "sharded mutant " : "flat mutant ") + std::to_string(i));
+      const LaunchStateStore store(dir);
+      try {
+        (void)store.load();
+        ++loaded;
+      } catch (const std::invalid_argument& e) {
+        ++rejected;
+        EXPECT_NE(std::string(e.what()).find(dir + "/"), std::string::npos) << e.what();
+      } catch (const std::runtime_error& e) {
+        ++rejected;
+        EXPECT_NE(std::string(e.what()).find(dir + "/"), std::string::npos) << e.what();
+      }
+    }
+  }
+  util::set_log_level(level);
+  // The corpus must exercise both outcomes, mostly the rejecting one.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, loaded);
 }
 
 }  // namespace

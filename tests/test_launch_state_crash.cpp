@@ -232,17 +232,10 @@ void run_crash_matrix(int shard_count, const std::string& tag,
       const int step = committed_step(got);
       ASSERT_TRUE(step == crashed_during || step == crashed_during - 1)
           << "loaded step " << step << " after crashing in save " << crashed_during;
-      if (store_options.journal) {
-        // Snapshot isolation: the loaded state is exactly the checkpoint of
-        // one step — the one whose save crashed post-commit, or its
-        // predecessor — never a blend of the two.
-        EXPECT_EQ(dump(got), dump(make_state(step, shard_count)));
-      }
-      // Rewrite mode replaces the flat CSVs one rename at a time before the
-      // progress commit, so a mid-save crash may expose newer data files
-      // under older progress: each file loads intact, but only the journal
-      // layout gives a cross-file atomic snapshot. (That gap is why journal
-      // mode exists — and why it is the default.)
+      // Snapshot isolation: the loaded state is exactly the checkpoint of
+      // one step — the one whose save crashed post-commit, or its
+      // predecessor — never a blend of the two.
+      EXPECT_EQ(dump(got), dump(make_state(step, shard_count)));
       next = step + 1;
     } else {
       EXPECT_EQ(crashed_during, 0) << "a committed checkpoint vanished";
@@ -270,14 +263,6 @@ TEST(LaunchStateCrashMatrix, EveryOperationAggressiveCompaction) {
   options.compact_min_bytes = 1;
   options.compact_factor = 0.0;
   run_crash_matrix(0, "compact", options);
-}
-
-TEST(LaunchStateCrashMatrix, EveryOperationRewriteLayout) {
-  // The legacy rewrite-every-file mode now carries the same fsync-before-
-  // rename durability claim; hold it to the same matrix.
-  LaunchStateStore::Options options;
-  options.journal = false;
-  run_crash_matrix(2, "rewrite", options);
 }
 
 TEST(LaunchStateCrashMatrix, FailedOperationLeavesStoreRetryable) {
@@ -456,8 +441,7 @@ TEST(ReplayCrashMatrix, EveryCatalogPointConvergesSharded) {
     }
     std::filesystem::remove_all(options.state_dir);
   }
-  // Most of the catalog must actually fire during a sharded window (the
-  // rewrite.* points are legacy-mode-only and may stay dark).
+  // Most of the catalog must actually fire during a sharded window.
   EXPECT_GE(fired_points, 10) << "dark points:" << dark_points;
 }
 

@@ -299,9 +299,6 @@ int cmd_replay(util::Args& args, util::LivePlaneScope& live) {
   options.ems.flaky_timeout_prob =
       args.get_double("flaky-timeout-prob", options.ems.flaky_timeout_prob,
                       "per-push transient EMS timeout probability (0 disables fault injection)");
-  options.checkpoint.journal = args.get_bool(
-      "checkpoint-journal", true,
-      "append-only journal checkpoints (false = legacy rewrite-every-file layout)");
   options.checkpoint.fsync = args.get_bool(
       "checkpoint-fsync", true, "fsync checkpoint files + directory at the commit point");
   const std::int64_t faultfs_seed = args.get_int(
