@@ -527,6 +527,24 @@ void BM_ObsScopedSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsScopedSpan);
 
+void BM_ObsServeTrace(benchmark::State& state) {
+  // The spans of one served /recommend: the listener's root plus 4
+  // children, tail retention on and the trace dropped (the common case).
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  const obs::SpanNameId root_name = recorder.intern("http.", "/recommend");
+  for (auto _ : state) {
+    obs::ScopedSpan root(root_name, recorder, obs::ScopedSpan::kTraceRoot);
+    { obs::ScopedSpan request("serve.recommend"); }
+    { obs::ScopedSpan admission("serve.admission"); }
+    { obs::ScopedSpan bulkhead("serve.bulkhead"); }
+    { obs::ScopedSpan engine("core.recommend"); }
+    benchmark::DoNotOptimize(root.id());
+  }
+  if (state.thread_index() == 0) recorder.clear();
+  state.SetItemsProcessed(state.iterations() * 5);
+}
+BENCHMARK(BM_ObsServeTrace)->Threads(1)->Threads(4);
+
 void BM_ObsScopedSpanDisabled(benchmark::State& state) {
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   recorder.set_enabled(false);

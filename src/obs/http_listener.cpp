@@ -449,30 +449,21 @@ HttpResponse HttpListener::dispatch(const HttpRequest& request) {
     return handler_(request);
   }
   const std::optional<Traceparent> remote = parse_traceparent(request.header("traceparent"));
-  HttpResponse response;
-  TraceId trace;
-  {
-    // A valid traceparent is adopted: the root span (and everything the
-    // handler opens under it) joins the caller's trace, parented under the
-    // caller's span id. Otherwise the scope installs a clean context and
-    // the root span starts (and later finalizes) a fresh trace.
-    TraceContextScope adopt(remote.has_value()
-                                ? TraceContext{remote->trace_id, 0, remote->parent_span}
-                                : TraceContext{});
-    ScopedSpan span(std::string("http.") += request.path(), recorder);
-    trace = span.trace();
-    response = handler_(request);
-    if (response.status >= 500) {
-      recorder.mark_trace_error();
-    }
-    if (trace.valid()) {
-      response.extra_headers.emplace_back("Traceparent", format_traceparent(trace, span.id()));
-    }
+  // A valid traceparent is adopted: the root span (and everything the
+  // handler opens under it) joins the caller's trace, parented under the
+  // caller's span id. Otherwise the scope installs a clean context and the
+  // root span starts a fresh trace. Either way the server is the trace's
+  // edge, so its root span decides keep/drop when it closes.
+  TraceContextScope adopt(remote.has_value()
+                              ? TraceContext{remote->trace_id, 0, remote->parent_span}
+                              : TraceContext{});
+  ScopedSpan span(recorder.intern("http.", request.path()), recorder, ScopedSpan::kTraceRoot);
+  HttpResponse response = handler_(request);
+  if (response.status >= 500) {
+    recorder.mark_trace_error();
   }
-  // Adopted traces have no local starting span to finalize them; the server
-  // is the trace's edge, so it decides keep/drop here.
-  if (remote.has_value()) {
-    recorder.finalize_trace(remote->trace_id);
+  if (span.trace().valid()) {
+    response.extra_headers.emplace_back("Traceparent", format_traceparent(span.trace(), span.id()));
   }
   return response;
 }

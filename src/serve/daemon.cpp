@@ -509,7 +509,9 @@ obs::HttpResponse ServeDaemon::handle_data(const obs::HttpRequest& request,
   const std::shared_ptr<const EngineBundle> bundle = snapshot();
   obs::HttpResponse response;
   {
-    obs::ScopedSpan engine_span("serve.engine");
+    // Named after the perfbench layer it times, so tracestats self-time
+    // and the ledger use the same words.
+    obs::ScopedSpan engine_span(recommend ? "core.recommend" : "smartlaunch.plan");
     try {
       if (options_.work_delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(options_.work_delay_ms));

@@ -714,6 +714,158 @@ TEST(Trace, TracezAnswersTraceIdAndMinMsQueries) {
   EXPECT_NE(live.find("\"name\":\"other\""), std::string::npos);
 }
 
+TEST(Trace, TraceLongerThanTheRingKeepsItsNewestRecords) {
+  // One root whose children overrun the live ring four times over: the kept
+  // copy is bounded by the ring, holds the newest records, and counts the
+  // rest instead of buffering the whole trace.
+  constexpr std::size_t kCapacity = 64;
+  TraceRecorder rec(kCapacity);
+  TailOptions tail;
+  tail.min_ms = 0.0;
+  rec.set_tail_options(tail);
+  std::vector<std::uint64_t> child_ids;
+  std::uint64_t root_id = 0;
+  {
+    ScopedSpan root("long.root", rec);
+    root_id = root.id();
+    for (std::size_t i = 0; i < 4 * kCapacity; ++i) {
+      ScopedSpan child("long.child", rec);
+      child_ids.push_back(child.id());
+    }
+  }
+  const std::uint64_t total = 4 * kCapacity + 1;
+  EXPECT_EQ(rec.dropped(), total - kCapacity);
+  const std::vector<KeptTrace> kept = rec.kept_traces();
+  ASSERT_EQ(kept.size(), 1u);
+  ASSERT_EQ(kept[0].spans.size(), kCapacity);
+  EXPECT_EQ(kept[0].truncated, total - kCapacity);
+  for (std::size_t i = 0; i + 1 < kCapacity; ++i) {
+    EXPECT_EQ(kept[0].spans[i].id, child_ids[child_ids.size() - (kCapacity - 1) + i]);
+  }
+  EXPECT_EQ(kept[0].spans.back().id, root_id);
+  EXPECT_EQ(kept[0].spans.back().name, "long.root");
+}
+
+TEST(Trace, SpanNamesPastTheTableBoundRecordUnderTheOverflowName) {
+  TraceRecorder rec(8);
+  const SpanNameId first = rec.intern("http.", "/first");
+  EXPECT_EQ(rec.intern("http./first"), first);  // prefix/suffix split is immaterial
+  for (std::uint32_t i = 0; i < TraceRecorder::kMaxSpanNames; ++i) {
+    rec.intern("name.", std::to_string(i));
+  }
+  const std::uint64_t before = rec.name_overflows();
+  EXPECT_GT(before, 0u);  // the table filled before the loop ended
+  { ScopedSpan s("one.name.too.many", rec); }
+  EXPECT_EQ(rec.name_overflows(), before + 1);
+  EXPECT_EQ(rec.intern("http./first"), first);  // earlier names still resolve
+  const std::vector<SpanRecord> spans = rec.records();
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].name, "obs.name_overflow");
+}
+
+namespace {
+
+/// 8 threads x 20,000 spans as 4,000 traces of a root plus 4 children. Every
+/// 1,000th trace of a thread is error-marked; returns per-trace span ids of
+/// the marked ones.
+std::vector<std::pair<TraceId, std::vector<std::uint64_t>>> record_concurrently(
+    TraceRecorder& rec, std::vector<std::uint64_t>& all_ids) {
+  constexpr int kThreads = 8;
+  constexpr int kTraces = 4000;
+  std::vector<std::vector<std::uint64_t>> ids(kThreads);
+  std::vector<std::vector<std::pair<TraceId, std::vector<std::uint64_t>>>> marked(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&rec, &ids, &marked, t] {
+      for (int k = 0; k < kTraces; ++k) {
+        std::vector<std::uint64_t> trace_ids;
+        ScopedSpan root("c.root", rec);
+        trace_ids.push_back(root.id());
+        for (int c = 0; c < 4; ++c) {
+          ScopedSpan child("c.child", rec);
+          trace_ids.push_back(child.id());
+        }
+        if (k % 1000 == 0) {
+          rec.mark_trace_error();
+          marked[t].emplace_back(root.trace(), trace_ids);
+        }
+        ids[t].insert(ids[t].end(), trace_ids.begin(), trace_ids.end());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  std::vector<std::pair<TraceId, std::vector<std::uint64_t>>> out;
+  for (int t = 0; t < kThreads; ++t) {
+    all_ids.insert(all_ids.end(), ids[t].begin(), ids[t].end());
+    out.insert(out.end(), marked[t].begin(), marked[t].end());
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(Trace, ConcurrentRecordingKeepsEverySpanExactlyOnce) {
+  constexpr std::size_t kTotal = 8 * 20000;
+  TraceRecorder rec(kTotal);
+  TailOptions tail;
+  tail.min_ms = 1e9;  // only the error-marked traces are kept
+  rec.set_tail_options(tail);
+  std::vector<std::uint64_t> ids;
+  const auto marked = record_concurrently(rec, ids);
+  ASSERT_EQ(ids.size(), kTotal);
+
+  std::vector<std::uint64_t> recorded;
+  for (const SpanRecord& s : rec.records()) recorded.push_back(s.id);
+  EXPECT_EQ(rec.dropped(), 0u);
+  std::sort(ids.begin(), ids.end());
+  std::sort(recorded.begin(), recorded.end());
+  EXPECT_EQ(std::adjacent_find(recorded.begin(), recorded.end()), recorded.end());  // unique
+  EXPECT_EQ(recorded, ids);  // every span exactly once
+
+  // Each error-marked root's kept trace holds exactly its own spans, though
+  // 7 other threads wrote into the same ring range meanwhile.
+  const std::vector<KeptTrace> kept = rec.kept_traces();
+  ASSERT_EQ(kept.size(), marked.size());
+  for (const auto& [trace, span_ids] : marked) {
+    const auto it = std::find_if(kept.begin(), kept.end(),
+                                 [&](const KeptTrace& k) { return k.trace == trace; });
+    ASSERT_NE(it, kept.end());
+    EXPECT_TRUE(it->error);
+    EXPECT_EQ(it->truncated, 0u);
+    std::vector<std::uint64_t> got;
+    for (const SpanRecord& s : it->spans) got.push_back(s.id);
+    std::vector<std::uint64_t> want = span_ids;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+  }
+}
+
+TEST(Trace, ConcurrentRecordingIntoASmallRingCountsTheOverflow) {
+  constexpr std::size_t kTotal = 8 * 20000;
+  constexpr std::size_t kCapacity = 4096;
+  TraceRecorder rec(kCapacity);
+  TailOptions tail;
+  tail.min_ms = 1e9;
+  rec.set_tail_options(tail);
+  std::vector<std::uint64_t> ids;
+  const auto marked = record_concurrently(rec, ids);
+  const std::vector<SpanRecord> spans = rec.records();
+  EXPECT_EQ(spans.size(), kCapacity);
+  EXPECT_EQ(rec.dropped(), kTotal - kCapacity);
+  // A kept trace never holds another trace's spans; it is complete unless
+  // the ring wrapped past its start while the root was open.
+  const std::vector<KeptTrace> kept = rec.kept_traces();
+  EXPECT_EQ(kept.size(), marked.size());
+  for (const KeptTrace& k : kept) {
+    EXPECT_TRUE(k.error);
+    for (const SpanRecord& s : k.spans) EXPECT_EQ(s.trace, k.trace);
+    if (k.truncated == 0) {
+      EXPECT_EQ(k.spans.size(), 5u);
+    }
+  }
+}
+
 // --- histogram exemplars ---
 
 TEST(Histogram, ExemplarsLinkBucketsToTraces) {

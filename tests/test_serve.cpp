@@ -767,10 +767,12 @@ TEST(ServeDaemon, OneTraceStitchesListenerAdmissionBulkheadAndEngineSpans) {
   EXPECT_NE(tracez.body.find("\"name\":\"serve." + endpoint + "\""), std::string::npos);
   EXPECT_NE(tracez.body.find("\"name\":\"serve.admission\""), std::string::npos);
   EXPECT_NE(tracez.body.find("\"name\":\"serve.bulkhead\""), std::string::npos);
-  EXPECT_NE(tracez.body.find("\"name\":\"serve.engine\""), std::string::npos);
+  // The engine span is named after the perfbench layer it times.
+  const std::string engine_span = endpoint == "diff" ? "smartlaunch.plan" : "core.recommend";
+  EXPECT_NE(tracez.body.find("\"name\":\"" + engine_span + "\""), std::string::npos);
 
   // The engine call runs on the connection thread that read the request:
-  // serve.engine and its serve.<endpoint> parent share one thread.
+  // the engine span and its serve.<endpoint> parent share one thread.
   const std::vector<std::string> lines = util::split(tracez.body, '\n');
   const auto span_line = [&](const std::string& key, const std::string& value) {
     const auto it = std::find_if(lines.begin(), lines.end(), [&](const std::string& line) {
@@ -778,7 +780,7 @@ TEST(ServeDaemon, OneTraceStitchesListenerAdmissionBulkheadAndEngineSpans) {
     });
     return it == lines.end() ? std::string() : *it;
   };
-  const std::string engine_line = span_line("name", "\"serve.engine\"");
+  const std::string engine_line = span_line("name", "\"" + engine_span + "\"");
   ASSERT_FALSE(engine_line.empty()) << tracez.body;
   const std::string parent_line = span_line("id", span_field(engine_line, "parent"));
   ASSERT_FALSE(parent_line.empty()) << tracez.body;
