@@ -120,6 +120,27 @@ void BM_DependencyScan(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyScan);
 
+// The pair-wise scan: 2 x 14 attribute tables per view, over the X2 edges of
+// the pair-wise parameter with the most configured edges.
+void BM_DependencyScanPairwise(benchmark::State& state) {
+  const World& w = world();
+  std::size_t widest = 0;
+  for (std::size_t pi = 1; pi < w.assignment.pairwise.size(); ++pi) {
+    if (w.assignment.pairwise[pi].configured_count() >
+        w.assignment.pairwise[widest].configured_count()) {
+      widest = pi;
+    }
+  }
+  const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment,
+                                                      w.catalog.pairwise_ids()[widest]);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(core::learn_dependencies(view, w.codes, w.schema, {}));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(view.rows()));
+  state.SetLabel(w.catalog.at(view.param).name);
+}
+BENCHMARK(BM_DependencyScanPairwise);
+
 void BM_VotingModelBuild(benchmark::State& state) {
   const World& w = world();
   const config::ParamId param = w.catalog.id_of("pMax");

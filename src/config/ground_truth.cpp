@@ -36,6 +36,26 @@ int signed_level(std::uint64_t h, int max_level, int sign_mode = 0) {
   return ((h >> 32) & 1) != 0 ? level : -level;
 }
 
+/// rep[e] = 1 when edge e goes to its carrier's lowest-id neighbor of that
+/// neighbor's frequency: the one edge of each frequency relation that a
+/// per-relation parameter is configured on. A carrier's edges run in
+/// ascending neighbor order, so the first edge seen per frequency is it.
+std::vector<char> relation_representatives(const netsim::Topology& topology) {
+  std::vector<char> rep(topology.edge_count(), 0);
+  std::vector<int> seen;
+  for (std::size_t c = 0; c < topology.carrier_count(); ++c) {
+    seen.clear();
+    for (std::size_t e = topology.edge_offsets[c]; e < topology.edge_offsets[c + 1]; ++e) {
+      const int freq = topology.carrier(topology.edges[e].to).frequency_mhz;
+      if (std::find(seen.begin(), seen.end(), freq) == seen.end()) {
+        seen.push_back(freq);
+        rep[e] = 1;
+      }
+    }
+  }
+  return rep;
+}
+
 }  // namespace
 
 GroundTruthModel::GroundTruthModel(const netsim::Topology& topology,
@@ -359,7 +379,8 @@ void GroundTruthModel::assign_singular(std::size_t si, CarrierId carrier, ValueI
   assign_slot(p, c, nullptr, slot_key, value, intended, cause);
 }
 
-void GroundTruthModel::assign_pairwise(std::size_t pi, const X2Edge& edge, ValueIndex& value,
+void GroundTruthModel::assign_pairwise(std::size_t pi, const X2Edge& edge,
+                                       bool relation_representative, ValueIndex& value,
                                        ValueIndex& intended, Cause& cause) const {
   const ParamId p = catalog_.pairwise_ids().at(pi);
   const ParamDef& def = catalog_.at(p);
@@ -369,17 +390,10 @@ void GroundTruthModel::assign_pairwise(std::size_t pi, const X2Edge& edge, Value
   const bool intra = from.frequency_mhz == to.frequency_mhz;
   const bool class_match =
       (def.relation == RelationClass::kIntraFrequency) == intra;
-  bool applicable = class_match;
-  if (applicable && def.scope == PairScope::kPerFrequencyRelation) {
-    // Configured only on the representative (lowest-id) neighbor of this
-    // frequency; other edges of the same frequency relation are unset.
-    for (CarrierId n : topology_.neighborhood(edge.from)) {
-      if (topology_.carrier(n).frequency_mhz == to.frequency_mhz) {
-        applicable = (n == edge.to);
-        break;  // neighbor lists are sorted, so the first hit is the rep
-      }
-    }
-  }
+  // A per-relation parameter is configured only on the representative edge
+  // of its frequency relation; the relation's other edges are unset.
+  const bool applicable =
+      class_match && (def.scope != PairScope::kPerFrequencyRelation || relation_representative);
   if (!applicable) {
     value = intended = kUnset;
     cause = Cause::kDefault;
@@ -410,13 +424,15 @@ ConfigAssignment GroundTruthModel::assign() const {
   }
 
   out.pairwise.resize(catalog_.pairwise_ids().size());
+  const std::vector<char> representative = relation_representatives(topology_);
   for (std::size_t pi = 0; pi < out.pairwise.size(); ++pi) {
     ParamColumn& col = out.pairwise[pi];
     col.value.resize(n_edges);
     col.intended.resize(n_edges);
     col.cause.resize(n_edges);
     for (std::size_t e = 0; e < n_edges; ++e) {
-      assign_pairwise(pi, topology_.edges[e], col.value[e], col.intended[e], col.cause[e]);
+      assign_pairwise(pi, topology_.edges[e], representative[e] != 0, col.value[e],
+                      col.intended[e], col.cause[e]);
     }
   }
   return out;

@@ -98,9 +98,12 @@ class GroundTruthModel {
                        ValueIndex& intended, Cause& cause) const;
 
   /// Same for one pair-wise parameter on one directed X2 edge. `pi` is a
-  /// position in catalog.pairwise_ids().
-  void assign_pairwise(std::size_t pi, const netsim::X2Edge& edge, ValueIndex& value,
-                       ValueIndex& intended, Cause& cause) const;
+  /// position in catalog.pairwise_ids(). `relation_representative` says
+  /// whether edge.to is edge.from's lowest-id neighbor of edge.to's
+  /// frequency: a PairScope::kPerFrequencyRelation parameter is configured
+  /// on that edge only.
+  void assign_pairwise(std::size_t pi, const netsim::X2Edge& edge, bool relation_representative,
+                       ValueIndex& value, ValueIndex& intended, Cause& cause) const;
 
   /// Dependent carrier-side attribute indices the model actually wired for
   /// parameter `p` (catalog id). Exposed so integration tests can check that

@@ -30,11 +30,9 @@ ContingencyState build_contingency(const ParamView& view,
   }
   state.tables.reserve(state.refs.size());
   for (const AttrRef& ref : state.refs) {
-    state.tables.push_back(
-        ml::ContingencyTable::zeros(schema.cardinality(ref.attr), view.labels.size()));
-  }
-  for (std::size_t r = 0; r < view.rows(); ++r) {
-    state.apply(attr_codes, view.carrier[r], view.neighbor[r], view.label[r], 1);
+    state.tables.push_back(ml::ContingencyTable::build(
+        attr_codes[ref.attr], ref.neighbor_side ? view.neighbor : view.carrier, view.label,
+        schema.cardinality(ref.attr), view.labels.size()));
   }
   return state;
 }

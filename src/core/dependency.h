@@ -72,7 +72,9 @@ struct ContingencyState {
 };
 
 /// Tallies `view` into fresh contingency tables (label dimension =
-/// view.labels.size(), row dimension = the schema cardinality of each attr).
+/// view.labels.size(), row dimension = the schema cardinality of each attr):
+/// one ContingencyTable::build pass over the view's rows per attribute
+/// column. Throws std::out_of_range for a code outside its table.
 ContingencyState build_contingency(const ParamView& view,
                                    const std::vector<std::vector<netsim::AttrCode>>& attr_codes,
                                    const netsim::AttributeSchema& schema);

@@ -355,13 +355,14 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     // Contingency: widen old -> mid, apply the deltas, compact mid -> final.
     const auto remap_columns = [](ml::ContingencyTable& table,
                                   std::span<const ml::ClassLabel> map, std::size_t new_cols) {
-      for (std::vector<std::int64_t>& row : table.counts) {
-        std::vector<std::int64_t> next(new_cols, 0);
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          if (map[c] >= 0) next[static_cast<std::size_t>(map[c])] = row[c];
+      ml::ContingencyTable next = ml::ContingencyTable::zeros(table.rows, new_cols);
+      for (std::size_t r = 0; r < table.rows; ++r) {
+        for (std::size_t c = 0; c < table.cols; ++c) {
+          if (map[c] >= 0) next.at(r, static_cast<std::size_t>(map[c])) = table.at(r, c);
         }
-        row = std::move(next);
       }
+      next.total = table.total;
+      table = std::move(next);
     };
     const auto entity_ends = [&](std::size_t e) {
       if (view.pairwise) {

@@ -152,10 +152,8 @@ void ModelWatch::roll_day() {
     std::int64_t prev_total = 0;
     for (std::int64_t c : st.prev_counts) prev_total += c;
     if (prev_total > 0 && today_total > 0) {
-      ml::ContingencyTable table;
-      table.counts = {st.prev_counts, today};
-      table.total = prev_total + today_total;
-      p_value = ml::chi_square_test(table).p_value;
+      p_value = ml::chi_square_test(ml::ContingencyTable::from_rows({st.prev_counts, today}))
+                    .p_value;
     }
     st.last_p = p_value;
     st.drift_p->set(p_value);

@@ -55,8 +55,9 @@ ParamView build_param_view(const netsim::Topology& topology, const config::Param
   }
 
   view.labels = ml::LabelDictionary::build(view.value);
+  const std::vector<ml::ClassLabel> code = view.labels.dense_codes();
   view.label.reserve(view.value.size());
-  for (config::ValueIndex v : view.value) view.label.push_back(view.labels.code_of(v));
+  for (config::ValueIndex v : view.value) view.label.push_back(code[static_cast<std::size_t>(v)]);
   return view;
 }
 

@@ -75,35 +75,82 @@ double chi_square_sf(double x, int df) {
   return regularized_gamma_q(static_cast<double>(df) / 2.0, x / 2.0);
 }
 
+namespace {
+[[noreturn]] void throw_code_out_of_range(const char* what) { throw std::out_of_range(what); }
+
+/// The one tally loop behind both build() overloads: `row_code(i)` is
+/// sample i's row code. Range checks stay per sample, but on plain integers
+/// into one flat array, so the loop carries no call or nested indirection.
+template <class RowCode>
+ContingencyTable tally(std::size_t n, RowCode row_code, std::span<const std::int32_t> y,
+                       std::size_t card_x, std::size_t card_y) {
+  ContingencyTable table = ContingencyTable::zeros(card_x, card_y);
+  std::int64_t* const cells = table.counts.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t r = row_code(i);
+    const std::int32_t c = y[i];
+    if (r < 0 || static_cast<std::size_t>(r) >= card_x || c < 0 ||
+        static_cast<std::size_t>(c) >= card_y) {
+      throw_code_out_of_range("ContingencyTable: code out of range");
+    }
+    ++cells[static_cast<std::size_t>(r) * card_y + static_cast<std::size_t>(c)];
+  }
+  table.total = static_cast<std::int64_t>(n);
+  return table;
+}
+}  // namespace
+
 ContingencyTable ContingencyTable::build(std::span<const std::int32_t> x,
                                          std::span<const std::int32_t> y, std::size_t card_x,
                                          std::size_t card_y) {
   if (x.size() != y.size()) throw std::invalid_argument("ContingencyTable: size mismatch");
-  ContingencyTable table;
-  table.counts.assign(card_x, std::vector<std::int64_t>(card_y, 0));
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    if (x[i] < 0 || static_cast<std::size_t>(x[i]) >= card_x || y[i] < 0 ||
-        static_cast<std::size_t>(y[i]) >= card_y) {
-      throw std::out_of_range("ContingencyTable: code out of range");
+  return tally(x.size(), [x](std::size_t i) { return x[i]; }, y, card_x, card_y);
+}
+
+ContingencyTable ContingencyTable::build(std::span<const std::int32_t> codes,
+                                         std::span<const std::int32_t> subject,
+                                         std::span<const std::int32_t> y, std::size_t card_x,
+                                         std::size_t card_y) {
+  if (subject.size() != y.size()) throw std::invalid_argument("ContingencyTable: size mismatch");
+  const auto row_code = [codes, subject](std::size_t i) {
+    const std::int32_t s = subject[i];
+    if (s < 0 || static_cast<std::size_t>(s) >= codes.size()) {
+      throw_code_out_of_range("ContingencyTable: subject out of range");
     }
-    ++table.counts[static_cast<std::size_t>(x[i])][static_cast<std::size_t>(y[i])];
-    ++table.total;
-  }
-  return table;
+    return codes[static_cast<std::size_t>(s)];
+  };
+  return tally(subject.size(), row_code, y, card_x, card_y);
 }
 
 ContingencyTable ContingencyTable::zeros(std::size_t card_x, std::size_t card_y) {
   ContingencyTable table;
-  table.counts.assign(card_x, std::vector<std::int64_t>(card_y, 0));
+  table.counts.assign(card_x * card_y, 0);
+  table.rows = card_x;
+  table.cols = card_y;
+  return table;
+}
+
+ContingencyTable ContingencyTable::from_rows(
+    const std::vector<std::vector<std::int64_t>>& table_rows) {
+  ContingencyTable table = zeros(table_rows.size(), table_rows.empty() ? 0 : table_rows[0].size());
+  for (std::size_t r = 0; r < table.rows; ++r) {
+    if (table_rows[r].size() != table.cols) {
+      throw std::invalid_argument("ContingencyTable::from_rows: ragged rows");
+    }
+    for (std::size_t c = 0; c < table.cols; ++c) {
+      table.at(r, c) = table_rows[r][c];
+      table.total += table_rows[r][c];
+    }
+  }
   return table;
 }
 
 void ContingencyTable::apply(std::int32_t x, std::int32_t y, std::int64_t delta) {
-  if (x < 0 || static_cast<std::size_t>(x) >= counts.size() || y < 0 ||
-      (counts.empty() || static_cast<std::size_t>(y) >= counts[0].size())) {
+  if (x < 0 || static_cast<std::size_t>(x) >= rows || y < 0 ||
+      static_cast<std::size_t>(y) >= cols) {
     throw std::out_of_range("ContingencyTable::apply: code out of range");
   }
-  std::int64_t& cell = counts[static_cast<std::size_t>(x)][static_cast<std::size_t>(y)];
+  std::int64_t& cell = at(static_cast<std::size_t>(x), static_cast<std::size_t>(y));
   cell += delta;
   total += delta;
   if (cell < 0 || total < 0) {
@@ -113,14 +160,14 @@ void ContingencyTable::apply(std::int32_t x, std::int32_t y, std::int64_t delta)
 
 ChiSquareResult chi_square_test(const ContingencyTable& table) {
   // Marginals, dropping empty rows/columns.
-  const std::size_t raw_rows = table.counts.size();
-  const std::size_t raw_cols = raw_rows == 0 ? 0 : table.counts[0].size();
+  const std::size_t raw_rows = table.rows;
+  const std::size_t raw_cols = table.cols;
   std::vector<std::int64_t> row_sum(raw_rows, 0);
   std::vector<std::int64_t> col_sum(raw_cols, 0);
   for (std::size_t r = 0; r < raw_rows; ++r) {
     for (std::size_t c = 0; c < raw_cols; ++c) {
-      row_sum[r] += table.counts[r][c];
-      col_sum[c] += table.counts[r][c];
+      row_sum[r] += table.at(r, c);
+      col_sum[c] += table.at(r, c);
     }
   }
   int rows = 0;
@@ -139,7 +186,7 @@ ChiSquareResult chi_square_test(const ContingencyTable& table) {
       if (col_sum[c] == 0) continue;
       const double expected =
           static_cast<double>(row_sum[r]) * static_cast<double>(col_sum[c]) / total;
-      const double diff = static_cast<double>(table.counts[r][c]) - expected;
+      const double diff = static_cast<double>(table.at(r, c)) - expected;
       stat += diff * diff / expected;
     }
   }

@@ -30,18 +30,44 @@ double regularized_gamma_q(double a, double x);
 /// freedom: P(X > x) = Q(df/2, x/2). df must be >= 1.
 double chi_square_sf(double x, int df);
 
+/// An R x C table of observed counts, stored flat and row-major: cell
+/// (r, c) is counts[r * cols + c]. Both dimensions are kept so a table with
+/// no columns yet (a population without labels) still has its rows when
+/// incremental relearn widens it.
 struct ContingencyTable {
-  /// counts[r][c] = observations with row-variable code r, column code c.
-  std::vector<std::vector<std::int64_t>> counts;
+  std::vector<std::int64_t> counts;
+  std::size_t rows = 0;
+  std::size_t cols = 0;
   std::int64_t total = 0;
 
-  /// Tallies the paired samples. x[i] in [0, card_x), y[i] in [0, card_y).
+  /// Observations with row-variable code r and column code c.
+  std::int64_t at(std::size_t r, std::size_t c) const { return counts[r * cols + c]; }
+  std::int64_t& at(std::size_t r, std::size_t c) { return counts[r * cols + c]; }
+
+  /// The batch tally: one pass over the samples into a fresh
+  /// card_x-by-card_y table. Sample i has row code x[i] and column code
+  /// y[i]. Throws std::invalid_argument when the spans differ in length and
+  /// std::out_of_range for a code outside the table.
   static ContingencyTable build(std::span<const std::int32_t> x,
+                                std::span<const std::int32_t> y, std::size_t card_x,
+                                std::size_t card_y);
+
+  /// The same tally with the row code looked up per sample: sample i has row
+  /// code codes[subject[i]] and column code y[i]. The dependency scan passes
+  /// one attribute's per-carrier codes and the population's carrier (or
+  /// neighbor) column, so no per-attribute code vector is materialized.
+  /// A subject outside `codes` also throws std::out_of_range.
+  static ContingencyTable build(std::span<const std::int32_t> codes,
+                                std::span<const std::int32_t> subject,
                                 std::span<const std::int32_t> y, std::size_t card_x,
                                 std::size_t card_y);
 
   /// An empty card_x-by-card_y table (all counts zero).
   static ContingencyTable zeros(std::size_t card_x, std::size_t card_y);
+
+  /// A table holding `table_rows` as given (every row the same length);
+  /// `total` is their sum. Throws std::invalid_argument on ragged rows.
+  static ContingencyTable from_rows(const std::vector<std::vector<std::int64_t>>& table_rows);
 
   /// Applies a signed count delta at (x, y); `total` tracks the table sum.
   /// This is the incremental re-test primitive: a maintained table fed one
@@ -50,6 +76,8 @@ struct ContingencyTable {
   /// bit-identical to a from-scratch scan. Throws std::out_of_range outside
   /// the table and std::logic_error when a count would go negative.
   void apply(std::int32_t x, std::int32_t y, std::int64_t delta);
+
+  bool operator==(const ContingencyTable&) const = default;
 };
 
 struct ChiSquareResult {

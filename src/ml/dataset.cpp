@@ -34,11 +34,27 @@ void CategoricalDataset::check() const {
 
 LabelDictionary LabelDictionary::build(std::span<const config::ValueIndex> labels) {
   LabelDictionary dict;
-  dict.values.assign(labels.begin(), labels.end());
-  std::sort(dict.values.begin(), dict.values.end());
-  dict.values.erase(std::unique(dict.values.begin(), dict.values.end()), dict.values.end());
-  dict.values.shrink_to_fit();  // one slot per label, not per row
+  if (labels.empty()) return dict;
+  const auto [lo, hi] = std::minmax_element(labels.begin(), labels.end());
+  if (*lo < 0) throw std::invalid_argument("LabelDictionary: negative value");
+  // A presence pass over [lo, hi]: values are domain indices, so the range
+  // is at most one domain wide, and no per-row copy is sorted.
+  std::vector<char> present(static_cast<std::size_t>(*hi - *lo) + 1, 0);
+  for (config::ValueIndex v : labels) present[static_cast<std::size_t>(v - *lo)] = 1;
+  dict.values.reserve(static_cast<std::size_t>(std::count(present.begin(), present.end(), 1)));
+  for (std::size_t i = 0; i < present.size(); ++i) {
+    if (present[i] != 0) dict.values.push_back(*lo + static_cast<config::ValueIndex>(i));
+  }
   return dict;
+}
+
+std::vector<ClassLabel> LabelDictionary::dense_codes() const {
+  std::vector<ClassLabel> codes(values.empty() ? 0 : static_cast<std::size_t>(values.back()) + 1,
+                                -1);
+  for (std::size_t c = 0; c < values.size(); ++c) {
+    codes[static_cast<std::size_t>(values[c])] = static_cast<ClassLabel>(c);
+  }
+  return codes;
 }
 
 ClassLabel LabelDictionary::code_of(config::ValueIndex value) const {

@@ -50,12 +50,15 @@ struct CategoricalDataset {
 
 /// Builds the dictionary for a label vector: maps each distinct ValueIndex to
 /// a dense class code. Rows with config::kUnset must be filtered out by the
-/// caller before this point.
+/// caller before this point (a negative value throws std::invalid_argument).
 struct LabelDictionary {
-  std::vector<config::ValueIndex> values;  // class code -> value
+  std::vector<config::ValueIndex> values;  // class code -> value, ascending
 
   static LabelDictionary build(std::span<const config::ValueIndex> labels);
   ClassLabel code_of(config::ValueIndex value) const;  // -1 if absent
+  /// value -> class code for every value in [0, values.back()], -1 where
+  /// absent: codes a whole population with one indexed load per row.
+  std::vector<ClassLabel> dense_codes() const;
   std::size_t size() const { return values.size(); }
 };
 

@@ -269,11 +269,14 @@ std::string tracez_text(const TraceRecorder& recorder, std::string_view query) {
     for (const KeptTrace& kt : recorder.kept_traces()) {
       if (kt.trace == *id) spans = kt.spans;
     }
+    std::vector<std::uint64_t> kept_ids;
+    kept_ids.reserve(spans.size());
+    for (const SpanRecord& k : spans) kept_ids.push_back(k.id);
+    std::sort(kept_ids.begin(), kept_ids.end());
     for (const SpanRecord& s : recorder.records()) {
-      if (!(s.trace == *id)) continue;
-      const bool seen = std::any_of(spans.begin(), spans.end(),
-                                    [&](const SpanRecord& k) { return k.id == s.id; });
-      if (!seen) spans.push_back(s);
+      if (s.trace == *id && !std::binary_search(kept_ids.begin(), kept_ids.end(), s.id)) {
+        spans.push_back(s);
+      }
     }
     return spans_jsonl(spans);
   }

@@ -45,10 +45,81 @@ TEST(ContingencyTable, CountsPairs) {
   const std::vector<std::int32_t> y{0, 1, 0, 1, 1};
   const ContingencyTable table = ContingencyTable::build(x, y, 2, 2);
   EXPECT_EQ(table.total, 5);
-  EXPECT_EQ(table.counts[0][0], 1);
-  EXPECT_EQ(table.counts[0][1], 1);
-  EXPECT_EQ(table.counts[1][0], 1);
-  EXPECT_EQ(table.counts[1][1], 2);
+  EXPECT_EQ(table.rows, 2u);
+  EXPECT_EQ(table.cols, 2u);
+  EXPECT_EQ(table.at(0, 0), 1);
+  EXPECT_EQ(table.at(0, 1), 1);
+  EXPECT_EQ(table.at(1, 0), 1);
+  EXPECT_EQ(table.at(1, 1), 2);
+}
+
+TEST(ContingencyTable, IndexedBuildLooksUpRowCodesPerSubject) {
+  // Sample i's row code is codes[subject[i]]: subjects 2, 0, 2 -> rows 1, 0, 1.
+  const std::vector<std::int32_t> codes{0, 2, 1};
+  const std::vector<std::int32_t> subject{2, 0, 2};
+  const std::vector<std::int32_t> y{1, 0, 1};
+  const ContingencyTable table = ContingencyTable::build(codes, subject, y, 3, 2);
+  EXPECT_EQ(table.total, 3);
+  EXPECT_EQ(table.at(1, 1), 2);
+  EXPECT_EQ(table.at(0, 0), 1);
+  EXPECT_EQ(table.at(2, 0) + table.at(2, 1), 0);
+}
+
+TEST(ContingencyTable, BuildEqualsRepeatedApply) {
+  // The batch kernel and the incremental primitive must hold the same
+  // integer counts, so a maintained table re-tests bit-identically.
+  util::Rng rng(5);
+  constexpr std::size_t kCardX = 7;
+  constexpr std::size_t kCardY = 5;
+  std::vector<std::int32_t> codes(40);
+  for (std::int32_t& c : codes) c = static_cast<std::int32_t>(rng.uniform_int(0, static_cast<std::int64_t>(kCardX) - 1));
+  std::vector<std::int32_t> subject(3000);
+  std::vector<std::int32_t> x(subject.size());
+  std::vector<std::int32_t> y(subject.size());
+  ContingencyTable applied = ContingencyTable::zeros(kCardX, kCardY);
+  for (std::size_t i = 0; i < subject.size(); ++i) {
+    subject[i] = static_cast<std::int32_t>(rng.uniform_int(0, 39));
+    x[i] = codes[static_cast<std::size_t>(subject[i])];
+    y[i] = static_cast<std::int32_t>(rng.uniform_int(0, static_cast<std::int64_t>(kCardY) - 1));
+    applied.apply(x[i], y[i], 1);
+  }
+  const ContingencyTable built = ContingencyTable::build(x, y, kCardX, kCardY);
+  const ContingencyTable indexed = ContingencyTable::build(codes, subject, y, kCardX, kCardY);
+  EXPECT_EQ(built, applied);
+  EXPECT_EQ(indexed, applied);
+  EXPECT_EQ(built.total, static_cast<std::int64_t>(subject.size()));
+  const ChiSquareResult a = chi_square_test(built);
+  const ChiSquareResult b = chi_square_test(applied);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.statistic), std::bit_cast<std::uint64_t>(b.statistic));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.p_value), std::bit_cast<std::uint64_t>(b.p_value));
+}
+
+TEST(ContingencyTable, OutOfRangeCodesThrowInBuildAndApply) {
+  const std::vector<std::int32_t> ok{0, 1};
+  for (const std::vector<std::int32_t>& bad :
+       {std::vector<std::int32_t>{0, -1}, std::vector<std::int32_t>{0, 2}}) {
+    EXPECT_THROW(ContingencyTable::build(bad, ok, 2, 2), std::out_of_range);  // row code
+    EXPECT_THROW(ContingencyTable::build(ok, bad, 2, 2), std::out_of_range);  // column code
+    EXPECT_THROW(ContingencyTable::build(ok, ok, bad, 2, 2), std::out_of_range);
+    EXPECT_THROW(ContingencyTable::build(ok, bad, ok, 2, 2), std::out_of_range);  // subject
+    ContingencyTable table = ContingencyTable::zeros(2, 2);
+    EXPECT_THROW(table.apply(bad[1], 0, 1), std::out_of_range);
+    EXPECT_THROW(table.apply(0, bad[1], 1), std::out_of_range);
+    EXPECT_EQ(table, ContingencyTable::zeros(2, 2));
+  }
+  const std::vector<std::int32_t> bad_codes{0, 5};
+  EXPECT_THROW(ContingencyTable::build(bad_codes, ok, ok, 2, 2), std::out_of_range);
+  const std::vector<std::int32_t> short_y{0};
+  EXPECT_THROW(ContingencyTable::build(ok, ok, short_y, 2, 2), std::invalid_argument);
+}
+
+TEST(ContingencyTable, FromRowsSumsTheTotal) {
+  const ContingencyTable table = ContingencyTable::from_rows({{1, 2, 3}, {4, 5, 6}});
+  EXPECT_EQ(table.rows, 2u);
+  EXPECT_EQ(table.cols, 3u);
+  EXPECT_EQ(table.at(1, 2), 6);
+  EXPECT_EQ(table.total, 21);
+  EXPECT_THROW(ContingencyTable::from_rows({{1, 2}, {3}}), std::invalid_argument);
 }
 
 TEST(ContingencyTable, RejectsBadInput) {
@@ -62,9 +133,8 @@ TEST(ContingencyTable, RejectsBadInput) {
 
 TEST(ChiSquareTest, HandComputedStatistic) {
   // Table: [[10, 20], [20, 10]]; expected all 15; chi2 = 4*25/15 = 6.667.
-  ContingencyTable table;
-  table.counts = {{10, 20}, {20, 10}};
-  table.total = 60;
+  const ContingencyTable table = ContingencyTable::from_rows({{10, 20}, {20, 10}});
+  EXPECT_EQ(table.total, 60);
   const ChiSquareResult result = chi_square_test(table);
   EXPECT_EQ(result.df, 1);
   EXPECT_NEAR(result.statistic, 100.0 / 15.0, 1e-12);
@@ -73,18 +143,15 @@ TEST(ChiSquareTest, HandComputedStatistic) {
 }
 
 TEST(ChiSquareTest, EmptyRowsAndColumnsAreDropped) {
-  ContingencyTable table;
-  table.counts = {{10, 0, 20}, {0, 0, 0}, {20, 0, 10}};
-  table.total = 60;
+  const ContingencyTable table =
+      ContingencyTable::from_rows({{10, 0, 20}, {0, 0, 0}, {20, 0, 10}});
   const ChiSquareResult result = chi_square_test(table);
   EXPECT_EQ(result.df, 1);  // effectively 2x2 after dropping empties
   EXPECT_NEAR(result.statistic, 100.0 / 15.0, 1e-12);
 }
 
 TEST(ChiSquareTest, DegenerateTableHasNoEvidence) {
-  ContingencyTable one_column;
-  one_column.counts = {{5}, {7}};
-  one_column.total = 12;
+  const ContingencyTable one_column = ContingencyTable::from_rows({{5}, {7}});
   const ChiSquareResult result = chi_square_test(one_column);
   EXPECT_EQ(result.df, 0);
   EXPECT_DOUBLE_EQ(result.p_value, 1.0);

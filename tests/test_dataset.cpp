@@ -17,6 +17,20 @@ TEST(LabelDictionary, BuildsSortedUniqueValues) {
   EXPECT_EQ(dict.code_of(99), -1);
 }
 
+TEST(LabelDictionary, DenseCodesInvertTheDictionary) {
+  const std::vector<config::ValueIndex> labels{40, 3, 40, 17};
+  const LabelDictionary dict = LabelDictionary::build(labels);
+  EXPECT_EQ(dict.values, (std::vector<config::ValueIndex>{3, 17, 40}));
+  const std::vector<ClassLabel> codes = dict.dense_codes();
+  ASSERT_EQ(codes.size(), 41u);
+  for (config::ValueIndex v = 0; v <= 40; ++v) {
+    EXPECT_EQ(codes[static_cast<std::size_t>(v)], dict.code_of(v)) << v;
+  }
+  EXPECT_TRUE(LabelDictionary::build({}).dense_codes().empty());
+  const std::vector<config::ValueIndex> unset{2, config::kUnset};
+  EXPECT_THROW(LabelDictionary::build(unset), std::invalid_argument);
+}
+
 TEST(CategoricalDataset, CheckDetectsBadCodes) {
   CategoricalDataset data = test::rule_dataset(10, 0.0, 1);
   EXPECT_NO_THROW(data.check());

@@ -1,9 +1,13 @@
 #include "core/dependency.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "config/ground_truth.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 
@@ -118,6 +122,85 @@ TEST(Dependency, PairwiseTestsNeighborSideToo) {
   const DependencyModel model = learn_dependencies(view, f.codes, f.schema, {});
   EXPECT_EQ(model.tests.size(), 2 * f.schema.attribute_count());
   ASSERT_FALSE(model.dependent.empty());
+}
+
+/// The per-row tally the batch kernel replaced, kept here as the reference:
+/// zeroed tables, then ContingencyState::apply once per view row.
+ContingencyState per_row_contingency(const ParamView& view,
+                                     const std::vector<std::vector<netsim::AttrCode>>& codes,
+                                     const netsim::AttributeSchema& schema) {
+  ContingencyState state;
+  for (std::size_t a = 0; a < schema.attribute_count(); ++a) state.refs.push_back({false, a});
+  if (view.pairwise) {
+    for (std::size_t a = 0; a < schema.attribute_count(); ++a) state.refs.push_back({true, a});
+  }
+  for (const AttrRef& ref : state.refs) {
+    state.tables.push_back(
+        ml::ContingencyTable::zeros(schema.cardinality(ref.attr), view.labels.size()));
+  }
+  for (std::size_t r = 0; r < view.rows(); ++r) {
+    state.apply(codes, view.carrier[r], view.neighbor[r], view.label[r], 1);
+  }
+  return state;
+}
+
+/// build_contingency against the per-row reference: equal tables cell for
+/// cell, and bit-identical chi-square results and dependent sets.
+void expect_batch_matches_per_row(const ParamView& view,
+                                  const std::vector<std::vector<netsim::AttrCode>>& codes,
+                                  const netsim::AttributeSchema& schema, const std::string& what) {
+  const ContingencyState batch = build_contingency(view, codes, schema);
+  const ContingencyState reference = per_row_contingency(view, codes, schema);
+  ASSERT_EQ(batch.refs, reference.refs) << what;
+  ASSERT_EQ(batch.tables.size(), reference.tables.size()) << what;
+  for (std::size_t t = 0; t < batch.tables.size(); ++t) {
+    const ml::ContingencyTable& a = batch.tables[t];
+    const ml::ContingencyTable& b = reference.tables[t];
+    const std::string where = what + " " + attr_ref_name(batch.refs[t], schema);
+    EXPECT_EQ(a.rows, b.rows) << where;
+    EXPECT_EQ(a.cols, b.cols) << where;
+    EXPECT_EQ(a.total, b.total) << where;
+    EXPECT_EQ(a.counts, b.counts) << where;
+  }
+  const DependencyModel x = dependencies_from_contingency(batch);
+  const DependencyModel y = dependencies_from_contingency(reference);
+  EXPECT_EQ(x.dependent, y.dependent) << what;
+  ASSERT_EQ(x.tests.size(), y.tests.size()) << what;
+  for (std::size_t i = 0; i < x.tests.size(); ++i) {
+    EXPECT_EQ(x.tests[i].ref, y.tests[i].ref) << what;
+    EXPECT_EQ(x.tests[i].result.df, y.tests[i].result.df) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.tests[i].result.statistic),
+              std::bit_cast<std::uint64_t>(y.tests[i].result.statistic))
+        << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.tests[i].result.p_value),
+              std::bit_cast<std::uint64_t>(y.tests[i].result.p_value))
+        << what;
+  }
+}
+
+TEST(Dependency, BatchTallyMatchesPerRowTallyOnEveryParameter) {
+  // The default world (28 markets x 55 eNodeBs) under the ground-truth
+  // configuration: all 65 parameters, over the full population and over one
+  // market's subjects.
+  const netsim::Topology topo = netsim::generate_topology(netsim::TopologyParams{});
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const std::vector<std::vector<netsim::AttrCode>> codes = schema.encode_all(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog).assign();
+  ASSERT_EQ(catalog.size(), 65u);
+  std::size_t pairwise = 0;
+  for (std::size_t p = 0; p < catalog.size(); ++p) {
+    const auto param = static_cast<config::ParamId>(p);
+    const std::string name = catalog.at(param).name;
+    const ParamView full = build_param_view(topo, catalog, assignment, param);
+    ASSERT_GT(full.rows(), 0u) << name;
+    pairwise += full.pairwise ? 1 : 0;
+    expect_batch_matches_per_row(full, codes, schema, name);
+    const ParamView market = build_param_view(topo, catalog, assignment, param, 3);
+    expect_batch_matches_per_row(market, codes, schema, name + " market 3");
+  }
+  EXPECT_GT(pairwise, 0u);
 }
 
 TEST(Dependency, AttrRefNames) {

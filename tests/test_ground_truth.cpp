@@ -1,7 +1,9 @@
 #include "config/ground_truth.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -139,6 +141,49 @@ TEST(GroundTruth, PerFrequencyRelationScopeUsesOneRepresentativeNeighbor) {
       }
     }
   }
+}
+
+TEST(GroundTruth, PerFrequencyRelationIsConfiguredOnItsLowestIdNeighborOnly) {
+  // For a per-relation parameter, every (carrier, neighbor frequency)
+  // relation of the parameter's class has exactly one configured edge, to
+  // the carrier's lowest-id neighbor of that frequency -- on every carrier
+  // where the parameter is active at all (activation is per site, so a
+  // carrier's edges are all active or all unset).
+  Fixture f;
+  const GroundTruthModel model(f.topo, f.schema, f.catalog);
+  const ConfigAssignment assignment = model.assign();
+  std::size_t relations_checked = 0;
+  for (std::size_t pi = 0; pi < assignment.pairwise.size(); ++pi) {
+    const ParamDef& def = f.catalog.at(f.catalog.pairwise_ids()[pi]);
+    if (def.scope != PairScope::kPerFrequencyRelation) continue;
+    const ParamColumn& col = assignment.pairwise[pi];
+    for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
+      const auto carrier = static_cast<netsim::CarrierId>(c);
+      const int own_freq = f.topo.carrier(carrier).frequency_mhz;
+      std::map<int, netsim::CarrierId> lowest;  // frequency -> lowest-id neighbor
+      for (netsim::CarrierId n : f.topo.neighborhood(carrier)) {
+        const int freq = f.topo.carrier(n).frequency_mhz;
+        const bool matches = (def.relation == RelationClass::kIntraFrequency) == (freq == own_freq);
+        if (!matches) continue;
+        const auto [it, fresh] = lowest.try_emplace(freq, n);
+        if (!fresh) it->second = std::min(it->second, n);
+      }
+      std::map<int, std::vector<netsim::CarrierId>> configured;
+      for (std::size_t e = f.topo.edge_offsets[c]; e < f.topo.edge_offsets[c + 1]; ++e) {
+        if (col.value[e] == kUnset) continue;
+        const netsim::CarrierId to = f.topo.edges[e].to;
+        configured[f.topo.carrier(to).frequency_mhz].push_back(to);
+      }
+      if (configured.empty()) continue;  // parameter inactive on this carrier's site
+      ASSERT_EQ(configured.size(), lowest.size()) << def.name << " carrier " << c;
+      for (const auto& [freq, rep] : lowest) {
+        EXPECT_EQ(configured[freq], std::vector<netsim::CarrierId>{rep})
+            << def.name << " carrier " << c << " frequency " << freq;
+        ++relations_checked;
+      }
+    }
+  }
+  EXPECT_GT(relations_checked, 0u);
 }
 
 TEST(GroundTruth, RulebookValueIsAttributePure) {

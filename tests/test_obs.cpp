@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -744,6 +746,46 @@ TEST(Trace, TraceLongerThanTheRingKeepsItsNewestRecords) {
   }
   EXPECT_EQ(kept[0].spans.back().id, root_id);
   EXPECT_EQ(kept[0].spans.back().name, "long.root");
+}
+
+TEST(Trace, TracezTraceIdRendersALongKeptTraceOnceAndFast) {
+  // One kept trace of 32,769 spans that also all sit in the live ring: every
+  // ring span is a duplicate of a kept one. The render must list each span
+  // once, and the de-duplication must not be quadratic in the trace length
+  // (a per-span linear scan took ~1 s at this size).
+  constexpr std::size_t kSpans = 32769;
+  TraceRecorder rec(kSpans);
+  TailOptions tail;
+  tail.min_ms = 0.0;
+  rec.set_tail_options(tail);
+  TraceId id;
+  {
+    ScopedSpan root("big.root", rec);
+    id = root.trace();
+    for (std::size_t i = 0; i + 1 < kSpans; ++i) {
+      ScopedSpan child("big.child", rec);
+    }
+  }
+  ASSERT_EQ(rec.kept_traces().size(), 1u);
+  ASSERT_EQ(rec.kept_traces()[0].spans.size(), kSpans);
+
+  const auto start = std::chrono::steady_clock::now();
+  const std::string out = tracez_text(rec, "trace_id=" + trace_id_hex(id));
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  EXPECT_LT(seconds, 1.0);
+
+  std::set<std::string> ids;
+  std::size_t lines = 0;
+  std::istringstream in(out);
+  for (std::string line; std::getline(in, line);) {
+    ++lines;
+    const std::size_t from = line.find("\"id\":");
+    ASSERT_NE(from, std::string::npos) << line;
+    ids.insert(line.substr(from, line.find(',', from) - from));
+  }
+  EXPECT_EQ(lines, kSpans);
+  EXPECT_EQ(ids.size(), kSpans);
 }
 
 TEST(Trace, SpanNamesPastTheTableBoundRecordUnderTheOverflowName) {
