@@ -24,12 +24,12 @@
 #include "obs/metrics.h"
 #include "obs/rules.h"
 #include "obs/sampler.h"
-#include "obs/server.h"
 #include "obs/trace.h"
 #include "serve/daemon.h"
 #include "smartlaunch/controller.h"
 #include "smartlaunch/ems.h"
 #include "smartlaunch/replay.h"
+#include "util/obs_flags.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
@@ -682,9 +682,9 @@ void BM_ObsScrapeRender(benchmark::State& state) {
                        {{"k", std::to_string(i)}})
         .observe(i + 0.5);
   }
-  obs::MetricsServer server(registry);
+  const util::LivePlane plane({}, registry);  // inert: routes, never listens
   for (auto _ : state) {
-    benchmark::DoNotOptimize(server.handle("GET", "/metrics"));
+    benchmark::DoNotOptimize(plane.handle("GET", "/metrics"));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(registry.size()));
 }

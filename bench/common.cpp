@@ -49,8 +49,9 @@ int run_bench(int argc, char** argv, const char* title, int (*body)(util::Args& 
     util::print_banner(title);
     const std::string metrics_out = args.get_string(
         "metrics-out", "", "write a metrics snapshot here after the run (.prom/.csv/.json)");
-    const obs::LivePlaneOptions live_options = util::declare_live_plane_flags(args);
-    util::LivePlaneScope live(args.help_requested() ? obs::LivePlaneOptions{} : live_options);
+    const util::LivePlaneOptions live_options = util::declare_live_plane_flags(args);
+    util::LivePlane live(args.help_requested() ? util::LivePlaneOptions{} : live_options);
+    live.start();
     const int rc = body(args);  // bodies return immediately under --help
     if (args.help_requested()) {
       std::fputs(args.usage().c_str(), stdout);

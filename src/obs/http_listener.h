@@ -1,5 +1,5 @@
-// Reusable loopback HTTP/1.1 listener: the socket machinery behind
-// obs::MetricsServer, generalized so the serve plane can stand on it too.
+// Reusable loopback HTTP/1.1 listener: the socket machinery behind both HTTP
+// planes, the live plane (util::LivePlane) and the serve daemon.
 //
 // One accept thread polls the listening socket with a short timeout and a
 // stop flag (prompt shutdown without pthread_cancel games) and pushes

@@ -8,8 +8,8 @@
 // /logs and Envoy's admin tail play.
 //
 // Sits in obs (std-library only) so util::log can append into it without a
-// layering inversion: obs is BELOW util, and the MetricsServer — also obs —
-// reads the ring directly.
+// layering inversion: obs is BELOW util, and obs::debug_endpoint — also
+// obs — reads the ring directly.
 #pragma once
 
 #include <cstdint>

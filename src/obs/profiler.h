@@ -24,8 +24,8 @@
 //                   == false) under AURIC_PROFILER_DISABLED or when a
 //                   sanitizer is detected, and callers degrade gracefully.
 //
-// Exposed over HTTP as /profilez?seconds=N (see obs::MetricsServer and the
-// serve daemon) and as the --profile-out live-plane flag.
+// Exposed over HTTP as /profilez?seconds=N (obs::debug_endpoint, on the
+// live plane and the serve daemon) and as the --profile-out live-plane flag.
 #pragma once
 
 #include <cstddef>

@@ -78,10 +78,10 @@ AlertRule::Kind parse_kind(const std::string& text) {
 }
 
 AlertRule::Op parse_op(const std::string& text) {
-  if (text == ">" || text == "gt") return AlertRule::Op::kGt;
-  if (text == ">=" || text == "ge") return AlertRule::Op::kGe;
-  if (text == "<" || text == "lt") return AlertRule::Op::kLt;
-  if (text == "<=" || text == "le") return AlertRule::Op::kLe;
+  if (text == ">") return AlertRule::Op::kGt;
+  if (text == ">=") return AlertRule::Op::kGe;
+  if (text == "<") return AlertRule::Op::kLt;
+  if (text == "<=") return AlertRule::Op::kLe;
   throw std::invalid_argument("unknown rule op '" + text + "'");
 }
 

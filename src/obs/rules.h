@@ -93,8 +93,8 @@ class RuleEngine {
   /// `kind` is threshold | rate_over_window | absence | burn_rate; `metric`
   /// is a series selector (burn_rate writes "num/den" — the '/' is split
   /// outside braces; threshold selectors accept a `:p50`/`:p90`/`:p99`
-  /// histogram-quantile suffix); `op` is > >= < <= (or gt ge lt le); trailing empty
-  /// cells fall back to defaults (window 60 s, fire_for/resolve_for 1).
+  /// histogram-quantile suffix); `op` is > >= < <=; trailing empty cells
+  /// fall back to defaults (window 60 s, fire_for/resolve_for 1).
   /// Commas inside {...} or "..." do not split cells. Returns the number of
   /// rules added; throws std::invalid_argument with line context on a
   /// malformed row.

@@ -168,17 +168,24 @@ void Sampler::tick(double t) {
   if (pre_tick_) {
     pre_tick_();
   }
-  append(t, registry_->snapshot());
-  if (on_tick_) {
-    on_tick_(t);
-  }
+  tick_with(t, registry_->snapshot());
 }
 
 void Sampler::tick_with(double t, std::vector<MetricSample> samples) {
-  if (pre_tick_) {
-    pre_tick_();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!ring_.empty() && t <= newest().t) {
+      throw std::invalid_argument("sampler tick time must be strictly increasing");
+    }
+    ++ticks_;
+    SamplePoint point{t, std::move(samples)};
+    if (ring_.size() < options_.capacity) {
+      ring_.push_back(std::move(point));
+    } else {
+      ring_[head_] = std::move(point);
+      head_ = (head_ + 1) % ring_.size();
+    }
   }
-  append(t, std::move(samples));
   if (on_tick_) {
     on_tick_(t);
   }
@@ -231,24 +238,12 @@ void Sampler::run_loop() {
   running_.store(false);
 }
 
-void Sampler::append(double t, std::vector<MetricSample> samples) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!ring_.empty()) {
-    const SamplePoint& newest =
-        ring_.size() < options_.capacity ? ring_.back() : ring_[(head_ + ring_.size() - 1) % ring_.size()];
-    if (t <= newest.t) {
-      throw std::invalid_argument("sampler tick time must be strictly increasing");
-    }
-  }
-  ++ticks_;
-  SamplePoint point{t, std::move(samples)};
-  if (ring_.size() < options_.capacity) {
-    ring_.push_back(std::move(point));
-    return;
-  }
-  ring_[head_] = std::move(point);
-  head_ = (head_ + 1) % ring_.size();
+const SamplePoint& Sampler::at(std::size_t i) const {
+  // head_ stays 0 until the ring fills, so one expression serves both states.
+  return ring_[(head_ + i) % ring_.size()];
 }
+
+const SamplePoint& Sampler::newest() const { return at(ring_.size() - 1); }
 
 std::size_t Sampler::size() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -265,9 +260,7 @@ std::optional<double> Sampler::last_time() const {
   if (ring_.empty()) {
     return std::nullopt;
   }
-  const SamplePoint& newest =
-      ring_.size() < options_.capacity ? ring_.back() : ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  return newest.t;
+  return newest().t;
 }
 
 namespace {
@@ -296,12 +289,8 @@ std::vector<SamplePoint> Sampler::points() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<SamplePoint> out;
   out.reserve(ring_.size());
-  if (ring_.size() < options_.capacity) {
-    out = ring_;
-  } else {
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(head_ + i) % ring_.size()]);
-    }
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    out.push_back(at(i));
   }
   return out;
 }
@@ -311,9 +300,7 @@ std::optional<double> Sampler::value(const SeriesSelector& selector) const {
   if (ring_.empty()) {
     return std::nullopt;
   }
-  const SamplePoint& newest =
-      ring_.size() < options_.capacity ? ring_.back() : ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  return scalar_in(newest, selector);
+  return scalar_in(newest(), selector);
 }
 
 std::optional<double> Sampler::rate(const SeriesSelector& selector, double window_s) const {
@@ -325,29 +312,25 @@ std::optional<double> Sampler::rate(const SeriesSelector& selector, double windo
   if (n < 2 || window_s <= 0) {
     return std::nullopt;
   }
-  const bool full = n >= options_.capacity;
-  const auto at = [&](std::size_t i) -> const SamplePoint& {
-    return full ? ring_[(head_ + i) % n] : ring_[i];
-  };
-  const SamplePoint& newest = at(n - 1);
-  // Oldest snapshot still inside [newest.t - window_s, newest.t); fall back
+  const SamplePoint& latest = newest();
+  // Oldest snapshot still inside [latest.t - window_s, latest.t); fall back
   // to the immediately preceding snapshot when the window is narrower than
   // one sampling interval. The ring is time-ordered oldest first, so the
   // first point inside the window is the oldest one.
   const SamplePoint* oldest = &at(n - 2);
   for (std::size_t i = 0; i < n; ++i) {
     const SamplePoint& p = at(i);
-    if (p.t >= newest.t - window_s && p.t < newest.t) {
+    if (p.t >= latest.t - window_s && p.t < latest.t) {
       oldest = &p;
       break;
     }
   }
-  std::optional<double> v_new = scalar_in(newest, selector);
+  std::optional<double> v_new = scalar_in(latest, selector);
   std::optional<double> v_old = scalar_in(*oldest, selector);
   if (!v_new || !v_old) {
     return std::nullopt;
   }
-  double dt = newest.t - oldest->t;
+  double dt = latest.t - oldest->t;
   if (dt <= 0) {
     return std::nullopt;
   }
@@ -359,9 +342,7 @@ std::optional<double> Sampler::quantile(const SeriesSelector& selector, double q
   if (ring_.empty()) {
     return std::nullopt;
   }
-  const SamplePoint& newest =
-      ring_.size() < options_.capacity ? ring_.back() : ring_[(head_ + ring_.size() - 1) % ring_.size()];
-  for (const MetricSample& sample : newest.samples) {
+  for (const MetricSample& sample : newest().samples) {
     if (sample.kind != MetricSample::Kind::kHistogram || !selector.matches(sample)) {
       continue;
     }

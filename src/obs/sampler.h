@@ -80,13 +80,15 @@ class Sampler {
   /// for tests and single-threaded callers.
   void tick(double t);
 
-  /// Injects a prebuilt snapshot instead of scraping the registry — unit
-  /// tests drive the rate/quantile math with hand-computed fixtures.
+  /// Appends a prebuilt snapshot instead of scraping the registry — tick()
+  /// ends here, and unit tests drive the rate/quantile math with
+  /// hand-computed fixtures through it.
   void tick_with(double t, std::vector<MetricSample> samples);
 
-  /// Hooks run around every tick (manual or background): pre fires before
-  /// the snapshot is taken (refresh derived gauges so they are IN the
-  /// snapshot), post fires after the ring is updated, outside the lock.
+  /// Hooks run around every tick: pre fires in tick() before the registry
+  /// is scraped (refresh derived gauges so they are IN the snapshot; an
+  /// injected snapshot has nothing to refresh), post fires after the ring
+  /// is updated, outside the lock.
   void set_pre_tick(std::function<void()> hook);
   void set_on_tick(std::function<void(double t)> hook);
 
@@ -132,7 +134,10 @@ class Sampler {
   void clear();
 
  private:
-  void append(double t, std::vector<MetricSample> samples);
+  /// The i-th snapshot, oldest first, and the newest; callers hold mu_ and
+  /// the ring is non-empty.
+  const SamplePoint& at(std::size_t i) const;
+  const SamplePoint& newest() const;
   void run_loop();
 
   const MetricsRegistry* registry_;

@@ -10,9 +10,8 @@
 #include <utility>
 
 #include "core/engine_diff.h"
-#include "obs/log_buffer.h"
+#include "obs/debug_endpoint.h"
 #include "obs/rules.h"
-#include "obs/server.h"
 #include "obs/trace.h"
 #include "smartlaunch/sharded_ems.h"
 #include "util/drain.h"
@@ -361,8 +360,7 @@ obs::HttpResponse ServeDaemon::handle(const obs::HttpRequest& request) {
       return healthz();
     }
     if (std::optional<obs::HttpResponse> debug =
-            obs::debug_endpoint(path, request.query(), *registry_, &obs::TraceRecorder::global(),
-                                &obs::LogBuffer::global())) {
+            obs::debug_endpoint(path, request.query(), *registry_)) {
       return std::move(*debug);
     }
     if (path == "/modelz") {

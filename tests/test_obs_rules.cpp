@@ -305,6 +305,8 @@ TEST(RuleEngine, LoadTextReportsOriginAndLineOnErrors) {
   expect_error("r,threshold,m,>\n", "name,kind,metric,op,value");
   expect_error("r,woops,m,>,1\n", "unknown rule kind");
   expect_error("r,threshold,m,~,1\n", "unknown rule op");
+  // Ops are symbols only; the word spellings are not accepted.
+  expect_error("ok,threshold,m,>=,1\nr,threshold,m,ge,1\n", "rules.csv:2: unknown rule op 'ge'");
   expect_error("r,threshold,m,>,abc\n", "bad value");
   expect_error("r,burn_rate,no_slash,>,1,5,30\n", "num/den");
   expect_error("r,threshold,m,>,1\nr,threshold,m,>,2\n", "duplicate");

@@ -1,4 +1,4 @@
-#include "obs/server.h"
+#include "util/obs_flags.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -19,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/debug_endpoint.h"
 #include "obs/http_listener.h"
 #include "obs/log_buffer.h"
 #include "obs/profiler.h"
@@ -72,123 +76,164 @@ std::string http_get(std::uint16_t port, const std::string& target) {
   return http_request(port, "GET " + target + " HTTP/1.1\r\nHost: localhost\r\n\r\n");
 }
 
-TEST(MetricsServer, HandleRoutesEveryEndpoint) {
+// Writes `text` to a fresh file under the temp directory; returns its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream(path, std::ios::trunc) << text;
+  return path;
+}
+
+std::string first_line(const std::string& path) {
+  std::ifstream file(path);
+  std::string line;
+  std::getline(file, line);
+  return line;
+}
+
+// A plane whose sampler ticks only by hand and whose listener stays down.
+util::LivePlaneOptions manual_options() {
+  util::LivePlaneOptions options;
+  options.sample_interval_ms = 0.0;
+  return options;
+}
+
+util::LivePlaneOptions listening_options(std::uint16_t port = 0) {
+  util::LivePlaneOptions options = manual_options();
+  options.serve = true;
+  options.port = port;
+  return options;
+}
+
+TEST(LivePlane, HandleRoutesEveryEndpoint) {
   MetricsRegistry reg;
   reg.counter("req_total", "requests").inc(7);
-  MetricsServer server(reg);
+  util::LivePlane plane({}, reg);
 
-  MetricsServer::Response metrics = server.handle("GET", "/metrics");
+  HttpResponse metrics = plane.handle("GET", "/metrics");
   EXPECT_EQ(metrics.status, 200);
   EXPECT_NE(metrics.content_type.find("version=0.0.4"), std::string::npos);
   EXPECT_NE(metrics.body.find("req_total 7"), std::string::npos);
 
-  MetricsServer::Response varz = server.handle("GET", "/varz");
+  HttpResponse varz = plane.handle("GET", "/varz");
   EXPECT_EQ(varz.status, 200);
   EXPECT_EQ(varz.content_type, "application/json");
   EXPECT_EQ(varz.body.front(), '[');
   EXPECT_NE(varz.body.find("\"name\":\"req_total\""), std::string::npos);
 
   // Query strings are stripped; endpoints take no parameters.
-  EXPECT_EQ(server.handle("GET", "/metrics?format=json").status, 200);
+  EXPECT_EQ(plane.handle("GET", "/metrics?format=json").status, 200);
   // The index lists the endpoints; unknown paths are 404, non-GET is 405.
-  EXPECT_NE(server.handle("GET", "/").body.find("/healthz"), std::string::npos);
-  EXPECT_EQ(server.handle("GET", "/nope").status, 404);
-  EXPECT_EQ(server.handle("POST", "/metrics").status, 405);
-  EXPECT_EQ(server.handle("HEAD", "/metrics").status, 405);
+  EXPECT_NE(plane.handle("GET", "/").body.find("/healthz"), std::string::npos);
+  EXPECT_EQ(plane.handle("GET", "/nope").status, 404);
+  EXPECT_EQ(plane.handle("POST", "/metrics").status, 405);
+  EXPECT_EQ(plane.handle("HEAD", "/metrics").status, 405);
 }
 
-TEST(MetricsServer, OptionalSourcesGateTheirEndpoints) {
+TEST(LivePlane, OptionalSourcesGateTheirEndpoints) {
   MetricsRegistry reg;
-  MetricsServer server(reg);
-  // Nothing wired: healthz degrades to "alive == healthy", the rest 404.
-  MetricsServer::Response healthz = server.handle("GET", "/healthz");
+  util::LivePlane plane({}, reg);
+  // No rules loaded: healthz degrades to "alive == healthy".
+  HttpResponse healthz = plane.handle("GET", "/healthz");
   EXPECT_EQ(healthz.status, 200);
   EXPECT_NE(healthz.body.find("\"status\":\"ok\""), std::string::npos);
-  EXPECT_EQ(server.handle("GET", "/tracez").status, 404);
-  EXPECT_EQ(server.handle("GET", "/logz").status, 404);
+  // /healthz belongs to the plane's own router, not the shared debug one.
+  EXPECT_FALSE(debug_endpoint("/healthz", "", reg).has_value());
 
-  TraceRecorder traces(8);
+  // /tracez and /logz serve the process-wide span ring and log buffer.
+  TraceRecorder& traces = TraceRecorder::global();
+  traces.clear();
   { ScopedSpan span("test.span", traces); }
-  LogBuffer logs(8);
+  LogBuffer& logs = LogBuffer::global();
+  logs.clear();
   logs.append("hello from the ring");
-  server.set_trace_recorder(&traces);
-  server.set_log_buffer(&logs);
-  MetricsServer::Response tracez = server.handle("GET", "/tracez");
+  HttpResponse tracez = plane.handle("GET", "/tracez");
   EXPECT_EQ(tracez.status, 200);
   EXPECT_EQ(tracez.content_type, "application/x-ndjson");
   EXPECT_NE(tracez.body.find("\"name\":\"test.span\""), std::string::npos);
-  MetricsServer::Response logz = server.handle("GET", "/logz");
+  HttpResponse logz = plane.handle("GET", "/logz");
   EXPECT_EQ(logz.status, 200);
   EXPECT_EQ(logz.body, "hello from the ring\n");
+  traces.clear();
+  logs.clear();
 }
 
-TEST(MetricsServer, HealthzFollowsTheRuleEngineVerdict) {
+TEST(LivePlane, ModelzServesTheRegisteredSourceUntilUnregistered) {
   MetricsRegistry reg;
-  RuleEngine engine(reg);
-  AlertRule rule;
-  rule.name = "must_fire";
-  rule.kind = AlertRule::Kind::kAbsence;
-  rule.metric = SeriesSelector::parse("no_such_metric");
-  engine.add_rule(rule);
-  engine.set_log([](const std::string&) {});
-  MetricsServer server(reg);
-  server.set_rule_engine(&engine);
+  util::LivePlane plane({}, reg);
+  EXPECT_EQ(plane.handle("GET", "/modelz").status, 404);
+  EXPECT_EQ(plane.handle("GET", "/").body.find("/modelz"), std::string::npos);
+  plane.set_modelz([] { return std::string("{\"psi\":0}"); });
+  HttpResponse modelz = plane.handle("GET", "/modelz");
+  EXPECT_EQ(modelz.status, 200);
+  EXPECT_EQ(modelz.content_type, "application/json");
+  EXPECT_EQ(modelz.body, "{\"psi\":0}");
+  EXPECT_NE(plane.handle("GET", "/").body.find("/modelz"), std::string::npos);
+  plane.set_modelz(nullptr);
+  EXPECT_EQ(plane.handle("GET", "/modelz").status, 404);
+}
 
-  EXPECT_EQ(server.handle("GET", "/healthz").status, 200);  // not yet evaluated
-  Sampler sampler(reg);
-  sampler.tick_with(1.0, {});
-  engine.evaluate(sampler, 1.0);
-  MetricsServer::Response firing = server.handle("GET", "/healthz");
+TEST(LivePlane, HealthzFollowsTheRuleEngineVerdict) {
+  MetricsRegistry reg;
+  util::LivePlaneOptions options = manual_options();
+  options.rules_file = write_temp("auric_plane_must_fire.rules",
+                                  "must_fire,absence,no_such_metric,>,0\n");
+  util::LivePlane plane(options, reg);
+  ASSERT_NE(plane.rules(), nullptr);
+  plane.rules()->set_log([](const std::string&) {});
+
+  EXPECT_EQ(plane.handle("GET", "/healthz").status, 200);  // not yet evaluated
+  plane.sampler()->tick(1.0);  // the plane evaluates its rules on every tick
+  HttpResponse firing = plane.handle("GET", "/healthz");
   EXPECT_EQ(firing.status, 503);
   EXPECT_NE(firing.body.find("\"status\":\"alerting\""), std::string::npos);
   EXPECT_NE(firing.body.find("must_fire"), std::string::npos);
 }
 
-TEST(MetricsServer, ServesOverAnEphemeralPort) {
+TEST(LivePlane, ServesOverAnEphemeralPort) {
   MetricsRegistry reg;
   reg.counter("live_total", "liveness probe").inc(3);
-  MetricsServer server(reg);
-  EXPECT_EQ(server.port(), 0);
-  server.start();
-  EXPECT_TRUE(server.running());
-  EXPECT_NE(server.port(), 0);
+  util::LivePlane plane(listening_options(), reg);
+  EXPECT_EQ(plane.port(), 0);
+  plane.start();
+  EXPECT_TRUE(plane.listening());
+  const std::uint16_t port = plane.port();
+  EXPECT_NE(port, 0);
 
-  const std::string response = http_get(server.port(), "/metrics");
+  const std::string response = http_get(port, "/metrics");
   EXPECT_EQ(response.rfind("HTTP/1.1 200 OK\r\n", 0), 0u);
   EXPECT_NE(response.find("Content-Length: "), std::string::npos);
   EXPECT_NE(response.find("Connection: close"), std::string::npos);
   EXPECT_NE(response.find("live_total 3"), std::string::npos);
 
-  EXPECT_NE(http_get(server.port(), "/nope").rfind("HTTP/1.1 404", 0), std::string::npos);
-  EXPECT_GE(server.requests_served(), 2u);
-  server.stop();
-  EXPECT_FALSE(server.running());
-  server.stop();  // idempotent
-  EXPECT_THROW(http_get(server.port(), "/metrics"), std::runtime_error);
+  EXPECT_NE(http_get(port, "/nope").rfind("HTTP/1.1 404", 0), std::string::npos);
+  EXPECT_GE(plane.requests_served(), 2u);
+  plane.stop();
+  EXPECT_FALSE(plane.listening());
+  plane.stop();  // idempotent
+  EXPECT_THROW(http_get(port, "/metrics"), std::runtime_error);
 }
 
-TEST(MetricsServer, RejectsMalformedAndOversizedRequests) {
+TEST(LivePlane, RejectsMalformedAndOversizedRequests) {
   MetricsRegistry reg;
-  MetricsServerOptions options;
-  options.max_request_bytes = 256;
-  MetricsServer server(reg, options);
-  server.start();
+  util::LivePlane plane(listening_options(), reg);
+  plane.start();
 
-  EXPECT_EQ(http_request(server.port(), "GARBAGE\r\n\r\n").rfind("HTTP/1.1 400", 0), 0u);
-  EXPECT_EQ(http_request(server.port(), "GET /metrics\r\n\r\n").rfind("HTTP/1.1 400", 0), 0u);
-  EXPECT_EQ(http_request(server.port(), "POST /metrics HTTP/1.1\r\n\r\n").rfind("HTTP/1.1 405", 0),
+  EXPECT_EQ(http_request(plane.port(), "GARBAGE\r\n\r\n").rfind("HTTP/1.1 400", 0), 0u);
+  EXPECT_EQ(http_request(plane.port(), "GET /metrics\r\n\r\n").rfind("HTTP/1.1 400", 0), 0u);
+  EXPECT_EQ(http_request(plane.port(), "POST /metrics HTTP/1.1\r\n\r\n").rfind("HTTP/1.1 405", 0),
             0u);
+  // Past the listener's 8 KiB request bound.
   const std::string oversized =
-      "GET /metrics HTTP/1.1\r\nX-Padding: " + std::string(512, 'x') + "\r\n\r\n";
-  EXPECT_EQ(http_request(server.port(), oversized).rfind("HTTP/1.1 413", 0), 0u);
-  server.stop();
+      "GET /metrics HTTP/1.1\r\nX-Padding: " + std::string(9000, 'x') + "\r\n\r\n";
+  EXPECT_EQ(http_request(plane.port(), oversized).rfind("HTTP/1.1 413", 0), 0u);
+  plane.stop();
 }
 
-TEST(MetricsServer, ConcurrentScrapesAllSucceed) {
+TEST(LivePlane, ConcurrentScrapesAllSucceed) {
   MetricsRegistry reg;
   reg.counter("scrape_total").inc(1);
-  MetricsServer server(reg);
-  server.start();
+  util::LivePlane plane(listening_options(), reg);
+  plane.start();
   constexpr int kClients = 8;
   constexpr int kRequestsEach = 5;
   std::vector<std::thread> clients;
@@ -197,7 +242,7 @@ TEST(MetricsServer, ConcurrentScrapesAllSucceed) {
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       for (int i = 0; i < kRequestsEach; ++i) {
-        const std::string response = http_get(server.port(), "/metrics");
+        const std::string response = http_get(plane.port(), "/metrics");
         if (response.rfind("HTTP/1.1 200", 0) == 0 &&
             response.find("scrape_total 1") != std::string::npos) {
           ++ok[c];
@@ -213,36 +258,126 @@ TEST(MetricsServer, ConcurrentScrapesAllSucceed) {
     total += n;
   }
   EXPECT_EQ(total, kClients * kRequestsEach);
-  EXPECT_GE(server.requests_served(), static_cast<std::uint64_t>(kClients * kRequestsEach));
-  server.stop();
+  EXPECT_GE(plane.requests_served(), static_cast<std::uint64_t>(kClients * kRequestsEach));
+  plane.stop();
 }
 
-TEST(MetricsServer, RebindingAFixedPortAfterStopWorks) {
+TEST(LivePlane, RebindingAFixedPortAfterStopWorks) {
   MetricsRegistry reg;
-  MetricsServer first(reg);
+  util::LivePlane first(listening_options(), reg);
   first.start();
   const std::uint16_t port = first.port();
   first.stop();
 
-  MetricsServerOptions options;
-  options.port = port;  // freed by stop(); SO_REUSEADDR covers TIME_WAIT
-  MetricsServer second(reg, options);
+  // Freed by stop(); SO_REUSEADDR covers TIME_WAIT.
+  util::LivePlane second(listening_options(port), reg);
   second.start();
   EXPECT_EQ(second.port(), port);
   EXPECT_EQ(http_get(port, "/healthz").rfind("HTTP/1.1 200", 0), 0u);
   second.stop();
 }
 
-TEST(MetricsServer, BadBindAddressThrows) {
+TEST(LivePlane, BadBindAddressThrows) {
   MetricsRegistry reg;
-  MetricsServerOptions options;
+  util::LivePlane plane({}, reg);
+  HttpListenerOptions options;
   options.bind_address = "not-an-address";
-  MetricsServer server(reg, options);
-  EXPECT_THROW(server.start(), std::runtime_error);
-  EXPECT_FALSE(server.running());
+  HttpListener listener(
+      [&plane](const HttpRequest& request) { return plane.handle(request.method, request.target); },
+      options);
+  EXPECT_THROW(listener.start(), std::runtime_error);
+  EXPECT_FALSE(listener.running());
+
+  // The plane itself binds loopback only; a port already in use fails start().
+  util::LivePlane holder(listening_options(), reg);
+  holder.start();
+  util::LivePlane clash(listening_options(holder.port()), reg);
+  EXPECT_THROW(clash.start(), std::runtime_error);
+  EXPECT_FALSE(clash.listening());
 }
 
-// --- shared HttpListener hardening (the machinery under MetricsServer and
+TEST(LivePlane, RulesWithoutServeMetricsLoadAndEvaluate) {
+  MetricsRegistry reg;
+  reg.gauge("some_gauge").set(10.0);
+  util::LivePlaneOptions options;
+  options.sample_interval_ms = 5.0;
+  options.rules_file = write_temp("auric_plane_depth.rules", "depth,threshold,some_gauge,>,5\n");
+  util::LivePlane plane(options, reg);
+  ASSERT_NE(plane.rules(), nullptr);
+  plane.rules()->set_log([](const std::string&) {});
+  EXPECT_EQ(plane.rules()->size(), 1u);
+  plane.start();
+  EXPECT_FALSE(plane.listening());
+  EXPECT_EQ(plane.port(), 0);
+  for (int i = 0; i < 2000 && plane.rules()->evaluations() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(plane.rules()->evaluations(), 0u);
+  EXPECT_EQ(plane.handle("GET", "/healthz").status, 503);
+  plane.stop();
+}
+
+TEST(LivePlane, SeriesOutAloneWritesTheCsvAtStop) {
+  MetricsRegistry reg;
+  reg.counter("series_total").inc(4);
+  util::LivePlaneOptions options = manual_options();
+  options.series_out =
+      (std::filesystem::temp_directory_path() / "auric_plane_series.csv").string();
+  std::filesystem::remove(options.series_out);
+  util::LivePlane plane(options, reg);
+  ASSERT_NE(plane.sampler(), nullptr);
+  plane.start();
+  EXPECT_FALSE(plane.listening());
+  EXPECT_FALSE(std::filesystem::exists(options.series_out));
+  plane.stop();  // one final tick, then the dump
+  const std::string header = first_line(options.series_out);
+  EXPECT_EQ(header.rfind("t_s,", 0), 0u) << header;
+  EXPECT_NE(header.find("series_total"), std::string::npos) << header;
+}
+
+TEST(LivePlane, MalformedRulesFileThrowsWithFileAndLine) {
+  const std::string path =
+      write_temp("auric_plane_bad.rules", "# a comment\nr,threshold,m,~,1\n");
+  util::LivePlaneOptions options = manual_options();
+  options.rules_file = path;
+  MetricsRegistry reg;
+  try {
+    util::LivePlane plane(options, reg);
+    FAIL() << "expected the malformed rules file to throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2:"), std::string::npos) << e.what();
+  }
+  options.rules_file = path + ".missing";
+  try {
+    util::LivePlane plane(options, reg);
+    FAIL() << "expected the missing rules file to throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(options.rules_file), std::string::npos) << e.what();
+  }
+}
+
+TEST(LivePlane, TraceRingDropGaugeIsInEverySnapshot) {
+  MetricsRegistry reg;
+  util::LivePlaneOptions options = manual_options();
+  options.rules_file = write_temp("auric_plane_drops.rules",
+                                  "trace_ring_drops,threshold,obs_trace_ring_dropped,>,1e12\n");
+  util::LivePlane plane(options, reg);
+  plane.rules()->set_log([](const std::string&) {});
+  plane.sampler()->tick(1.0);
+  plane.sampler()->tick(2.0);
+  const std::vector<SamplePoint> points = plane.sampler()->points();
+  ASSERT_EQ(points.size(), 2u);
+  for (const SamplePoint& point : points) {
+    EXPECT_TRUE(std::any_of(point.samples.begin(), point.samples.end(),
+                            [](const MetricSample& s) { return s.name == "obs_trace_ring_dropped"; }));
+  }
+  // The rule reads the gauge, so it has a value rather than "absent".
+  const std::vector<RuleState> states = plane.rules()->states();
+  ASSERT_EQ(states.size(), 1u);
+  EXPECT_TRUE(states[0].last_value.has_value());
+}
+
+// --- shared HttpListener hardening (the machinery under the live plane and
 // --- the serve daemon) ---
 
 int connect_to(std::uint16_t port) {
@@ -641,10 +776,11 @@ TEST(HttpListener, ConflictingContentLengthsAre400) {
   listener.stop();
 }
 
-TEST(MetricsServer, TracezRoutesTraceIdAndMinMsQueries) {
+TEST(LivePlane, TracezRoutesTraceIdAndMinMsQueries) {
   MetricsRegistry reg;
-  MetricsServer server(reg);
-  TraceRecorder traces(16);
+  util::LivePlane plane({}, reg);
+  TraceRecorder& traces = TraceRecorder::global();
+  traces.clear();
   TailOptions tail;
   tail.min_ms = 0.0;
   traces.set_tail_options(tail);
@@ -653,28 +789,27 @@ TEST(MetricsServer, TracezRoutesTraceIdAndMinMsQueries) {
     ScopedSpan span("kept.span", traces);
     id = span.trace();
   }
-  server.set_trace_recorder(&traces);
-  MetricsServer::Response by_id =
-      server.handle("GET", "/tracez?trace_id=" + trace_id_hex(id));
+  HttpResponse by_id = plane.handle("GET", "/tracez?trace_id=" + trace_id_hex(id));
   EXPECT_EQ(by_id.status, 200);
   EXPECT_NE(by_id.body.find("\"name\":\"kept.span\""), std::string::npos);
-  MetricsServer::Response miss =
-      server.handle("GET", "/tracez?trace_id=" + std::string(32, 'e'));
+  HttpResponse miss = plane.handle("GET", "/tracez?trace_id=" + std::string(32, 'e'));
   EXPECT_EQ(miss.status, 200);
   EXPECT_TRUE(miss.body.empty());
-  MetricsServer::Response slow = server.handle("GET", "/tracez?min_ms=0");
+  HttpResponse slow = plane.handle("GET", "/tracez?min_ms=0");
   EXPECT_NE(slow.body.find("\"dur_ms\":"), std::string::npos);
+  traces.clear();
+  traces.set_tail_options(TailOptions{});  // restore defaults for later tests
 }
 
-TEST(MetricsServer, ProfilezReportsSupportBusyAndBadParams) {
+TEST(LivePlane, ProfilezReportsSupportBusyAndBadParams) {
   MetricsRegistry reg;
-  MetricsServer server(reg);
+  util::LivePlane plane({}, reg);
   if (!Profiler::supported()) {
     // Sanitizer / non-Linux builds: the route must say so, not 404.
-    EXPECT_EQ(server.handle("GET", "/profilez").status, 501);
+    EXPECT_EQ(plane.handle("GET", "/profilez").status, 501);
     return;
   }
-  EXPECT_EQ(server.handle("GET", "/profilez?seconds=abc").status, 400);
+  EXPECT_EQ(plane.handle("GET", "/profilez?seconds=abc").status, 400);
 
   // Keep a core busy so SIGPROF has CPU time to sample.
   std::atomic<bool> stop{false};
@@ -684,7 +819,7 @@ TEST(MetricsServer, ProfilezReportsSupportBusyAndBadParams) {
       sink = sink * 31 + 1;
     }
   });
-  MetricsServer::Response profile = server.handle("GET", "/profilez?seconds=1");
+  HttpResponse profile = plane.handle("GET", "/profilez?seconds=1");
   stop.store(true);
   burner.join();
   EXPECT_EQ(profile.status, 200);

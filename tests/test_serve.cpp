@@ -8,6 +8,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "test_helpers.h"
 #include "util/drain.h"
 #include "util/log.h"
+#include "util/obs_flags.h"
 #include "util/strings.h"
 
 namespace auric::serve {
@@ -632,18 +635,24 @@ TEST(ServeDaemon, IncrementalRelearnRidesTheShadowAuditAndFlipRateCap) {
 
 TEST(ServeDaemon, FiringAlertRulesFlipHealthzToAlerting) {
   Fixture f;
+  // As `auric serve --rules FILE` wires it: the live plane loads the rules
+  // and evaluates them on its sampler's ticks; the daemon, which must not
+  // outlive the plane, reads the verdict.
+  util::LivePlaneOptions plane_options;
+  plane_options.sample_interval_ms = 0.0;  // ticks by hand below
+  plane_options.rules_file =
+      (std::filesystem::temp_directory_path() / "auric_serve_depth.rules").string();
+  std::ofstream(plane_options.rules_file, std::ios::trunc) << "depth,threshold,some_gauge,>,5\n";
+  util::LivePlane plane(plane_options, f.registry);
+  plane.rules()->set_log([](const std::string&) {});
   ServeDaemon daemon = f.daemon(f.options());
-  obs::RuleEngine rules(f.registry);
-  rules.set_log([](const std::string&) {});
-  rules.load_text("depth,threshold,some_gauge,>,5\n");
-  daemon.set_rule_engine(&rules);
+  daemon.set_rule_engine(plane.rules());
   daemon.warm_up();
+  plane.start();
 
   EXPECT_EQ(daemon.handle(get("/healthz")).status, 200);
-  obs::Sampler sampler(f.registry);
   f.registry.gauge("some_gauge").set(10.0);
-  sampler.tick(1.0);
-  rules.evaluate(sampler, 1.0);
+  plane.sampler()->tick(1.0);
   obs::HttpResponse health = daemon.handle(get("/healthz"));
   EXPECT_EQ(health.status, 503);
   EXPECT_NE(health.body.find("\"status\":\"alerting\""), std::string::npos);

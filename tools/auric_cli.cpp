@@ -33,8 +33,8 @@
 //       days' slot deltas to the engine in place instead of rebuilding every
 //       table (byte-identical weekly output at the default drift threshold);
 //       --relearn-threads fans the per-parameter work out (also byte-exact).
-//       With --serve-metrics the live plane
-//       additionally exposes /modelz: the ModelWatch model-quality document.
+//       With --serve-metrics the live plane additionally exposes /modelz:
+//       the ModelWatch model-quality document.
 //       SIGTERM/SIGINT drain gracefully: the current day finishes, a final
 //       sealed checkpoint commits, and --resume continues bit-identically.
 //
@@ -44,7 +44,9 @@
 //       over loopback HTTP, with admission control, per-request deadlines,
 //       per-market bulkheads, hot engine swap (POST /relearn, optionally
 //       ?mode=full|incremental) and graceful drain on SIGTERM/SIGINT or
-//       POST /quit.
+//       POST /quit. --rules evaluates an alert-rules file into the daemon's
+//       /healthz ("alerting" while a rule fires); --serve-metrics is refused,
+//       since the daemon answers the live plane's endpoints on --port.
 //
 //   auric loadgen   --port N [--clients N] [--requests N] [--fault-prob F]
 //       Seeded closed-loop load generator against a serve daemon; exits
@@ -66,7 +68,8 @@
 //
 // Every subcommand additionally accepts the live-plane flags
 // (--serve-metrics[=PORT] --sample-interval-ms --rules FILE --series-out):
-// with --serve-metrics the process exposes /metrics /healthz /varz /tracez
+// --rules and --series-out sample the registry on their own, and with
+// --serve-metrics the process also exposes /metrics /healthz /varz /tracez
 // /logz on loopback WHILE it runs.
 #include <cstdio>
 #include <algorithm>
@@ -90,9 +93,8 @@
 #include "netsim/attributes.h"
 #include "netsim/generator.h"
 #include "obs/metrics.h"
-#include "obs/trace_stats.h"
-#include "obs/rules.h"
 #include "obs/sampler.h"
+#include "obs/trace_stats.h"
 #include "serve/daemon.h"
 #include "serve/loadgen.h"
 #include "smartlaunch/replay.h"
@@ -254,7 +256,7 @@ int cmd_rules(util::Args& args) {
   return 0;
 }
 
-int cmd_replay(util::Args& args, util::LivePlaneScope& live) {
+int cmd_replay(util::Args& args, util::LivePlane& live) {
   const std::string dir =
       args.get_string("data", "", "inventory directory (default: synthetic network)");
   netsim::TopologyParams params;
@@ -359,16 +361,11 @@ int cmd_replay(util::Args& args, util::LivePlaneScope& live) {
   // just above), so the endpoint registers here and MUST unregister before
   // the replay goes out of scope — the guard below outlives every return.
   struct ModelzGuard {
-    obs::MetricsServer* server = nullptr;
-    ~ModelzGuard() {
-      if (server != nullptr) server->set_json_source("/modelz", nullptr);
-    }
-  } modelz_guard;
-  if (live.active() && live.plane().server() != nullptr && replay.model_watch() != nullptr) {
-    const core::ModelWatch* watch = replay.model_watch();
-    live.plane().server()->set_json_source("/modelz",
-                                           [watch] { return watch->modelz_json(); });
-    modelz_guard.server = live.plane().server();
+    util::LivePlane& live;
+    ~ModelzGuard() { live.set_modelz(nullptr); }
+  } modelz_guard{live};
+  if (const core::ModelWatch* watch = replay.model_watch()) {
+    live.set_modelz([watch] { return watch->modelz_json(); });
   }
 
   const smartlaunch::ReplayReport report = replay.run();
@@ -440,7 +437,7 @@ int cmd_replay(util::Args& args, util::LivePlaneScope& live) {
   return 0;
 }
 
-int cmd_serve(util::Args& args) {
+int cmd_serve(util::Args& args, util::LivePlane& live) {
   const std::string dir =
       args.get_string("data", "", "inventory directory (default: synthetic network)");
   netsim::TopologyParams params;
@@ -477,10 +474,12 @@ int cmd_serve(util::Args& args) {
       "relearn-mode", "full",
       "default POST /relearn path: full rebuilds from scratch; incremental clones the "
       "serving engine and delta-updates it (per-request override: /relearn?mode=...)");
-  const std::string rules_file = args.get_string(
-      "serve-rules", "", "alert rules evaluated into /healthz (rules.h CSV dialect)");
   if (args.help_requested()) return 0;
   args.check_unknown();
+  if (live.options().serve) {
+    throw std::invalid_argument(
+        "--serve-metrics: the daemon answers /metrics /varz /tracez /logz /profilez on --port");
+  }
   options.seed = params.seed;
   if (relearn_mode == "incremental") {
     options.relearn_mode = core::RelearnMode::kIncremental;
@@ -504,27 +503,13 @@ int cmd_serve(util::Args& args) {
   serve::ServeDaemon daemon(snap.topology, snap.schema, snap.catalog, snap.assignment,
                             ground_truth, options);
 
-  // Optional live health rules: evaluated on a background sampler tick and
-  // folded into /healthz ("alerting" when any rule fires).
-  std::unique_ptr<obs::Sampler> sampler;
-  std::unique_ptr<obs::RuleEngine> rules;
-  if (!rules_file.empty()) {
-    rules = std::make_unique<obs::RuleEngine>(obs::MetricsRegistry::global());
-    rules->load_file(rules_file);
-    obs::SamplerOptions sampler_options;
-    sampler_options.interval_ms = 250.0;
-    sampler = std::make_unique<obs::Sampler>(obs::MetricsRegistry::global(), sampler_options);
-    obs::Sampler* raw_sampler = sampler.get();
-    obs::RuleEngine* raw_rules = rules.get();
-    sampler->set_on_tick([raw_sampler, raw_rules](double t) {
-      raw_rules->evaluate(*raw_sampler, t);
-    });
-    daemon.set_rule_engine(rules.get());
-  }
-
+  // --rules fold into the daemon's /healthz ("alerting" while one fires).
+  // The plane starts sampling only once the daemon is up, so the rules never
+  // judge the registry of a daemon that has not bound yet.
+  daemon.set_rule_engine(live.rules());
   util::install_drain_signal_handlers();
   daemon.start();  // learns the initial engine, then binds
-  if (sampler != nullptr) sampler->start();
+  live.start();
   std::printf("auric serve: listening on %s:%u (engine generation %llu, %zu carriers)\n",
               options.http.bind_address.c_str(), daemon.port(),
               static_cast<unsigned long long>(daemon.generation()),
@@ -536,7 +521,9 @@ int cmd_serve(util::Args& args) {
   }
   std::printf("auric serve: drain requested; finishing in-flight requests\n");
   std::fflush(stdout);
-  if (sampler != nullptr) sampler->stop();
+  // Rules stop judging once the drain begins: auric_serve_up reads 0 from
+  // here on by design, and a long drain must not page.
+  if (live.sampler() != nullptr) live.sampler()->stop();
   daemon.drain();
   std::printf("auric serve: drained cleanly (%llu requests served)\n",
               static_cast<unsigned long long>(daemon.requests_served()));
@@ -702,8 +689,10 @@ int main(int argc, char** argv) {
     // before dispatch so check_unknown() inside the commands accepts them.
     const std::string metrics_out = args.get_string(
         "metrics-out", "", "write a metrics snapshot here on exit (.prom/.csv/.json)");
-    const obs::LivePlaneOptions live_options = util::declare_live_plane_flags(args);
-    util::LivePlaneScope live(args.help_requested() ? obs::LivePlaneOptions{} : live_options);
+    const util::LivePlaneOptions live_options = util::declare_live_plane_flags(args);
+    util::LivePlane live(args.help_requested() ? util::LivePlaneOptions{} : live_options);
+    // serve starts the plane itself, once its daemon is up.
+    if (command != "serve") live.start();
     int rc = 0;
     if (command == "generate") rc = cli::cmd_generate(args);
     else if (command == "inspect") rc = cli::cmd_inspect(args);
@@ -711,7 +700,7 @@ int main(int argc, char** argv) {
     else if (command == "recommend") rc = cli::cmd_recommend(args);
     else if (command == "rules") rc = cli::cmd_rules(args);
     else if (command == "replay") rc = cli::cmd_replay(args, live);
-    else if (command == "serve") rc = cli::cmd_serve(args);
+    else if (command == "serve") rc = cli::cmd_serve(args, live);
     else if (command == "loadgen") rc = cli::cmd_loadgen(args);
     else if (command == "tracestats") rc = cli::cmd_tracestats(args);
     else if (command == "modeldiff") rc = cli::cmd_modeldiff(args);
