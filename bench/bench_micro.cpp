@@ -190,6 +190,31 @@ void BM_LocalVote(benchmark::State& state) {
 }
 BENCHMARK(BM_LocalVote);
 
+// The global ladder's miss path: a carrier outside the topology whose
+// strongest dependent holds a value the inventory never saw (its field
+// packs to all ones), so every backoff level keys on it and every level's
+// probe runs to an empty slot. Probe length at the table's load decides it.
+void BM_GlobalVoteUnseen(benchmark::State& state) {
+  const World& w = world();
+  const config::ParamId param = w.catalog.id_of("pMax");
+  const core::ParamView view = core::build_param_view(w.topo, w.catalog, w.assignment, param);
+  const core::DependencyModel deps = core::learn_dependencies(view, w.codes, w.schema, {});
+  const core::BackoffVoting voting(view, deps.dependent, *w.words, 5);
+  std::vector<std::uint64_t> words;
+  for (const netsim::Carrier& c : w.topo.carriers) {
+    std::vector<netsim::AttrCode> codes = w.schema.encode(c);
+    codes[deps.dependent.front().attr] = netsim::AttributeSchema::kUnseen;
+    words.push_back(w.words->pack(codes));
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(voting.vote_word(words[next], netsim::kInvalidCarrier, 0.75));
+    next = (next + 1) % words.size();
+  }
+  state.SetItemsProcessed(state.iterations() * voting.level_count());
+}
+BENCHMARK(BM_GlobalVoteUnseen);
+
 void BM_DecisionTreeFit(benchmark::State& state) {
   const World& w = world();
   const config::ParamId param = w.catalog.id_of("pMax");
@@ -655,7 +680,6 @@ void BM_ObsRuleEvaluation(benchmark::State& state) {
   registry.counter("all_total").inc(100);
   registry.gauge("depth").set(3.0);
   obs::RuleEngine engine(registry);
-  engine.set_log([](const std::string&) {});
   engine.load_text(
       "depth_high,threshold,depth,>,100\n"
       "bad_rate,rate_over_window,bad_total,>,50,10\n"

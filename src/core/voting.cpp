@@ -15,11 +15,10 @@ namespace {
 /// Low `width` bits set.
 std::uint64_t ones(unsigned width) { return width == 0 ? 0 : ~std::uint64_t{0} >> (64 - width); }
 
-/// Smallest power-of-two slot count that holds `groups` at load <= 3/4.
+/// Fewest slots that hold `groups` at load <= 3/4, ⌈groups·4/3⌉; at least
+/// one, so every probe run ends at an empty slot.
 std::size_t capacity_for(std::size_t groups) {
-  std::size_t capacity = 8;
-  while (capacity * 3 < groups * 4) capacity *= 2;
-  return capacity;
+  return std::max<std::size_t>(1, (groups * 4 + 2) / 3);
 }
 
 }  // namespace
@@ -90,54 +89,133 @@ KeyMask AttrWords::mask(std::span<const AttrRef> deps) const {
 
 VotingModel::VotingModel(const ParamView& view, std::span<const AttrRef> deps,
                          const AttrWords& words)
-    : deps_(deps.begin(), deps.end()), words_(&words), mask_(words.mask(deps_)) {
+    : words_(&words), mask_(words.mask(deps)), deps_(deps.begin(), deps.end()) {
+  plan_runs();
   build(view.rows(), [&](auto&& add) {
     for (std::size_t r = 0; r < view.rows(); ++r) {
-      add(key_for(view.carrier[r], view.neighbor[r]), view.label[r], 1);
+      add(gather(key_for(view.carrier[r], view.neighbor[r])), view.label[r], 1);
     }
   });
 }
 
 VotingModel::VotingModel(const VotingModel& finer, std::span<const AttrRef> deps)
-    : deps_(deps.begin(), deps.end()), words_(finer.words_), mask_(words_->mask(deps_)) {
+    : words_(finer.words_), mask_(words_->mask(deps)), deps_(deps.begin(), deps.end()) {
   if ((mask_.carrier & ~finer.mask_.carrier) != 0 ||
       (mask_.neighbor & ~finer.mask_.neighbor) != 0) {
     throw std::logic_error("VotingModel: coarsening onto attributes the finer model lacks");
   }
+  plan_runs();
   build(finer.pairs_.size() - finer.garbage_, [&](auto&& add) {
-    for (const Slot& slot : finer.slots_) {
+    for (std::size_t s = 0; s < finer.slots_.size(); ++s) {
+      const Slot& slot = finer.slots_[s];
       if (slot.size == 0) continue;
-      const GroupKey key{slot.key.carrier & mask_.carrier, slot.key.neighbor & mask_.neighbor};
+      // Gathering with this level's runs drops the fields it does not key on.
+      const Packed key = gather(finer.scatter(finer.packed_at(s)));
       for (const auto& [label, count] : finer.run(slot)) add(key, label, count);
     }
   });
 }
 
+void VotingModel::plan_runs() {
+  // The carrier side keeps its bits in place, and the neighbor side rotates
+  // whole into the free bits when some rotation fits: a key then packs with
+  // one AND per side and one rotate.
+  runs_.clear();
+  if (mask_.carrier != 0) runs_.push_back({mask_.carrier, 0});
+  neighbor_run_ = high_run_ = static_cast<std::uint8_t>(runs_.size());
+  wide_ = false;
+  if (mask_.neighbor == 0) return;
+  for (int rotate = 0; rotate < 64; ++rotate) {
+    if ((std::rotl(mask_.neighbor, rotate) & mask_.carrier) == 0) {
+      runs_.push_back({mask_.neighbor, rotate});
+      high_run_ = static_cast<std::uint8_t>(runs_.size());
+      return;
+    }
+  }
+  // Otherwise each run of adjacent mask bits packs in turn from bit 0,
+  // carrier side first; the bits past 64 go to the high word.
+  runs_.clear();
+  unsigned to = 0;  // next free bit of the packed key
+  for (const bool neighbor : {false, true}) {
+    if (neighbor) neighbor_run_ = high_run_ = static_cast<std::uint8_t>(runs_.size());
+    std::uint64_t rest = neighbor ? mask_.neighbor : mask_.carrier;
+    while (rest != 0) {
+      const auto from = static_cast<unsigned>(std::countr_zero(rest));
+      auto width = static_cast<unsigned>(std::countr_one(rest >> from));
+      if (to < 64 && to + width > 64) width = 64 - to;  // split where the low word ends
+      const std::uint64_t run = ones(width) << from;
+      runs_.push_back({run, static_cast<int>((to - from) % 64)});
+      rest &= ~run;
+      to += width;
+      if (to <= 64) high_run_ = static_cast<std::uint8_t>(runs_.size());
+    }
+  }
+  wide_ = to > 64;
+}
+
+// gather, home, probe and find are the lookup path of every vote: inlined
+// into vote() and vote_excluding(), a lookup makes no call.
+[[gnu::always_inline]] inline VotingModel::Packed VotingModel::gather(const GroupKey& key) const {
+  Packed packed;
+  std::size_t r = 0;
+  for (; r < neighbor_run_; ++r) {
+    packed.low |= std::rotl(key.carrier & runs_[r].mask, runs_[r].rotate);
+  }
+  for (; r < high_run_; ++r) {
+    packed.low |= std::rotl(key.neighbor & runs_[r].mask, runs_[r].rotate);
+  }
+  for (; r < runs_.size(); ++r) {
+    packed.high |= std::rotl(key.neighbor & runs_[r].mask, runs_[r].rotate);
+  }
+  return packed;
+}
+
+GroupKey VotingModel::scatter(const Packed& packed) const {
+  // Runs land on disjoint bits, so rotating a packed word back and masking
+  // recovers exactly one run's bits.
+  GroupKey key;
+  std::size_t r = 0;
+  for (; r < neighbor_run_; ++r) {
+    key.carrier |= std::rotr(packed.low, runs_[r].rotate) & runs_[r].mask;
+  }
+  for (; r < high_run_; ++r) {
+    key.neighbor |= std::rotr(packed.low, runs_[r].rotate) & runs_[r].mask;
+  }
+  for (; r < runs_.size(); ++r) {
+    key.neighbor |= std::rotr(packed.high, runs_[r].rotate) & runs_[r].mask;
+  }
+  return key;
+}
+
 template <typename ForEach>
 void VotingModel::build(std::size_t n, ForEach&& for_each) {
-  // Sized for n distinct keys, so no slot moves while observations point at
-  // it; shrunk to the real group count at the end.
+  // Sized for n distinct keys, so nothing grows; shrunk to the real group
+  // count at the end.
   rehash(capacity_for(n));
   struct Observation {
-    std::uint32_t slot;
+    std::uint32_t group;
     ml::ClassLabel label;
     std::int32_t votes;
   };
   std::vector<Observation> observations;
   observations.reserve(n);
-  // Observations per slot. A coarse group can hold far more than a Slot's
-  // 16-bit size codes, so the tally lives here; size only marks the slot
-  // claimed until the fold below.
-  std::vector<std::uint32_t> bucket_end(slots_.size(), 0);
-  for_each([&](const GroupKey& key, ml::ClassLabel label, std::int32_t votes) {
-    const std::size_t index = claim(key);
-    slots_[index].size = 1;
-    ++bucket_end[index];
-    observations.push_back({static_cast<std::uint32_t>(index), label, votes});
+  // Observations per group, numbered in order of first appearance. Inserts
+  // move slots, so until the fold below a slot's `begin` holds its group's
+  // number and its size only marks it claimed. A coarse group can hold far
+  // more than a Slot's 16-bit size codes, so the tally lives here.
+  std::vector<std::uint32_t> bucket_end(n, 0);
+  for_each([&](const Packed& key, ml::ClassLabel label, std::int32_t votes) {
+    Slot& slot = slots_[claim(key)];
+    if (slot.size == 0) {
+      slot.size = 1;
+      slot.begin = static_cast<std::uint32_t>(groups_ - 1);
+    }
+    ++bucket_end[slot.begin];
+    observations.push_back({slot.begin, label, votes});
   });
 
-  // Bucket the observations by group (counting sort over slots), then fold
-  // each bucket into its distinct (label, count) run.
+  // Bucket the observations by group (counting sort), then fold each
+  // bucket into its distinct (label, count) run, in slot order.
   std::uint32_t offset = 0;
   for (std::uint32_t& end : bucket_end) {
     const std::uint32_t count = end;
@@ -145,13 +223,14 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
     offset += count;
   }
   std::vector<LabelCount> staged(observations.size());
-  for (const Observation& o : observations) staged[bucket_end[o.slot]++] = {o.label, o.votes};
+  for (const Observation& o : observations) staged[bucket_end[o.group]++] = {o.label, o.votes};
   pairs_.reserve(staged.size());
   for (std::size_t s = 0; s < slots_.size(); ++s) {
     Slot& slot = slots_[s];
     if (slot.size == 0) continue;
     const auto begin = static_cast<std::uint32_t>(pairs_.size());
-    for (std::uint32_t i = s == 0 ? 0 : bucket_end[s - 1]; i < bucket_end[s]; ++i) {
+    const std::uint32_t group = slot.begin;
+    for (std::uint32_t i = group == 0 ? 0 : bucket_end[group - 1]; i < bucket_end[group]; ++i) {
       const auto it = std::find_if(pairs_.begin() + begin, pairs_.end(),
                                    [&](const LabelCount& p) { return p.first == staged[i].first; });
       if (it != pairs_.end()) {
@@ -163,69 +242,102 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
     const std::size_t size = pairs_.size() - begin;
     if (size > kMaxRun) throw std::logic_error("VotingModel: group has more labels than a run codes");
     slot.begin = begin;
-    slot.size = slot.capacity = static_cast<std::uint16_t>(size);
+    slot.size = static_cast<std::uint16_t>(size);
   }
   pairs_.shrink_to_fit();
   if (capacity_for(groups_) < slots_.size()) rehash(capacity_for(groups_));
 }
 
-std::size_t VotingModel::home(const GroupKey& key) const {
-  // MurmurHash3's 64-bit finalizer; the top bits pick the slot.
-  std::uint64_t h = key.carrier ^ (key.neighbor * 0x9e3779b97f4a7c15ULL);
+[[gnu::always_inline]] inline std::size_t VotingModel::home(const Packed& key) const {
+  // MurmurHash3's 64-bit finalizer, then a multiply-high range reduction
+  // (Lemire's fastrange) onto any slot count.
+  std::uint64_t h = key.low ^ (key.high * 0x9e3779b97f4a7c15ULL);
   h ^= h >> 33;
   h *= 0xff51afd7ed558ccdULL;
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
-  return static_cast<std::size_t>(h >> shift_);
+  __extension__ typedef unsigned __int128 Wide;
+  return static_cast<std::size_t>((static_cast<Wide>(h) * slots_.size()) >> 64);
 }
 
-std::size_t VotingModel::find(const GroupKey& key) const {
-  const std::size_t wrap = slots_.size() - 1;
-  for (std::size_t i = home(key);; i = (i + 1) & wrap) {
-    const Slot& slot = slots_[i];
-    if (slot.size == 0) return kNone;
-    if (slot.key == key) return i;
+[[gnu::always_inline]] inline std::size_t VotingModel::probe(const Packed& key,
+                                                            std::size_t start) const {
+  // Robin Hood order: a probe run holds its keys in the order of their home
+  // slots, so a lookup stops at the first slot whose key sits closer to its
+  // home than `key` would, without walking the rest of the run.
+  for (std::size_t i = start, d = 0;; i = next(i), ++d) {
+    if (slots_[i].size == 0 || slots_[i].displacement < d || holds(i, key)) return i;
   }
 }
 
-std::size_t VotingModel::claim(const GroupKey& key) {
-  if ((groups_ + 1) * 4 > slots_.size() * 3) rehash(slots_.size() * 2);
-  const std::size_t wrap = slots_.size() - 1;
-  std::size_t i = home(key);
-  for (; slots_[i].size != 0; i = (i + 1) & wrap) {
-    if (slots_[i].key == key) return i;
-  }
-  slots_[i] = Slot{};
-  slots_[i].key = key;
+[[gnu::always_inline]] inline std::size_t VotingModel::find(const GroupKey& key) const {
+  const Packed packed = gather(key);
+  const std::size_t i = probe(packed, home(packed));
+  return holds(i, packed) ? i : kNone;
+}
+
+std::size_t VotingModel::claim(const Packed& key) {
+  // Grow to hold an eighth more groups than now, not double: a relearned
+  // table stays near the size of a fresh build.
+  if ((groups_ + 1) * 4 > slots_.size() * 3) rehash(capacity_for(groups_ + 1 + groups_ / 8));
+  const std::size_t start = home(key);
+  const std::size_t i = probe(key, start);
+  if (holds(i, key)) return i;
+  insert(i, key, distance(start, i));
   ++groups_;
   return i;
 }
 
+void VotingModel::insert(std::size_t index, const Packed& key, std::size_t displacement) {
+  // Shift the rest of the probe run one slot on, into its first empty slot;
+  // every shifted key keeps its order and moves one further from home.
+  const auto displaced = [](std::size_t slots) {
+    if (slots > 0xFFFF) throw std::logic_error("VotingModel: probe run too long");
+    return static_cast<std::uint16_t>(slots);
+  };
+  std::size_t empty = index;
+  while (slots_[empty].size != 0) empty = next(empty);
+  for (std::size_t j = empty; j != index;) {
+    const std::size_t before = j == 0 ? slots_.size() - 1 : j - 1;
+    slots_[j] = slots_[before];
+    slots_[j].displacement = displaced(slots_[j].displacement + 1u);
+    if (wide_) high_[j] = high_[before];
+    j = before;
+  }
+  slots_[index] = Slot{};
+  slots_[index].key = key.low;
+  slots_[index].displacement = displaced(displacement);
+  if (wide_) high_[index] = key.high;
+}
+
 void VotingModel::erase_slot(std::size_t index) {
-  // Backward-shift deletion: pull later members of the probe run into the
-  // hole unless that would move one before its home slot.
-  const std::size_t wrap = slots_.size() - 1;
+  // Backward-shift deletion: pull the rest of the probe run back one slot,
+  // up to an empty slot or a key already at its home.
   std::size_t hole = index;
-  for (std::size_t j = (index + 1) & wrap; slots_[j].size != 0; j = (j + 1) & wrap) {
-    if (((j - home(slots_[j].key)) & wrap) >= ((j - hole) & wrap)) {
-      slots_[hole] = slots_[j];
-      hole = j;
-    }
+  for (std::size_t j = next(hole); slots_[j].size != 0 && slots_[j].displacement != 0;
+       j = next(j)) {
+    slots_[hole] = slots_[j];
+    --slots_[hole].displacement;
+    if (wide_) high_[hole] = high_[j];
+    hole = j;
   }
   slots_[hole] = Slot{};
   --groups_;
 }
 
 void VotingModel::rehash(std::size_t capacity) {
-  std::vector<Slot> old = std::move(slots_);
+  const std::vector<Slot> old = std::move(slots_);
+  const std::vector<std::uint64_t> old_high = std::move(high_);
   slots_.assign(capacity, Slot{});
-  shift_ = 64 - static_cast<unsigned>(std::countr_zero(capacity));
-  const std::size_t wrap = capacity - 1;
-  for (const Slot& slot : old) {
-    if (slot.size == 0) continue;
-    std::size_t i = home(slot.key);
-    while (slots_[i].size != 0) i = (i + 1) & wrap;
-    slots_[i] = slot;
+  if (wide_) high_.assign(capacity, 0);
+  for (std::size_t s = 0; s < old.size(); ++s) {
+    if (old[s].size == 0) continue;
+    const Packed key{old[s].key, wide_ ? old_high[s] : 0};
+    const std::size_t start = home(key);
+    const std::size_t i = probe(key, start);  // keys are distinct: where it goes
+    insert(i, key, distance(start, i));
+    slots_[i].begin = old[s].begin;
+    slots_[i].size = old[s].size;
   }
 }
 
@@ -233,22 +345,16 @@ void VotingModel::append_pair(Slot& slot, ml::ClassLabel label, std::int32_t cou
   if (slot.size == kMaxRun) {
     throw std::logic_error("VotingModel: group has more labels than a run codes");
   }
-  if (slot.size < slot.capacity) {
-    pairs_[slot.begin + slot.size++] = {label, count};
-    return;
-  }
-  if (slot.begin + slot.capacity != pairs_.size()) {
-    // Move the full run to the tail, where it can grow in place.
+  if (slot.begin + slot.size != pairs_.size()) {
+    // Move the run to the tail, where it can grow in place.
     const std::size_t begin = pairs_.size();
     pairs_.resize(begin + slot.size);
     std::copy_n(pairs_.begin() + slot.begin, slot.size, pairs_.begin() + begin);
-    garbage_ += slot.capacity;
+    garbage_ += slot.size;
     slot.begin = static_cast<std::uint32_t>(begin);
-    slot.capacity = slot.size;
   }
   pairs_.emplace_back(label, count);
   ++slot.size;
-  ++slot.capacity;
 }
 
 void VotingModel::compact_pairs() {
@@ -260,7 +366,6 @@ void VotingModel::compact_pairs() {
     const auto pairs = run(slot);
     next.insert(next.end(), pairs.begin(), pairs.end());
     slot.begin = begin;
-    slot.capacity = slot.size;
   }
   pairs_ = std::move(next);
   garbage_ = 0;
@@ -304,13 +409,15 @@ std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts,
 std::vector<VotingModel::GroupSummary> VotingModel::group_summaries() const {
   std::vector<GroupSummary> out;
   out.reserve(groups_);
-  for (const Slot& slot : slots_) {
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    const Slot& slot = slots_[s];
     if (slot.size == 0) continue;
+    const GroupKey key = scatter(packed_at(s));
     GroupSummary summary;
     summary.codes.reserve(deps_.size());
     for (const AttrRef& ref : deps_) {
       summary.codes.push_back(
-          words_->code(ref.neighbor_side ? slot.key.neighbor : slot.key.carrier, ref.attr));
+          words_->code(ref.neighbor_side ? key.neighbor : key.carrier, ref.attr));
     }
     for (const auto& [label, count] : run(slot)) {
       summary.total += count;
@@ -333,7 +440,7 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
   std::size_t index = find(key);
   if (index == kNone) {
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing from an absent group");
-    index = claim(key);
+    index = claim(gather(key));
     Slot& slot = slots_[index];
     slot.begin = static_cast<std::uint32_t>(pairs_.size());
     append_pair(slot, label, delta);
@@ -346,15 +453,15 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
   if (i < slot.size) {
     pairs[i].second += delta;
     if (pairs[i].second < 0) throw std::logic_error("VotingModel::adjust: vote count went negative");
-    if (pairs[i].second == 0) pairs[i] = pairs[--slot.size];
+    if (pairs[i].second == 0) {
+      pairs[i] = pairs[--slot.size];
+      ++garbage_;
+    }
   } else {
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing an absent label");
     append_pair(slot, label, delta);
   }
-  if (slot.size == 0) {  // the group's last voter left
-    garbage_ += slot.capacity;
-    erase_slot(index);
-  }
+  if (slot.size == 0) erase_slot(index);  // the group's last voter left
   if (garbage_ > 64 && 2 * garbage_ > pairs_.size()) compact_pairs();
 }
 

@@ -152,6 +152,10 @@ class VotingModel {
 
   std::size_t group_count() const { return groups_; }
 
+  /// Slots the table holds, live or empty; each costs sizeof(Slot) = 16
+  /// bytes, plus 8 on a level whose key fields pass 64 bits.
+  std::size_t slot_count() const { return slots_.size(); }
+
   /// The dependent attribute refs this model keys on.
   std::span<const AttrRef> deps() const { return deps_; }
 
@@ -174,42 +178,88 @@ class VotingModel {
   std::vector<GroupSummary> group_summaries() const;
 
  private:
-  /// One open-addressing slot. A group's (label, count) pairs are the run
-  /// pairs_[begin, begin + size), with room up to begin + capacity. A live
-  /// group holds at least one pair with a count above 0, so size == 0 marks
-  /// an empty slot, and the group's voter total is the sum of its run. Size
-  /// and capacity are bounded by the label alphabet, which check_label_width
-  /// caps at 0xFFFF values (DESIGN.md §5).
+  /// One open-addressing slot. `key` is the low word of the group's packed
+  /// key (gather()), and `displacement` how many slots past the key's home
+  /// slot it sits (probe()). A group's (label, count) pairs are the run
+  /// pairs_[begin, begin + size). A live group holds at least one pair with
+  /// a count above 0, so size == 0 marks an empty slot, and the group's
+  /// voter total is the sum of its run. Size is bounded by the label
+  /// alphabet, which check_label_width caps at 0xFFFF values (DESIGN.md §5).
   struct Slot {
-    GroupKey key;
+    std::uint64_t key = 0;
     std::uint32_t begin = 0;
     std::uint16_t size = 0;
-    std::uint16_t capacity = 0;
+    std::uint16_t displacement = 0;
   };
-  static_assert(sizeof(Slot) == 24, "a voting slot is a key plus a packed run reference");
+  static_assert(sizeof(Slot) == 16, "a voting slot is a one-word key plus a packed run reference");
+  /// A key's dependent fields packed by runs_: one word, plus `high` on a
+  /// level whose fields pass 64 bits (0 elsewhere).
+  struct Packed {
+    std::uint64_t low = 0;
+    std::uint64_t high = 0;
+  };
+  /// Mask bits that move as one: the bits `mask` of a key word, rotated
+  /// left by `rotate`, land in a packed word (plan_runs).
+  struct Run {
+    std::uint64_t mask = 0;
+    int rotate = 0;
+  };
   using LabelCount = std::pair<ml::ClassLabel, std::int32_t>;
   static constexpr std::size_t kNone = ~std::size_t{0};
   /// Longest run a Slot codes: one pair per label, at most 0xFFFF labels.
   static constexpr std::size_t kMaxRun = 0xFFFF;
 
-  std::vector<AttrRef> deps_;
+  // The members a lookup reads come first, so they share cache lines.
   const AttrWords* words_;
   KeyMask mask_;
-  std::vector<Slot> slots_;  // linear probing, power-of-two size, load <= 3/4
-  unsigned shift_ = 0;       // 64 - log2(slots_.size())
-  std::size_t groups_ = 0;
+  std::vector<Slot> slots_;   // Robin Hood linear probing, any size, load <= 3/4
+  /// How mask_'s bits pack. runs_[0, neighbor_run_) move carrier bits and
+  /// runs_[neighbor_run_, high_run_) neighbor bits into the low word;
+  /// runs_[high_run_, end) move neighbor bits into the high word.
+  std::vector<Run> runs_;
   std::vector<LabelCount> pairs_;  // every group's run, plus garbage_ dead entries
-  std::size_t garbage_ = 0;
+  std::uint8_t neighbor_run_ = 0;
+  std::uint8_t high_run_ = 0;
+  bool wide_ = false;         // the fields pass 64 bits: keys have a high word
+  std::vector<std::uint64_t> high_;  // [slot] high key words; empty unless wide_
+  std::vector<AttrRef> deps_;
+  std::size_t groups_ = 0;
+  std::size_t garbage_ = 0;        // dead entries of pairs_
 
-  /// Builds the table from at most `n` observations (key, label, votes)
-  /// that `for_each` enumerates.
+  /// Computes runs_, neighbor_run_, high_run_ and wide_ from mask_.
+  void plan_runs();
+  Packed gather(const GroupKey& key) const;
+  /// The inverse of gather: the masked words of a packed key.
+  GroupKey scatter(const Packed& packed) const;
+  Packed packed_at(std::size_t index) const {
+    return {slots_[index].key, wide_ ? high_[index] : 0};
+  }
+
+  /// Builds the table from at most `n` observations (packed key, label,
+  /// votes) that `for_each` enumerates.
   template <typename ForEach>
   void build(std::size_t n, ForEach&& for_each);
 
-  std::size_t home(const GroupKey& key) const;
+  std::size_t home(const Packed& key) const;
+  /// The slot after `index`, wrapping to 0 past the last.
+  std::size_t next(std::size_t index) const { return index + 1 == slots_.size() ? 0 : index + 1; }
+  /// Slots from `from` forward to `to`, modulo the slot count.
+  std::size_t distance(std::size_t from, std::size_t to) const {
+    return to >= from ? to - from : to + slots_.size() - from;
+  }
+  bool holds(std::size_t index, const Packed& key) const {
+    return slots_[index].size != 0 && slots_[index].key == key.low &&
+           (!wide_ || high_[index] == key.high);
+  }
+  /// Slot of `key`, or the slot where inserting it keeps Robin Hood order;
+  /// `start` is home(key).
+  std::size_t probe(const Packed& key, std::size_t start) const;
   std::size_t find(const GroupKey& key) const;
-  /// Slot of `key`, claiming an empty one (size still 0) when absent.
-  std::size_t claim(const GroupKey& key);
+  /// Slot of `key`, claiming one (size still 0) when absent.
+  std::size_t claim(const Packed& key);
+  /// Puts `key` in slot `index`, probe's answer for an absent key that sits
+  /// `displacement` slots past its home, as an empty slot with size 0.
+  void insert(std::size_t index, const Packed& key, std::size_t displacement);
   void erase_slot(std::size_t index);
   void rehash(std::size_t capacity);
   void append_pair(Slot& slot, ml::ClassLabel label, std::int32_t count);

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "obs/log_buffer.h"
 #include "util/render.h"
 
 namespace auric::obs {
@@ -170,12 +169,7 @@ const char* alert_op_name(AlertRule::Op op) {
   return "?";
 }
 
-RuleEngine::RuleEngine(MetricsRegistry& registry) : registry_(&registry) {
-  log_ = [](const std::string& line) {
-    LogBuffer::global().append(line);
-    std::fprintf(stderr, "%s\n", line.c_str());
-  };
-}
+RuleEngine::RuleEngine(MetricsRegistry& registry) : registry_(&registry) {}
 
 void RuleEngine::add_rule(const AlertRule& rule) {
   if (rule.name.empty()) {
@@ -397,7 +391,7 @@ void RuleEngine::evaluate(const Sampler& sampler, double t) {
       }
     }
   }
-  // Log outside the lock; the logger may itself take locks (LogBuffer).
+  // Log outside the lock; the logger may itself take locks (util::log).
   if (log_) {
     for (const std::string& line : transitions) {
       log_(line);

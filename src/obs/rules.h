@@ -103,7 +103,8 @@ class RuleEngine {
   /// load_text() over a file; throws std::runtime_error when unreadable.
   std::size_t load_file(const std::string& path);
 
-  /// Replaces the transition logger (default: the obs log ring + stderr).
+  /// Sets the logger of `ALERT firing/resolved` transition lines (default:
+  /// none; util::LivePlane routes them through util::log_warn).
   void set_log(std::function<void(const std::string&)> log);
 
   /// Evaluates every rule against the sampler at tick time `t` — wire as

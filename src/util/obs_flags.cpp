@@ -59,6 +59,9 @@ LivePlane::LivePlane(LivePlaneOptions options, obs::MetricsRegistry& registry)
     : options_(std::move(options)), registry_(&registry) {
   if (options_.samples()) {
     rules_ = std::make_unique<obs::RuleEngine>(*registry_);
+    // Alert transitions are log lines like any other: timestamped, leveled,
+    // filtered by AURIC_LOG_LEVEL and counted in auric_log_messages_total.
+    rules_->set_log([](const std::string& line) { log_warn(line); });
     if (!options_.rules_file.empty()) rules_->load_file(options_.rules_file);
 
     obs::SamplerOptions sampler_options;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "config/ground_truth.h"
+#include "netsim/generator.h"
 #include "test_helpers.h"
 
 namespace auric::core {
@@ -173,6 +175,52 @@ TEST(AuricEngine, AttributeWordOverflowFailsConstruction) {
     EXPECT_NE(message.find("tracking_area_code=9"), std::string::npos) << message;
     EXPECT_NE(message.find("market=2"), std::string::npos) << message;
   }
+}
+
+/// Bytes of every backoff level's voting slots, 16 per slot.
+std::size_t voting_slot_bytes(const AuricEngine& engine) {
+  std::size_t slots = 0;
+  for (std::size_t p = 0; p < engine.catalog().size(); ++p) {
+    const BackoffVoting& voting = engine.voting(static_cast<config::ParamId>(p));
+    for (int level = 0; level < voting.level_count(); ++level) {
+      slots += voting.model_at(level).slot_count();
+    }
+  }
+  return slots * 16;
+}
+
+TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
+  // The default world (28 markets x 55 eNodeBs) under `auric generate`'s
+  // ground truth. Tables sized to their group count keep every level's
+  // slots under 20 MiB (about 19.3 MiB; power-of-two tables took 42.5).
+  const netsim::Topology topo = netsim::generate_topology(netsim::TopologyParams{});
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  config::GroundTruthParams truth;
+  truth.seed = netsim::TopologyParams{}.seed + 6;
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog, truth).assign();
+  const AuricEngine fresh(topo, schema, catalog, assignment);
+  const std::size_t fresh_bytes = voting_slot_bytes(fresh);
+  EXPECT_LT(fresh_bytes, std::size_t{20} << 20) << fresh_bytes;
+
+  // An incremental relearn that adds groups grows a table by an eighth at
+  // a time, not by doubling: learned with every 16th carrier and edge
+  // unset, then relearned onto the full assignment, the engine's tables
+  // stay within 15% of the fresh learn's.
+  config::ConfigAssignment sparse = assignment;
+  for (auto* columns : {&sparse.singular, &sparse.pairwise}) {
+    for (auto& column : *columns) {
+      for (std::size_t e = 0; e < column.value.size(); e += 16) column.value[e] = config::kUnset;
+    }
+  }
+  AuricEngine relearned(topo, schema, catalog, sparse);
+  IncrementalRelearnStats stats;
+  relearned.incremental_relearn(assignment, {}, &stats);
+  EXPECT_GT(stats.rows_added, 0u);
+  const std::size_t relearned_bytes = voting_slot_bytes(relearned);
+  EXPECT_LE(relearned_bytes, fresh_bytes + fresh_bytes * 15 / 100) << relearned_bytes;
+  EXPECT_GE(relearned_bytes, fresh_bytes - fresh_bytes * 15 / 100) << relearned_bytes;
 }
 
 TEST(RecommendationSourceNames, Stable) {

@@ -318,7 +318,6 @@ TEST(RuleEngine, ThresholdQuantileSuffixEvaluatesHistogramQuantiles) {
   // serve plane's p99 latency rule depends on exactly this.
   MetricsRegistry reg;
   RuleEngine engine(reg);
-  engine.set_log([](const std::string&) {});
   EXPECT_EQ(engine.load_text("lat_p99,threshold,lat_ms{endpoint=\"recommend\"}:p99,>,90\n"), 1u);
   const std::vector<RuleState> states = engine.states();
   ASSERT_EQ(states.size(), 1u);
@@ -376,7 +375,6 @@ TEST(RuleEngine, ShippedDefaultRulesStayQuietWithoutServeTraffic) {
   // exact file.
   MetricsRegistry reg;
   RuleEngine engine(reg);
-  engine.set_log([](const std::string&) {});
   EXPECT_EQ(engine.load_file(std::string(AURIC_EXAMPLES_DIR) + "/default.rules"), 9u);
 
   bool saw_shed_burn = false, saw_p99 = false, saw_degraded = false;
@@ -425,7 +423,6 @@ TEST(RuleEngine, ShippedServeRulesPageOnAMissingDaemon) {
   // vanishes, and resolves once the daemon exports again.
   MetricsRegistry reg;
   RuleEngine engine(reg);
-  engine.set_log([](const std::string&) {});
   EXPECT_EQ(engine.load_file(std::string(AURIC_EXAMPLES_DIR) + "/serve.rules"), 5u);
 
   Sampler sampler(reg);
@@ -450,7 +447,6 @@ TEST(RuleEngine, HealthzJsonReflectsTheVerdict) {
   MetricsRegistry reg;
   RuleEngine engine(reg);
   engine.add_rule(threshold_rule("depth_high", "g", 5.0));
-  engine.set_log([](const std::string&) {});
 
   Sampler sampler(reg);
   sampler.tick_with(1.0, {gauge_sample("g", 1.0)});
@@ -475,7 +471,6 @@ TEST(RuleEngine, WiresAsAnOnTickHook) {
   reg.gauge("g").set(10.0);
   RuleEngine engine(reg);
   engine.add_rule(threshold_rule("depth_high", "g", 5.0));
-  engine.set_log([](const std::string&) {});
   Sampler sampler(reg);
   sampler.set_on_tick([&](double t) { engine.evaluate(sampler, t); });
   sampler.tick(1.0);  // the hook runs outside the ring lock: no deadlock

@@ -179,7 +179,6 @@ TEST(LivePlane, HealthzFollowsTheRuleEngineVerdict) {
                                   "must_fire,absence,no_such_metric,>,0\n");
   util::LivePlane plane(options, reg);
   ASSERT_NE(plane.rules(), nullptr);
-  plane.rules()->set_log([](const std::string&) {});
 
   EXPECT_EQ(plane.handle("GET", "/healthz").status, 200);  // not yet evaluated
   plane.sampler()->tick(1.0);  // the plane evaluates its rules on every tick
@@ -187,6 +186,25 @@ TEST(LivePlane, HealthzFollowsTheRuleEngineVerdict) {
   EXPECT_EQ(firing.status, 503);
   EXPECT_NE(firing.body.find("\"status\":\"alerting\""), std::string::npos);
   EXPECT_NE(firing.body.find("must_fire"), std::string::npos);
+}
+
+TEST(LivePlane, AlertTransitionsAreWarnLogLines) {
+  // A rule that fires under the plane logs through util::log: its line is
+  // counted as a warning, carries the level, and keeps the "ALERT firing"
+  // text that CI greps for.
+  MetricsRegistry reg;
+  util::LivePlaneOptions options = manual_options();
+  options.rules_file = write_temp("auric_plane_alert_log.rules",
+                                  "alert_log,absence,no_such_metric,>,0\n");
+  util::LivePlane plane(options, reg);
+  Counter& warnings = MetricsRegistry::global().counter(
+      "auric_log_messages_total", "log calls by level", {{"level", "warn"}});
+  const std::uint64_t before = warnings.value();
+  plane.sampler()->tick(1.0);
+  EXPECT_EQ(warnings.value(), before + 1);
+  const std::vector<std::string> tail = LogBuffer::global().tail();
+  ASSERT_FALSE(tail.empty());
+  EXPECT_NE(tail.back().find("WARN  ALERT firing: alert_log"), std::string::npos) << tail.back();
 }
 
 TEST(LivePlane, ServesOverAnEphemeralPort) {
@@ -304,7 +322,6 @@ TEST(LivePlane, RulesWithoutServeMetricsLoadAndEvaluate) {
   options.rules_file = write_temp("auric_plane_depth.rules", "depth,threshold,some_gauge,>,5\n");
   util::LivePlane plane(options, reg);
   ASSERT_NE(plane.rules(), nullptr);
-  plane.rules()->set_log([](const std::string&) {});
   EXPECT_EQ(plane.rules()->size(), 1u);
   plane.start();
   EXPECT_FALSE(plane.listening());
@@ -362,7 +379,6 @@ TEST(LivePlane, TraceRingDropGaugeIsInEverySnapshot) {
   options.rules_file = write_temp("auric_plane_drops.rules",
                                   "trace_ring_drops,threshold,obs_trace_ring_dropped,>,1e12\n");
   util::LivePlane plane(options, reg);
-  plane.rules()->set_log([](const std::string&) {});
   plane.sampler()->tick(1.0);
   plane.sampler()->tick(2.0);
   const std::vector<SamplePoint> points = plane.sampler()->points();

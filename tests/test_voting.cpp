@@ -1,6 +1,10 @@
 #include "core/voting.h"
 
 #include <algorithm>
+#include <bit>
+#include <map>
+#include <optional>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -471,6 +475,269 @@ TEST(VotingModel, RunsGrowPastTheirCapacityThroughRelocationAndCompaction) {
   }
   EXPECT_EQ(model.vote(low, 0.0)->label, 150);
   EXPECT_EQ(model.vote(low, 0.0)->count, 21);
+}
+
+using LabelCounts = std::map<ml::ClassLabel, std::int32_t>;
+
+/// The vote a group holding `counts` must return at threshold 0, with one
+/// observation of `excluded` removed when `exclude_one`: the most-voted
+/// label (the smallest on a tie), the second-highest count and the total.
+std::optional<Vote> reference_vote(const LabelCounts& counts, ml::ClassLabel excluded,
+                                   bool exclude_one) {
+  Vote best;
+  std::vector<std::int32_t> sorted;
+  for (auto [label, count] : counts) {
+    if (exclude_one && label == excluded) --count;
+    best.group_size += count;
+    sorted.push_back(count);
+    if (count > best.count) {  // labels ascend: a tie keeps the smaller one
+      best.label = label;
+      best.count = count;
+    }
+  }
+  std::sort(sorted.rbegin(), sorted.rend());
+  best.runner_up = sorted.size() > 1 ? sorted[1] : 0;
+  if (best.group_size <= 0 || best.count <= 0) return std::nullopt;
+  return best;
+}
+
+void expect_same_vote(const std::optional<Vote>& got, const std::optional<Vote>& want) {
+  ASSERT_EQ(got.has_value(), want.has_value());
+  if (!want) return;
+  EXPECT_EQ(got->label, want->label);
+  EXPECT_EQ(got->count, want->count);
+  EXPECT_EQ(got->runner_up, want->runner_up);
+  EXPECT_EQ(got->group_size, want->group_size);
+}
+
+/// Expects `model`'s group summaries to be `groups`, each group given by
+/// its codes in deps() order.
+void expect_summaries(const VotingModel& model,
+                      const std::map<std::vector<netsim::AttrCode>, LabelCounts>& groups) {
+  const auto summaries = model.group_summaries();
+  ASSERT_EQ(summaries.size(), groups.size());
+  auto want = groups.begin();
+  for (const VotingModel::GroupSummary& got : summaries) {
+    const auto vote = reference_vote(want->second, -1, false);
+    EXPECT_EQ(got.codes, want->first);
+    EXPECT_EQ(got.winner, vote->label);
+    EXPECT_EQ(got.winner_count, vote->count);
+    EXPECT_EQ(got.total, vote->group_size);
+    ++want;
+  }
+}
+
+/// `n` carriers with no X2 links whose integer-valued attributes (every
+/// one but the four enums) are drawn from `values` values each, so the
+/// schema spends bit_width(values) bits on each; `twin` makes carriers 2i
+/// and 2i + 1 equal on all but software_version, which is their parity.
+netsim::Topology synthetic_topology(std::size_t n, int values, bool twin, std::mt19937_64& rng) {
+  netsim::Topology topo;
+  const auto draw = [&] { return static_cast<int>(rng() % static_cast<std::uint64_t>(values)); };
+  for (std::size_t i = 0; i < n; ++i) {
+    netsim::Carrier c;
+    c.id = static_cast<netsim::CarrierId>(i);
+    if (twin && i % 2 == 1) {
+      c = topo.carriers.back();
+      c.id = static_cast<netsim::CarrierId>(i);
+      c.software_version = 1;
+    } else {
+      c.frequency_mhz = draw();
+      c.carrier_info = draw();
+      c.bandwidth_mhz = draw();
+      c.hardware = draw();
+      c.cell_size_miles = draw();
+      c.tracking_area_code = draw();
+      c.market = draw();
+      c.vendor = draw();
+      c.neighbor_channel = draw();
+      c.neighbors_same_enodeb = 0;
+      c.software_version = twin ? 0 : draw();
+    }
+    topo.carriers.push_back(c);
+  }
+  return topo;
+}
+
+/// The integer-valued attributes synthetic_topology draws, on one side.
+std::vector<AttrRef> drawn_refs(const netsim::AttributeSchema& schema, bool neighbor_side) {
+  std::vector<AttrRef> refs;
+  for (const char* name : {"carrier_frequency", "carrier_info", "channel_bandwidth", "hardware",
+                           "cell_size", "tracking_area_code", "market", "vendor",
+                           "neighbor_channel"}) {
+    refs.push_back({neighbor_side, schema.index_of(name)});
+  }
+  return refs;
+}
+
+TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
+  // Seeded walks of +1/-1 adjusts fill a table (growth by an eighth) and
+  // drain it (backward-shift erases) in turn: one over 12 keys, whose
+  // table of a dozen or so slots has a probe run across the last slot at
+  // almost every step, and one over a few hundred keys. After every step
+  // each key's vote and leave-one-out vote, the group count and the
+  // summaries must equal a std::map holding the same voters.
+  std::mt19937_64 rng(2021);
+  const netsim::Topology topo = synthetic_topology(320, 20, false, rng);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const auto codes = schema.encode_all(topo);
+  const AttrWords words(schema, codes);
+  const std::vector<AttrRef> deps{{false, schema.index_of("hardware")},
+                                  {false, schema.index_of("vendor")},
+                                  {false, schema.index_of("market")}};
+  const auto codes_of = [&](netsim::CarrierId c) {
+    std::vector<netsim::AttrCode> out;
+    for (const AttrRef& ref : deps) out.push_back(codes[ref.attr][static_cast<std::size_t>(c)]);
+    return out;
+  };
+  std::map<std::vector<netsim::AttrCode>, netsim::CarrierId> subject;  // codes -> one carrier
+  for (netsim::CarrierId c = 0; c < static_cast<netsim::CarrierId>(topo.carrier_count()); ++c) {
+    subject.emplace(codes_of(c), c);
+  }
+  ASSERT_GT(subject.size(), 250u);
+  std::vector<netsim::CarrierId> keys;
+  for (const auto& [key_codes, c] : subject) keys.push_back(c);
+
+  for (const std::size_t pool_size : {std::size_t{12}, keys.size()}) {
+    SCOPED_TRACE(std::to_string(pool_size) + " keys");
+    const std::vector<netsim::CarrierId> pool(
+        keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(pool_size));
+    // The table starts from a small build over the pool's first carriers.
+    ParamView view;
+    for (std::size_t k = 0; k < 10; ++k) {
+      view.carrier.push_back(pool[k]);
+      view.neighbor.push_back(netsim::kInvalidCarrier);
+      view.entity.push_back(static_cast<std::size_t>(pool[k]));
+      view.value.push_back(0);
+      view.label.push_back(static_cast<ml::ClassLabel>(k % 3));
+    }
+    VotingModel model(view, deps, words);
+    EXPECT_FALSE(std::has_single_bit(model.slot_count())) << model.slot_count();
+    std::map<std::vector<netsim::AttrCode>, LabelCounts> reference;
+    for (std::size_t r = 0; r < view.rows(); ++r) {
+      ++reference[codes_of(view.carrier[r])][view.label[r]];
+    }
+
+    std::size_t most_groups = 0;
+    for (int step = 0; step < 2400; ++step) {
+      const bool filling = (step / 600) % 2 == 0;
+      if (reference.empty() || rng() % 100 < (filling ? 85u : 15u)) {
+        const netsim::CarrierId c = pool[rng() % pool.size()];
+        const auto label = static_cast<ml::ClassLabel>(rng() % 5);
+        model.adjust(model.key_for(c, netsim::kInvalidCarrier), label, 1);
+        ++reference[codes_of(c)][label];
+      } else {
+        auto group = reference.begin();
+        std::advance(group, static_cast<std::ptrdiff_t>(rng() % reference.size()));
+        auto pair = group->second.begin();
+        std::advance(pair, static_cast<std::ptrdiff_t>(rng() % group->second.size()));
+        model.adjust(model.key_for(subject.at(group->first), netsim::kInvalidCarrier),
+                     pair->first, -1);
+        if (--pair->second == 0) group->second.erase(pair);
+        if (group->second.empty()) reference.erase(group);
+      }
+      most_groups = std::max(most_groups, reference.size());
+      SCOPED_TRACE("step " + std::to_string(step));
+      ASSERT_EQ(model.group_count(), reference.size());
+      for (const netsim::CarrierId c : pool) {
+        const GroupKey key = model.key_for(c, netsim::kInvalidCarrier);
+        const auto it = reference.find(codes_of(c));
+        const auto own = static_cast<ml::ClassLabel>(c % 5);
+        if (it == reference.end()) {
+          EXPECT_FALSE(model.vote(key, 0.0).has_value());
+          EXPECT_FALSE(model.vote_excluding(key, own, 0.0).has_value());
+          continue;
+        }
+        expect_same_vote(model.vote(key, 0.0), reference_vote(it->second, -1, false));
+        // Leave-one-out needs an observation of the own label to remove.
+        if (it->second.count(own) != 0) {
+          expect_same_vote(model.vote_excluding(key, own, 0.0),
+                           reference_vote(it->second, own, true));
+        }
+      }
+      expect_summaries(model, reference);
+      if (::testing::Test::HasFailure()) return;
+    }
+    EXPECT_GT(most_groups, pool_size * 2 / 3);  // the walk really filled the table
+  }
+}
+
+TEST(BackoffVoting, KeysPastSixtyFourBitsVoteAndCoarsenExactly) {
+  // Carrier-side plus neighbor-side fields of 9 + 9 attributes at 5 bits
+  // (plus the 2-bit neighbor software_version) pass 64 bits, so the finer
+  // levels keep a high key word. Twins differ only in software_version,
+  // whose neighbor-side field lands in that high word: a table that
+  // ignored it would merge the twins' groups. Every level must vote as a
+  // brute-force tally of the rows, and each coarser level (aggregated from
+  // the finer one, across the wide-to-narrow boundary) must hold exactly
+  // the groups of a build over the rows.
+  std::mt19937_64 rng(64);
+  const netsim::Topology topo = synthetic_topology(80, 24, true, rng);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const auto codes = schema.encode_all(topo);
+  const AttrWords words(schema, codes);
+  const std::size_t software = schema.index_of("software_version");
+
+  ParamView view;
+  view.pairwise = true;
+  for (netsim::CarrierId c = 0; c < static_cast<netsim::CarrierId>(topo.carrier_count()); ++c) {
+    for (int k = 0; k < 3; ++k) {
+      // Each row has its neighbor's twin as a row too: same carrier, same
+      // fields but one, labels leaning opposite ways.
+      const auto n = static_cast<netsim::CarrierId>(2 * (rng() % 40));
+      for (const netsim::CarrierId neighbor : {n, static_cast<netsim::CarrierId>(n + 1)}) {
+        view.carrier.push_back(c);
+        view.neighbor.push_back(neighbor);
+        view.entity.push_back(view.carrier.size() - 1);
+        view.value.push_back(0);
+        const bool lean = codes[software][static_cast<std::size_t>(neighbor)] == 1;
+        view.label.push_back(rng() % 4 == 0 ? 2 : (lean ? 1 : 0));
+      }
+    }
+  }
+
+  std::vector<AttrRef> deps{{true, software}};
+  for (const AttrRef& ref : drawn_refs(schema, false)) deps.push_back(ref);
+  for (const AttrRef& ref : drawn_refs(schema, true)) deps.push_back(ref);
+  const KeyMask mask = words.mask(deps);
+  ASSERT_GT(std::popcount(mask.carrier) + std::popcount(mask.neighbor), 64);
+
+  const BackoffVoting backoff(view, deps, words, static_cast<int>(deps.size()), 1);
+  ASSERT_EQ(backoff.level_count(), static_cast<int>(deps.size()));
+  int wide_levels = 0;
+  for (int level = 0; level < backoff.level_count(); ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const auto level_deps = backoff.deps_at(level);
+    const KeyMask level_mask = words.mask(level_deps);
+    wide_levels += std::popcount(level_mask.carrier) + std::popcount(level_mask.neighbor) > 64;
+
+    // Brute force: every row's codes on this level's dependents.
+    const auto codes_of = [&](std::size_t r) {
+      std::vector<netsim::AttrCode> out;
+      for (const AttrRef& ref : level_deps) {
+        const netsim::CarrierId c = ref.neighbor_side ? view.neighbor[r] : view.carrier[r];
+        out.push_back(codes[ref.attr][static_cast<std::size_t>(c)]);
+      }
+      return out;
+    };
+    std::map<std::vector<netsim::AttrCode>, LabelCounts> groups;
+    for (std::size_t r = 0; r < view.rows(); ++r) ++groups[codes_of(r)][view.label[r]];
+
+    const VotingModel& model = backoff.model_at(level);
+    ASSERT_EQ(model.group_count(), groups.size());
+    expect_summaries(model, groups);
+    expect_summaries(VotingModel(view, level_deps, words), groups);
+    for (std::size_t r = 0; r < view.rows(); ++r) {
+      const GroupKey key = model.key_for(view.carrier[r], view.neighbor[r]);
+      const LabelCounts& counts = groups.at(codes_of(r));
+      expect_same_vote(model.vote(key, 0.0), reference_vote(counts, -1, false));
+      expect_same_vote(model.vote_excluding(key, view.label[r], 0.0),
+                       reference_vote(counts, view.label[r], true));
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(wide_levels, 3);
+  EXPECT_LT(wide_levels, backoff.level_count());
 }
 
 TEST(BackoffVoting, ReorderKeepsTablesOfAnUnchangedSet) {
