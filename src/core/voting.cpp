@@ -105,12 +105,17 @@ VotingModel::VotingModel(const VotingModel& finer, std::span<const AttrRef> deps
     throw std::logic_error("VotingModel: coarsening onto attributes the finer model lacks");
   }
   plan_runs();
-  build(finer.pairs_.size() - finer.garbage_, [&](auto&& add) {
+  // One observation per single-form group and per live run pair.
+  build(finer.groups_ + finer.pairs_.size() - finer.garbage_, [&](auto&& add) {
     for (std::size_t s = 0; s < finer.slots_.size(); ++s) {
       const Slot& slot = finer.slots_[s];
       if (slot.size == 0) continue;
       // Gathering with this level's runs drops the fields it does not key on.
       const Packed key = gather(finer.scatter(finer.packed_at(s)));
+      if (slot.single()) {
+        add(key, slot.single_label(), slot.single_count());
+        continue;
+      }
       for (const auto& [label, count] : finer.run(slot)) add(key, label, count);
     }
   });
@@ -215,7 +220,8 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
   });
 
   // Bucket the observations by group (counting sort), then fold each
-  // bucket into its distinct (label, count) run, in slot order.
+  // bucket into its distinct (label, count) run, in slot order; a run of
+  // one label moves into its slot.
   std::uint32_t offset = 0;
   for (std::uint32_t& end : bucket_end) {
     const std::uint32_t count = end;
@@ -241,6 +247,12 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
     }
     const std::size_t size = pairs_.size() - begin;
     if (size > kMaxRun) throw std::logic_error("VotingModel: group has more labels than a run codes");
+    if (size == 1) {
+      const LabelCount only = pairs_.back();
+      pairs_.pop_back();
+      set_single(slot, only.first, only.second);
+      continue;
+    }
     slot.begin = begin;
     slot.size = static_cast<std::uint16_t>(size);
   }
@@ -266,7 +278,7 @@ void VotingModel::build(std::size_t n, ForEach&& for_each) {
   // slots, so a lookup stops at the first slot whose key sits closer to its
   // home than `key` would, without walking the rest of the run.
   for (std::size_t i = start, d = 0;; i = next(i), ++d) {
-    if (slots_[i].size == 0 || slots_[i].displacement < d || holds(i, key)) return i;
+    if (slots_[i].size == 0 || slots_[i].offset() < d || holds(i, key)) return i;
   }
 }
 
@@ -290,9 +302,10 @@ std::size_t VotingModel::claim(const Packed& key) {
 
 void VotingModel::insert(std::size_t index, const Packed& key, std::size_t displacement) {
   // Shift the rest of the probe run one slot on, into its first empty slot;
-  // every shifted key keeps its order and moves one further from home.
+  // every shifted key keeps its order and its form and moves one further
+  // from home.
   const auto displaced = [](std::size_t slots) {
-    if (slots > 0xFFFF) throw std::logic_error("VotingModel: probe run too long");
+    if (slots > kMaxDisplacement) throw std::logic_error("VotingModel: probe run too long");
     return static_cast<std::uint16_t>(slots);
   };
   std::size_t empty = index;
@@ -300,7 +313,8 @@ void VotingModel::insert(std::size_t index, const Packed& key, std::size_t displ
   for (std::size_t j = empty; j != index;) {
     const std::size_t before = j == 0 ? slots_.size() - 1 : j - 1;
     slots_[j] = slots_[before];
-    slots_[j].displacement = displaced(slots_[j].displacement + 1u);
+    slots_[j].displacement = static_cast<std::uint16_t>((slots_[j].displacement & kSingle) |
+                                                        displaced(slots_[j].offset() + 1));
     if (wide_) high_[j] = high_[before];
     j = before;
   }
@@ -312,9 +326,10 @@ void VotingModel::insert(std::size_t index, const Packed& key, std::size_t displ
 
 void VotingModel::erase_slot(std::size_t index) {
   // Backward-shift deletion: pull the rest of the probe run back one slot,
-  // up to an empty slot or a key already at its home.
+  // up to an empty slot or a key already at its home. A decrement leaves
+  // the kSingle bit alone, since every pulled slot's offset is above 0.
   std::size_t hole = index;
-  for (std::size_t j = next(hole); slots_[j].size != 0 && slots_[j].displacement != 0;
+  for (std::size_t j = next(hole); slots_[j].size != 0 && slots_[j].offset() != 0;
        j = next(j)) {
     slots_[hole] = slots_[j];
     --slots_[hole].displacement;
@@ -338,6 +353,7 @@ void VotingModel::rehash(std::size_t capacity) {
     insert(i, key, distance(start, i));
     slots_[i].begin = old[s].begin;
     slots_[i].size = old[s].size;
+    slots_[i].displacement |= old[s].displacement & kSingle;
   }
 }
 
@@ -357,11 +373,31 @@ void VotingModel::append_pair(Slot& slot, ml::ClassLabel label, std::int32_t cou
   ++slot.size;
 }
 
+void VotingModel::set_single(Slot& slot, ml::ClassLabel label, std::int32_t count) {
+  if (!fits_single(label)) {
+    slot.displacement &= kMaxDisplacement;
+    slot.begin = static_cast<std::uint32_t>(pairs_.size());
+    slot.size = 1;
+    pairs_.emplace_back(label, count);
+    return;
+  }
+  slot.displacement |= kSingle;
+  slot.begin = static_cast<std::uint32_t>(count);
+  slot.size = static_cast<std::uint16_t>(label + 1);
+}
+
+void VotingModel::settle(Slot& slot) {
+  if (slot.single() || slot.size != 1 || !fits_single(pairs_[slot.begin].first)) return;
+  const LabelCount only = pairs_[slot.begin];
+  set_single(slot, only.first, only.second);
+  ++garbage_;
+}
+
 void VotingModel::compact_pairs() {
   std::vector<LabelCount> next;
   next.reserve(pairs_.size() - garbage_);
   for (Slot& slot : slots_) {
-    if (slot.size == 0) continue;
+    if (slot.size == 0 || slot.single()) continue;
     const auto begin = static_cast<std::uint32_t>(next.size());
     const auto pairs = run(slot);
     next.insert(next.end(), pairs.begin(), pairs.end());
@@ -419,12 +455,17 @@ std::vector<VotingModel::GroupSummary> VotingModel::group_summaries() const {
       summary.codes.push_back(
           words_->code(ref.neighbor_side ? key.neighbor : key.carrier, ref.attr));
     }
-    for (const auto& [label, count] : run(slot)) {
-      summary.total += count;
-      if (count > summary.winner_count ||
-          (count == summary.winner_count && summary.winner >= 0 && label < summary.winner)) {
-        summary.winner = label;
-        summary.winner_count = count;
+    if (slot.single()) {
+      summary.winner = slot.single_label();
+      summary.winner_count = summary.total = slot.single_count();
+    } else {
+      for (const auto& [label, count] : run(slot)) {
+        summary.total += count;
+        if (count > summary.winner_count ||
+            (count == summary.winner_count && summary.winner >= 0 && label < summary.winner)) {
+          summary.winner = label;
+          summary.winner_count = count;
+        }
       }
     }
     out.push_back(std::move(summary));
@@ -441,12 +482,32 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
   if (index == kNone) {
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing from an absent group");
     index = claim(gather(key));
-    Slot& slot = slots_[index];
-    slot.begin = static_cast<std::uint32_t>(pairs_.size());
-    append_pair(slot, label, delta);
+    set_single(slots_[index], label, delta);
     return;
   }
   Slot& slot = slots_[index];
+  if (slot.single()) {
+    const ml::ClassLabel only = slot.single_label();
+    if (label != only) {
+      if (delta < 0) throw std::logic_error("VotingModel::adjust: removing an absent label");
+      // A second label: the group becomes a two-pair run at the tail.
+      const std::int32_t count = slot.single_count();
+      slot.displacement &= kMaxDisplacement;
+      slot.begin = static_cast<std::uint32_t>(pairs_.size());
+      slot.size = 2;
+      pairs_.emplace_back(only, count);
+      pairs_.emplace_back(label, delta);
+      return;
+    }
+    const std::int32_t count = slot.single_count() + delta;
+    if (count < 0) throw std::logic_error("VotingModel::adjust: vote count went negative");
+    if (count == 0) {
+      erase_slot(index);  // the group's last voter left
+    } else {
+      slot.begin = static_cast<std::uint32_t>(count);
+    }
+    return;
+  }
   LabelCount* pairs = pairs_.data() + slot.begin;
   std::uint32_t i = 0;
   while (i < slot.size && pairs[i].first != label) ++i;
@@ -461,18 +522,26 @@ void VotingModel::adjust(const GroupKey& key, ml::ClassLabel label, std::int32_t
     if (delta < 0) throw std::logic_error("VotingModel::adjust: removing an absent label");
     append_pair(slot, label, delta);
   }
+  settle(slot);
   if (slot.size == 0) erase_slot(index);  // the group's last voter left
   if (garbage_ > 64 && 2 * garbage_ > pairs_.size()) compact_pairs();
 }
 
 void VotingModel::remap_labels(std::span<const ml::ClassLabel> old_to_new) {
-  for (const Slot& slot : slots_) {
-    for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
-      ml::ClassLabel& label = pairs_[i].first;
-      const ml::ClassLabel next = old_to_new[static_cast<std::size_t>(label)];
-      if (next < 0) throw std::logic_error("VotingModel::remap_labels: dropping a live label");
-      label = next;
+  const auto remap = [&](ml::ClassLabel label) {
+    const ml::ClassLabel next = old_to_new[static_cast<std::size_t>(label)];
+    if (next < 0) throw std::logic_error("VotingModel::remap_labels: dropping a live label");
+    return next;
+  };
+  for (Slot& slot : slots_) {
+    if (slot.single()) {
+      set_single(slot, remap(slot.single_label()), slot.single_count());
+      continue;
     }
+    for (std::uint32_t i = slot.begin; i < slot.begin + slot.size; ++i) {
+      pairs_[i].first = remap(pairs_[i].first);
+    }
+    settle(slot);
   }
 }
 
@@ -484,17 +553,32 @@ void VotingModel::reorder_deps(std::span<const AttrRef> new_deps) {
   deps_.assign(new_deps.begin(), new_deps.end());
 }
 
+[[gnu::always_inline]] inline std::optional<Vote> VotingModel::decide(
+    const Slot& slot, ml::ClassLabel excluded, bool exclude_one, double threshold) const {
+  if (!slot.single()) return winner(run(slot), excluded, exclude_one, threshold);
+  // winner() over the one pair, without reading pairs_.
+  Vote best;
+  best.label = slot.single_label();
+  best.count = best.group_size = slot.single_count();
+  if (exclude_one) {
+    if (best.label == excluded) --best.count;
+    --best.group_size;
+  }
+  if (best.group_size <= 0 || best.count <= 0 || best.support() < threshold) return std::nullopt;
+  return best;
+}
+
 std::optional<Vote> VotingModel::vote(const GroupKey& key, double threshold) const {
   const std::size_t index = find(key);
   if (index == kNone) return std::nullopt;
-  return winner(run(slots_[index]), -1, false, threshold);
+  return decide(slots_[index], -1, false, threshold);
 }
 
 std::optional<Vote> VotingModel::vote_excluding(const GroupKey& key, ml::ClassLabel own_label,
                                                 double threshold) const {
   const std::size_t index = find(key);
   if (index == kNone) return std::nullopt;
-  return winner(run(slots_[index]), own_label, true, threshold);
+  return decide(slots_[index], own_label, true, threshold);
 }
 
 /// One configured peer slot of a local vote: the packed words of its
@@ -526,24 +610,33 @@ double weight_of(std::span<const double> carrier_weights, netsim::CarrierId carr
 /// coarsest level's mask, which every finer level's contains, so a slot it
 /// rejects matches no level. Candidates come in order and, for a pair-wise
 /// column, each candidate's edges in Topology::edges order — the order
-/// every tally sums in.
+/// every tally sums in. The column's kind is decided once, outside the
+/// candidate loop: tested per candidate it kept the singular loop from
+/// holding the tally in registers and cost a single-level local vote ~45%
+/// (EXPERIMENTS.md, "BM_LocalVote's regression").
 template <typename Visit>
 void for_each_peer(const LabelColumn& labels, const AttrWords& words, const KeyMask& mask,
                    const GroupKey& key, std::span<const netsim::CarrierId> candidates,
                    std::int64_t exclude_entity, std::span<const double> carrier_weights,
                    Visit&& visit) {
+  if (labels.topology == nullptr) {
+    for (netsim::CarrierId cand : candidates) {
+      // Every slot of `cand` shares its carrier side: one compare decides them.
+      const std::uint64_t word = words.word(cand);
+      if ((word & mask.carrier) != key.carrier) continue;
+      const ml::ClassLabel label = labels.label(static_cast<std::size_t>(cand));
+      if (label >= 0 && cand != exclude_entity) {
+        visit(LocalPeer{word, 0, label, weight_of(carrier_weights, cand)});
+      }
+    }
+    return;
+  }
+  // Pair-wise: each candidate's edges are one contiguous run of rows.
+  const netsim::Topology& topo = *labels.topology;
   for (netsim::CarrierId cand : candidates) {
-    // Every slot of `cand` shares its carrier side: one compare decides them.
     const std::uint64_t word = words.word(cand);
     if ((word & mask.carrier) != key.carrier) continue;
     const double weight = weight_of(carrier_weights, cand);
-    if (labels.topology == nullptr) {
-      const ml::ClassLabel label = labels.label(static_cast<std::size_t>(cand));
-      if (label >= 0 && cand != exclude_entity) visit(LocalPeer{word, 0, label, weight});
-      continue;
-    }
-    // Pair-wise: the candidate's edges are one contiguous run of rows.
-    const netsim::Topology& topo = *labels.topology;
     const auto c = static_cast<std::size_t>(cand);
     for (std::size_t e = topo.edge_offsets[c]; e < topo.edge_offsets[c + 1]; ++e) {
       const ml::ClassLabel label = labels.label(e);

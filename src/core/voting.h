@@ -153,8 +153,16 @@ class VotingModel {
   std::size_t group_count() const { return groups_; }
 
   /// Slots the table holds, live or empty; each costs sizeof(Slot) = 16
-  /// bytes, plus 8 on a level whose key fields pass 64 bits.
+  /// bytes, plus 8 on a level whose key fields pass 64 bits. A group of one
+  /// label keeps its vote in its slot; only a group of two or more labels
+  /// (or of one label past 0xFFFE) also holds a run of pairs.
   std::size_t slot_count() const { return slots_.size(); }
+
+  /// Live (label, count) pairs in the groups' runs, 8 bytes each: one per
+  /// label of every run-form group, equal to a fresh build's over the same
+  /// population. Dead entries awaiting compaction (at most as many as the
+  /// live ones past the first 64) are not counted.
+  std::size_t pair_count() const { return pairs_.size() - garbage_; }
 
   /// The dependent attribute refs this model keys on.
   std::span<const AttrRef> deps() const { return deps_; }
@@ -179,19 +187,30 @@ class VotingModel {
 
  private:
   /// One open-addressing slot. `key` is the low word of the group's packed
-  /// key (gather()), and `displacement` how many slots past the key's home
-  /// slot it sits (probe()). A group's (label, count) pairs are the run
-  /// pairs_[begin, begin + size). A live group holds at least one pair with
-  /// a count above 0, so size == 0 marks an empty slot, and the group's
-  /// voter total is the sum of its run. Size is bounded by the label
-  /// alphabet, which check_label_width caps at 0xFFFF values (DESIGN.md §5).
+  /// key (gather()), and the low 15 bits of `displacement` how many slots
+  /// past the key's home slot it sits (probe()). A slot has two forms
+  /// (DESIGN.md §5):
+  ///  - single, when kSingle is set: the group has one label, `size` holds
+  ///    label + 1 and `begin` its count, so a vote reads only the slot;
+  ///  - a run otherwise: the group's (label, count) pairs are
+  ///    pairs_[begin, begin + size), and its voter total is their sum.
+  /// A live group holds at least one pair with a count above 0, and a
+  /// single label codes as 1..0xFFFF, so size == 0 marks an empty slot in
+  /// either form. A run's size is bounded by the label alphabet, which
+  /// check_label_width caps at 0xFFFF values.
   struct Slot {
     std::uint64_t key = 0;
     std::uint32_t begin = 0;
     std::uint16_t size = 0;
     std::uint16_t displacement = 0;
+
+    bool single() const { return (displacement & kSingle) != 0; }
+    /// Slots past the key's home slot.
+    std::size_t offset() const { return displacement & kMaxDisplacement; }
+    ml::ClassLabel single_label() const { return static_cast<ml::ClassLabel>(size) - 1; }
+    std::int32_t single_count() const { return static_cast<std::int32_t>(begin); }
   };
-  static_assert(sizeof(Slot) == 16, "a voting slot is a one-word key plus a packed run reference");
+  static_assert(sizeof(Slot) == 16, "a voting slot is a one-word key plus a packed vote or run");
   /// A key's dependent fields packed by runs_: one word, plus `high` on a
   /// level whose fields pass 64 bits (0 elsewhere).
   struct Packed {
@@ -208,6 +227,12 @@ class VotingModel {
   static constexpr std::size_t kNone = ~std::size_t{0};
   /// Longest run a Slot codes: one pair per label, at most 0xFFFF labels.
   static constexpr std::size_t kMaxRun = 0xFFFF;
+  /// The displacement bit that marks a single-form slot, and the longest
+  /// displacement the bits below it code.
+  static constexpr std::uint16_t kSingle = 0x8000;
+  static constexpr std::uint16_t kMaxDisplacement = 0x7FFF;
+  /// Largest label a single-form slot codes (as label + 1 in 16 bits).
+  static constexpr ml::ClassLabel kMaxSingleLabel = 0xFFFE;
 
   // The members a lookup reads come first, so they share cache lines.
   const AttrWords* words_;
@@ -217,7 +242,7 @@ class VotingModel {
   /// runs_[neighbor_run_, high_run_) neighbor bits into the low word;
   /// runs_[high_run_, end) move neighbor bits into the high word.
   std::vector<Run> runs_;
-  std::vector<LabelCount> pairs_;  // every group's run, plus garbage_ dead entries
+  std::vector<LabelCount> pairs_;  // every run-form group's run, plus garbage_ dead entries
   std::uint8_t neighbor_run_ = 0;
   std::uint8_t high_run_ = 0;
   bool wide_ = false;         // the fields pass 64 bits: keys have a high word
@@ -263,11 +288,22 @@ class VotingModel {
   void erase_slot(std::size_t index);
   void rehash(std::size_t capacity);
   void append_pair(Slot& slot, ml::ClassLabel label, std::int32_t count);
+  static bool fits_single(ml::ClassLabel label) { return label >= 0 && label <= kMaxSingleLabel; }
+  /// Makes a slot hold `label`'s `count` votes alone: single form when the
+  /// label fits it, else a one-pair run at the tail of pairs_.
+  void set_single(Slot& slot, ml::ClassLabel label, std::int32_t count);
+  /// Moves a run left with one label that fits the single form into its
+  /// slot, the form a fresh build gives such a group.
+  void settle(Slot& slot);
   void compact_pairs();
   std::span<const LabelCount> run(const Slot& slot) const {
     return {pairs_.data() + slot.begin, slot.size};
   }
 
+  /// The slot's winning vote (see winner), read from the slot alone in the
+  /// single form.
+  std::optional<Vote> decide(const Slot& slot, ml::ClassLabel excluded, bool exclude_one,
+                             double threshold) const;
   /// The run's winning vote; the group total is the run's sum.
   static std::optional<Vote> winner(std::span<const LabelCount> counts, ml::ClassLabel excluded,
                                     bool exclude_one, double threshold);

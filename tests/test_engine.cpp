@@ -177,22 +177,35 @@ TEST(AuricEngine, AttributeWordOverflowFailsConstruction) {
   }
 }
 
-/// Bytes of every backoff level's voting slots, 16 per slot.
-std::size_t voting_slot_bytes(const AuricEngine& engine) {
-  std::size_t slots = 0;
+/// Sum of `count(model)` over every backoff level of every parameter.
+template <typename Count>
+std::size_t sum_over_levels(const AuricEngine& engine, Count&& count) {
+  std::size_t sum = 0;
   for (std::size_t p = 0; p < engine.catalog().size(); ++p) {
     const BackoffVoting& voting = engine.voting(static_cast<config::ParamId>(p));
     for (int level = 0; level < voting.level_count(); ++level) {
-      slots += voting.model_at(level).slot_count();
+      sum += count(voting.model_at(level));
     }
   }
-  return slots * 16;
+  return sum;
+}
+
+/// Bytes of every backoff level's voting slots, 16 per slot.
+std::size_t voting_slot_bytes(const AuricEngine& engine) {
+  return 16 * sum_over_levels(engine, [](const VotingModel& m) { return m.slot_count(); });
+}
+
+/// Live (label, count) pairs of every backoff level's runs.
+std::size_t voting_pairs(const AuricEngine& engine) {
+  return sum_over_levels(engine, [](const VotingModel& m) { return m.pair_count(); });
 }
 
 TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
   // The default world (28 markets x 55 eNodeBs) under `auric generate`'s
   // ground truth. Tables sized to their group count keep every level's
   // slots under 20 MiB (about 19.3 MiB; power-of-two tables took 42.5).
+  // Groups of one label (about 85% of them) keep their vote in the slot, so
+  // the runs hold under 0.4M pairs (1.11M when every group had a run).
   const netsim::Topology topo = netsim::generate_topology(netsim::TopologyParams{});
   const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
   const config::ParamCatalog catalog = config::ParamCatalog::standard();
@@ -203,11 +216,14 @@ TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
   const AuricEngine fresh(topo, schema, catalog, assignment);
   const std::size_t fresh_bytes = voting_slot_bytes(fresh);
   EXPECT_LT(fresh_bytes, std::size_t{20} << 20) << fresh_bytes;
+  const std::size_t fresh_pairs = voting_pairs(fresh);
+  EXPECT_LT(fresh_pairs, std::size_t{400'000}) << fresh_pairs;
 
   // An incremental relearn that adds groups grows a table by an eighth at
   // a time, not by doubling: learned with every 16th carrier and edge
   // unset, then relearned onto the full assignment, the engine's tables
-  // stay within 15% of the fresh learn's.
+  // stay within 15% of the fresh learn's. Its groups end in the form a
+  // fresh build gives them, so its run pairs stay within 15% too.
   config::ConfigAssignment sparse = assignment;
   for (auto* columns : {&sparse.singular, &sparse.pairwise}) {
     for (auto& column : *columns) {
@@ -221,6 +237,9 @@ TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
   const std::size_t relearned_bytes = voting_slot_bytes(relearned);
   EXPECT_LE(relearned_bytes, fresh_bytes + fresh_bytes * 15 / 100) << relearned_bytes;
   EXPECT_GE(relearned_bytes, fresh_bytes - fresh_bytes * 15 / 100) << relearned_bytes;
+  const std::size_t relearned_pairs = voting_pairs(relearned);
+  EXPECT_LE(relearned_pairs, fresh_pairs + fresh_pairs * 15 / 100) << relearned_pairs;
+  EXPECT_GE(relearned_pairs, fresh_pairs - fresh_pairs * 15 / 100) << relearned_pairs;
 }
 
 TEST(RecommendationSourceNames, Stable) {

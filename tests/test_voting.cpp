@@ -570,13 +570,25 @@ std::vector<AttrRef> drawn_refs(const netsim::AttributeSchema& schema, bool neig
   return refs;
 }
 
+/// Run pairs a fresh build over `groups` holds: one per label of every
+/// group of two or more labels (a one-label group keeps its vote in its
+/// slot).
+std::size_t run_pairs(const std::map<std::vector<netsim::AttrCode>, LabelCounts>& groups) {
+  std::size_t pairs = 0;
+  for (const auto& [codes, counts] : groups) pairs += counts.size() > 1 ? counts.size() : 0;
+  return pairs;
+}
+
 TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
   // Seeded walks of +1/-1 adjusts fill a table (growth by an eighth) and
   // drain it (backward-shift erases) in turn: one over 12 keys, whose
   // table of a dozen or so slots has a probe run across the last slot at
-  // almost every step, and one over a few hundred keys. After every step
-  // each key's vote and leave-one-out vote, the group count and the
-  // summaries must equal a std::map holding the same voters.
+  // almost every step, and one over a few hundred keys. Labels are drawn
+  // uniformly, or mostly as each key's own label so that groups keep
+  // crossing between one label (the single form) and several (a run). After
+  // every step each key's vote and leave-one-out vote, the group count, the
+  // run pairs and the summaries must equal a std::map holding the same
+  // voters.
   std::mt19937_64 rng(2021);
   const netsim::Topology topo = synthetic_topology(320, 20, false, rng);
   const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
@@ -598,8 +610,9 @@ TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
   std::vector<netsim::CarrierId> keys;
   for (const auto& [key_codes, c] : subject) keys.push_back(c);
 
+  for (const bool own_mostly : {false, true})
   for (const std::size_t pool_size : {std::size_t{12}, keys.size()}) {
-    SCOPED_TRACE(std::to_string(pool_size) + " keys");
+    SCOPED_TRACE(std::to_string(pool_size) + " keys" + (own_mostly ? ", own labels" : ""));
     const std::vector<netsim::CarrierId> pool(
         keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(pool_size));
     // The table starts from a small build over the pool's first carriers.
@@ -619,13 +632,19 @@ TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
     }
 
     std::size_t most_groups = 0;
+    // Form changes the walk made: single to run, run to single, a single
+    // group erased, a run that lost a pair and stayed a run.
+    std::size_t to_run = 0, to_single = 0, erased = 0, run_drops = 0;
     for (int step = 0; step < 2400; ++step) {
       const bool filling = (step / 600) % 2 == 0;
       if (reference.empty() || rng() % 100 < (filling ? 85u : 15u)) {
         const netsim::CarrierId c = pool[rng() % pool.size()];
-        const auto label = static_cast<ml::ClassLabel>(rng() % 5);
+        const auto label = static_cast<ml::ClassLabel>(
+            own_mostly && rng() % 8 != 0 ? c % 5 : static_cast<netsim::CarrierId>(rng() % 5));
         model.adjust(model.key_for(c, netsim::kInvalidCarrier), label, 1);
-        ++reference[codes_of(c)][label];
+        LabelCounts& counts = reference[codes_of(c)];
+        to_run += counts.size() == 1 && counts.count(label) == 0;
+        ++counts[label];
       } else {
         auto group = reference.begin();
         std::advance(group, static_cast<std::ptrdiff_t>(rng() % reference.size()));
@@ -633,12 +652,20 @@ TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
         std::advance(pair, static_cast<std::ptrdiff_t>(rng() % group->second.size()));
         model.adjust(model.key_for(subject.at(group->first), netsim::kInvalidCarrier),
                      pair->first, -1);
-        if (--pair->second == 0) group->second.erase(pair);
-        if (group->second.empty()) reference.erase(group);
+        if (--pair->second == 0) {
+          group->second.erase(pair);
+          to_single += group->second.size() == 1;
+          run_drops += group->second.size() > 1;
+        }
+        if (group->second.empty()) {
+          reference.erase(group);
+          ++erased;
+        }
       }
       most_groups = std::max(most_groups, reference.size());
       SCOPED_TRACE("step " + std::to_string(step));
       ASSERT_EQ(model.group_count(), reference.size());
+      ASSERT_EQ(model.pair_count(), run_pairs(reference));
       for (const netsim::CarrierId c : pool) {
         const GroupKey key = model.key_for(c, netsim::kInvalidCarrier);
         const auto it = reference.find(codes_of(c));
@@ -659,7 +686,159 @@ TEST(VotingModel, RandomAdjustsMatchAMapReferenceAcrossTheWrap) {
       if (::testing::Test::HasFailure()) return;
     }
     EXPECT_GT(most_groups, pool_size * 2 / 3);  // the walk really filled the table
+    // Every form change happened, several times (the fewest, 5, is the run
+    // drops of the wide own-label walk).
+    for (const std::size_t changes : {to_run, to_single, erased, run_drops}) {
+      EXPECT_GE(changes, 5u);
+    }
   }
+}
+
+TEST(VotingModel, LabelsUpTo0xFFFEStayInTheSlotAndLargerOnesTakeARun) {
+  // A one-label group keeps label + 1 in 16 bits of its slot, so 0xFFFE is
+  // the largest label held there; a view whose labels pass it (no label
+  // matrix caps them) falls back to a one-pair run. Both vote alike.
+  Fixture f;
+  constexpr ml::ClassLabel kTop = 0xFFFE;
+  ParamView view;
+  for (netsim::CarrierId c = 0; c < 4; ++c) {  // even: 700 MHz, odd: 1900 MHz
+    view.carrier.push_back(c);
+    view.neighbor.push_back(netsim::kInvalidCarrier);
+    view.entity.push_back(static_cast<std::size_t>(c));
+    view.value.push_back(0);
+    view.label.push_back(c % 2 == 0 ? kTop : kTop + 1);
+  }
+  VotingModel model(view, f.deps, f.words);
+  const GroupKey low = model.key_for(0, netsim::kInvalidCarrier);
+  const GroupKey mid = model.key_for(1, netsim::kInvalidCarrier);
+  EXPECT_EQ(model.pair_count(), 1u);  // only the 0xFFFF group holds a run
+  for (const auto& [key, label] : {std::pair{low, kTop}, std::pair{mid, kTop + 1}}) {
+    SCOPED_TRACE(label);
+    expect_same_vote(model.vote(key, 0.75), reference_vote({{label, 2}}, -1, false));
+    expect_same_vote(model.vote_excluding(key, label, 0.75),
+                     reference_vote({{label, 2}}, label, true));
+  }
+  expect_summaries(model, {{{0}, {{kTop, 2}}}, {{1}, {{kTop + 1, 2}}}});
+
+  // 0xFFFF joins the single group: a two-pair run. When 0xFFFE leaves, the
+  // run holds one label that cannot move back into the slot.
+  model.adjust(low, kTop + 1, 1);
+  EXPECT_EQ(model.pair_count(), 3u);
+  expect_same_vote(model.vote(low, 0.0), reference_vote({{kTop, 2}, {kTop + 1, 1}}, -1, false));
+  model.adjust(low, kTop, -2);
+  EXPECT_EQ(model.pair_count(), 2u);
+  expect_same_vote(model.vote(low, 0.0), reference_vote({{kTop + 1, 1}}, -1, false));
+  // 0xFFFE joins the run group and 0xFFFF leaves it: back in the slot.
+  model.adjust(mid, kTop, 3);
+  model.adjust(mid, kTop + 1, -2);
+  EXPECT_EQ(model.pair_count(), 1u);
+  expect_same_vote(model.vote(mid, 0.0), reference_vote({{kTop, 3}}, -1, false));
+  expect_summaries(model, {{{0}, {{kTop + 1, 1}}}, {{1}, {{kTop, 3}}}});
+  // The last voter of a single group leaves: the group goes.
+  model.adjust(mid, kTop, -3);
+  EXPECT_EQ(model.group_count(), 1u);
+  EXPECT_FALSE(model.vote(mid, 0.0).has_value());
+  EXPECT_THROW(model.adjust(low, kTop, -1), std::logic_error);
+}
+
+TEST(BackoffVoting, CoarseningAllSingleGroupsMatchesABuildOverTheRows) {
+  // Every level-0 group holds one label, so level 0 keeps no run pairs and
+  // the coarser levels are aggregated from slots alone. Labels follow band
+  // and market: dropping market merges groups of different labels into
+  // runs, dropping morphology merges groups of one label.
+  Fixture f;
+  for (std::size_t c = 10; c < f.topo.carrier_count(); ++c) {
+    f.assignment.singular[0].value[c] = c % 2 == 0 ? 9 : 7;  // market 1
+  }
+  f.rebuild_view();
+  const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
+                                  {false, f.schema.index_of("market")},
+                                  {false, f.schema.index_of("morphology")}};
+  const BackoffVoting backoff(f.view, deps, f.words, 3, 1);
+  EXPECT_EQ(backoff.model_at(0).pair_count(), 0u);
+  for (int level = 0; level < backoff.level_count(); ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const auto level_deps = backoff.deps_at(level);
+    std::map<std::vector<netsim::AttrCode>, LabelCounts> groups;
+    for (std::size_t r = 0; r < f.view.rows(); ++r) {
+      std::vector<netsim::AttrCode> key_codes;
+      for (const AttrRef& ref : level_deps) {
+        key_codes.push_back(f.codes[ref.attr][static_cast<std::size_t>(f.view.carrier[r])]);
+      }
+      ++groups[key_codes][f.view.label[r]];
+    }
+    const VotingModel& model = backoff.model_at(level);
+    EXPECT_EQ(model.pair_count(), run_pairs(groups));
+    expect_summaries(model, groups);
+  }
+  // The 700 MHz groups: label 3 in market 0, label 9 in market 1.
+  EXPECT_EQ(backoff.model_at(2).pair_count(), 2u);
+}
+
+TEST(BackoffVoting, RemapAndReorderRewriteSingleGroups) {
+  // A mix of one-label and two-label groups across three levels. A
+  // re-coded dictionary rewrites the labels held in slots and in runs; a
+  // label sent past 0xFFFE moves its single group into a run; a dropped
+  // label that still holds votes throws. Reordering the dependents must
+  // give the groups of a fresh build over the re-coded view.
+  Fixture f;
+  f.assignment.singular[0].value[2] = 9;  // the 700 MHz, market 0 group gains a label
+  f.rebuild_view();
+  const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
+                                  {false, f.schema.index_of("market")},
+                                  {false, f.schema.index_of("morphology")}};
+  BackoffVoting backoff(f.view, deps, f.words, 3, 1);
+  ASSERT_EQ(f.view.labels.values, (std::vector<config::ValueIndex>{3, 7, 9}));
+
+  // 3 -> 1, 7 -> 5, 9 -> 8: monotone, every code moves.
+  const std::vector<ml::ClassLabel> recode{1, 5, 8};
+  backoff.remap_labels(recode);
+  ParamView recoded = f.view;
+  for (ml::ClassLabel& label : recoded.label) label = recode[static_cast<std::size_t>(label)];
+  const std::vector<AttrRef> reranked{deps[1], deps[0], deps[2]};
+  backoff.reorder_deps(reranked);
+  const BackoffVoting fresh(recoded, reranked, f.words, 3, 1);
+  for (int level = 0; level < 3; ++level) {
+    SCOPED_TRACE("level " + std::to_string(level));
+    const VotingModel& got = backoff.model_at(level);
+    const VotingModel& want = fresh.model_at(level);
+    EXPECT_EQ(got.pair_count(), want.pair_count());
+    const auto a = got.group_summaries();
+    const auto b = want.group_summaries();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t g = 0; g < a.size(); ++g) {
+      EXPECT_EQ(a[g].codes, b[g].codes);
+      EXPECT_EQ(a[g].total, b[g].total);
+      EXPECT_EQ(a[g].winner, b[g].winner);
+      EXPECT_EQ(a[g].winner_count, b[g].winner_count);
+    }
+    for (std::size_t r = 0; r < recoded.rows(); ++r) {
+      const GroupKey key = got.key_for(recoded.carrier[r], netsim::kInvalidCarrier);
+      expect_same_vote(got.vote(key, 0.0), want.vote(key, 0.0));
+      expect_same_vote(got.vote_excluding(key, recoded.label[r], 0.0),
+                       want.vote_excluding(key, recoded.label[r], 0.0));
+    }
+  }
+
+  // Label 5 (the 1900 MHz groups, all single) past 0xFFFE: each such group
+  // becomes a one-pair run and still votes for it.
+  VotingModel model(recoded, deps, f.words);
+  const std::size_t runs_before = model.pair_count();
+  std::vector<ml::ClassLabel> widen(9, -1);
+  widen[1] = 1;
+  widen[5] = 0x10000;
+  widen[8] = 0x10001;
+  model.remap_labels(widen);
+  EXPECT_GT(model.pair_count(), runs_before);
+  const auto vote = model.vote(model.key_for(1, netsim::kInvalidCarrier), 0.75);
+  ASSERT_TRUE(vote.has_value());
+  EXPECT_EQ(vote->label, 0x10000);
+  EXPECT_EQ(vote->runner_up, 0);
+  // Dropping label 1, which single groups still vote for, throws.
+  std::vector<ml::ClassLabel> drop(0x10002, -1);
+  drop[0x10000] = 0;
+  drop[0x10001] = 1;
+  EXPECT_THROW(model.remap_labels(drop), std::logic_error);
 }
 
 TEST(BackoffVoting, KeysPastSixtyFourBitsVoteAndCoarsenExactly) {
