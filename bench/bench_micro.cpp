@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "config/ground_truth.h"
 #include "config/rulebook.h"
@@ -341,18 +342,15 @@ BENCHMARK(BM_ModelWatchRecommend);
 /// the steady-state delta path, not the rebuild escape hatch.
 config::ConfigAssignment day_churn(const World& w) {
   config::ConfigAssignment churned = w.assignment;
-  for (auto& column : churned.singular) {
-    const std::size_t n = column.value.size();
-    for (std::size_t c = 0; c < 21 && c < n; ++c) {
-      column.value[c] = column.value[(c + 37) % n];
-    }
-  }
-  for (auto& column : churned.pairwise) {
-    const std::size_t n = column.value.size();
+  const auto churn = [](config::ParamColumn& column) {
+    const std::size_t n = column.entities();
     for (std::size_t e = 0; e < 21 && e < n; ++e) {
-      column.value[e] = column.value[(e + 37) % n];
+      const config::ValueIndex v = std::as_const(column).value[(e + 37) % n];
+      column.set(e, v, column.intended_of(e), config::Cause::kDefault);
     }
-  }
+  };
+  for (auto& column : churned.singular) churn(column);
+  for (auto& column : churned.pairwise) churn(column);
   return churned;
 }
 

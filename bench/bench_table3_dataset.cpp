@@ -34,10 +34,10 @@ int body(util::Args& args) {
   // Per-market configured-value counts.
   std::vector<std::size_t> values_per_market(ctx.topology.markets.size(), 0);
   const auto count_column = [&](const config::ParamColumn& col, bool pairwise) {
-    for (std::size_t i = 0; i < col.value.size(); ++i) {
-      if (col.value[i] == config::kUnset) continue;
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      const std::size_t e = col.entity(i);
       const netsim::CarrierId subject =
-          pairwise ? ctx.topology.edges[i].from : static_cast<netsim::CarrierId>(i);
+          pairwise ? ctx.topology.edges[e].from : static_cast<netsim::CarrierId>(e);
       ++values_per_market[static_cast<std::size_t>(ctx.topology.carrier(subject).market)];
     }
   };

@@ -51,7 +51,7 @@ int main() {
     for (std::size_t si = 0; si < recs.size(); ++si) {
       // Compare against the engineering intent recorded by the ground truth.
       const config::ValueIndex intent =
-          assignment.singular[si].intended[static_cast<std::size_t>(id)];
+          assignment.singular[si].intended_of(static_cast<std::size_t>(id));
       if (intent == config::kUnset) continue;
       ++params;
       hits += recs[si].value == intent ? 1 : 0;

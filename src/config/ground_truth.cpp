@@ -411,29 +411,31 @@ ConfigAssignment GroundTruthModel::assign() const {
   const std::size_t n_carriers = topology_.carrier_count();
   const std::size_t n_edges = topology_.edge_count();
 
-  out.singular.resize(catalog_.singular_ids().size());
-  for (std::size_t si = 0; si < out.singular.size(); ++si) {
-    ParamColumn& col = out.singular[si];
-    col.value.resize(n_carriers);
-    col.intended.resize(n_carriers);
-    col.cause.resize(n_carriers);
+  // Each column is decided into dense scratch, then packed at its
+  // configured count.
+  std::vector<ValueIndex> value(n_carriers);
+  std::vector<ValueIndex> intended(n_carriers);
+  std::vector<Cause> cause(n_carriers);
+
+  out.singular.reserve(catalog_.singular_ids().size());
+  for (std::size_t si = 0; si < catalog_.singular_ids().size(); ++si) {
     for (std::size_t c = 0; c < n_carriers; ++c) {
-      assign_singular(si, static_cast<CarrierId>(c), col.value[c], col.intended[c],
-                      col.cause[c]);
+      assign_singular(si, static_cast<CarrierId>(c), value[c], intended[c], cause[c]);
     }
+    out.singular.push_back(ParamColumn::from_dense(value, intended, cause));
   }
 
-  out.pairwise.resize(catalog_.pairwise_ids().size());
+  out.pairwise.reserve(catalog_.pairwise_ids().size());
+  value.resize(n_edges);
+  intended.resize(n_edges);
+  cause.resize(n_edges);
   const std::vector<char> representative = relation_representatives(topology_);
-  for (std::size_t pi = 0; pi < out.pairwise.size(); ++pi) {
-    ParamColumn& col = out.pairwise[pi];
-    col.value.resize(n_edges);
-    col.intended.resize(n_edges);
-    col.cause.resize(n_edges);
+  for (std::size_t pi = 0; pi < catalog_.pairwise_ids().size(); ++pi) {
     for (std::size_t e = 0; e < n_edges; ++e) {
-      assign_pairwise(pi, topology_.edges[e], representative[e] != 0, col.value[e],
-                      col.intended[e], col.cause[e]);
+      assign_pairwise(pi, topology_.edges[e], representative[e] != 0, value[e], intended[e],
+                      cause[e]);
     }
+    out.pairwise.push_back(ParamColumn::from_dense(value, intended, cause));
   }
   return out;
 }

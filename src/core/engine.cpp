@@ -210,12 +210,14 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   const config::ParamColumn& col =
       view.pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
   LabelMatrix& matrix = label_matrix(p);
-  if (col.value.size() != matrix.entities()) {
+  if (col.entities() != matrix.entities()) {
     throw std::invalid_argument("incremental_relearn: assignment entity space mismatch");
   }
 
-  // Slot deltas in entity order: one pass diffs the column against the
-  // learned label-matrix column, decoding each cell through the dictionary.
+  // Slot deltas in entity order: one pass walks the learned label-matrix
+  // column and the column's entries together, decoding each cell through
+  // the dictionary, so a learned slot the column no longer holds reads as
+  // an erase.
   // The same pass counts the learned rows per label: a brand-new value or a
   // vanished one shifts every dense label code (the dictionary is sorted),
   // which is the one thing deltas cannot patch — those parameters splice
@@ -229,7 +231,9 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   std::vector<std::int64_t> label_rows(view.labels.size(), 0);
   std::size_t rows_before = 0;
   const LabelColumn cells = matrix.column(pos);
-  for (std::size_t e = 0; e < col.value.size(); ++e) {
+  std::size_t next = 0;  // the column's first entry at or past e
+  std::size_t next_entity = col.configured_count() > 0 ? col.entity(0) : matrix.entities();
+  for (std::size_t e = 0; e < matrix.entities(); ++e) {
     const ml::ClassLabel label = cells.label(e);
     config::ValueIndex old_value = config::kUnset;
     if (label >= 0) {
@@ -237,7 +241,12 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
       ++label_rows[static_cast<std::size_t>(label)];
       ++rows_before;
     }
-    if (col.value[e] != old_value) changes.push_back({e, old_value, col.value[e]});
+    config::ValueIndex new_value = config::kUnset;
+    if (e == next_entity) {
+      new_value = col.value_at(next++);
+      next_entity = next < col.configured_count() ? col.entity(next) : matrix.entities();
+    }
+    if (new_value != old_value) changes.push_back({e, old_value, new_value});
   }
   if (changes.empty()) return false;  // untouched parameter: models already exact
 
@@ -401,7 +410,7 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     for (std::size_t c = 0; c < old_to_mid.size(); ++c) {
       old_to_final[c] = mid_to_final[static_cast<std::size_t>(old_to_mid[c])];
     }
-    for (std::size_t e = 0; e < col.value.size(); ++e) {
+    for (std::size_t e = 0; e < matrix.entities(); ++e) {
       const ml::ClassLabel label = cells.label(e);
       if (label >= 0) matrix.set(e, pos, old_to_final[static_cast<std::size_t>(label)]);
     }

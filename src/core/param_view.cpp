@@ -29,9 +29,8 @@ ParamView build_param_view(const netsim::Topology& topology, const config::Param
   const auto subject = [&](std::size_t e) {
     return view.pairwise ? topology.edges[e].from : static_cast<netsim::CarrierId>(e);
   };
-  const auto want = [&](std::size_t e) {
-    return col.value[e] != config::kUnset &&
-           (!market || topology.carrier(subject(e)).market == *market);
+  const auto want = [&](std::size_t i) {
+    return !market || topology.carrier(subject(col.entity(i))).market == *market;
   };
 
   // Exact-size the row arrays: push_back growth leaves up to half of each
@@ -40,18 +39,19 @@ ParamView build_param_view(const netsim::Topology& topology, const config::Param
   if (!market) {
     rows = col.configured_count();
   } else {
-    for (std::size_t e = 0; e < col.value.size(); ++e) rows += want(e) ? 1 : 0;
+    for (std::size_t i = 0; i < col.configured_count(); ++i) rows += want(i) ? 1 : 0;
   }
   view.carrier.reserve(rows);
   view.neighbor.reserve(rows);
   view.entity.reserve(rows);
   view.value.reserve(rows);
-  for (std::size_t e = 0; e < col.value.size(); ++e) {
-    if (!want(e)) continue;
+  for (std::size_t i = 0; i < col.configured_count(); ++i) {
+    if (!want(i)) continue;
+    const std::size_t e = col.entity(i);
     view.carrier.push_back(subject(e));
     view.neighbor.push_back(view.pairwise ? topology.edges[e].to : netsim::kInvalidCarrier);
     view.entity.push_back(e);
-    view.value.push_back(col.value[e]);
+    view.value.push_back(col.value_at(i));
   }
 
   view.labels = ml::LabelDictionary::build(view.value);

@@ -426,7 +426,10 @@ std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts,
   for (const auto& [label, count] : counts) {
     total += count;
     std::int32_t c = count;
-    if (exclude_one && label == excluded) --c;
+    if (exclude_one && label == excluded) {
+      --c;
+      --total;  // the excluded voter leaves the group only if the group holds it
+    }
     if (c > best.count || (c == best.count && best.label >= 0 && label < best.label)) {
       best.runner_up = best.count;
       best.label = label;
@@ -435,7 +438,6 @@ std::optional<Vote> VotingModel::winner(std::span<const LabelCount> counts,
       best.runner_up = c;
     }
   }
-  if (exclude_one) --total;
   best.group_size = total;
   if (total <= 0 || best.count <= 0) return std::nullopt;
   if (best.support() < threshold) return std::nullopt;
@@ -560,8 +562,8 @@ void VotingModel::reorder_deps(std::span<const AttrRef> new_deps) {
   Vote best;
   best.label = slot.single_label();
   best.count = best.group_size = slot.single_count();
-  if (exclude_one) {
-    if (best.label == excluded) --best.count;
+  if (exclude_one && best.label == excluded) {
+    --best.count;
     --best.group_size;
   }
   if (best.group_size <= 0 || best.count <= 0 || best.support() < threshold) return std::nullopt;

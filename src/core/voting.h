@@ -124,6 +124,7 @@ class VotingModel {
 
   /// Leave-one-out vote: as `vote` but with one observation of `own_label`
   /// removed from the group (evaluation treats each carrier as new, §4.2).
+  /// A group that holds no `own_label` votes in full.
   std::optional<Vote> vote_excluding(const GroupKey& key, ml::ClassLabel own_label,
                                      double threshold) const;
 

@@ -64,15 +64,16 @@ std::size_t apply_good_recommendations(const std::vector<CfPrediction>& mismatch
   std::size_t pushed = 0;
   for (const CfPrediction& m : mismatches) {
     config::ParamColumn& col = column_of(catalog, assignment, m.param);
-    if (m.entity >= col.value.size() || col.value[m.entity] != m.actual) {
+    const std::size_t i = col.find(m.entity);
+    if (i == config::ParamColumn::npos || col.value_at(i) != m.actual) {
       throw std::logic_error("apply_good_recommendations: stale prediction batch");
     }
-    if (label_mismatch(col.cause[m.entity], col.intended[m.entity], m.predicted) !=
+    if (label_mismatch(col.cause_at(i), col.intended_at(i), m.predicted) !=
         MismatchLabel::kGoodRecommendation) {
       continue;
     }
-    col.value[m.entity] = m.predicted;  // == intended, by the label's definition
-    col.cause[m.entity] = config::Cause::kDefault;
+    // m.predicted == intended, by the label's definition.
+    col.set(m.entity, m.predicted, col.intended_at(i), config::Cause::kDefault);
     ++pushed;
   }
   return pushed;
@@ -90,10 +91,11 @@ MismatchBreakdown label_mismatches(const std::vector<CfPrediction>& mismatches,
         std::find(ids.begin(), ids.end(), m.param) - ids.begin());
     const config::ParamColumn& col =
         pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
-    if (m.entity >= col.value.size() || col.value[m.entity] != m.actual) {
+    const std::size_t i = col.find(m.entity);
+    if (i == config::ParamColumn::npos || col.value_at(i) != m.actual) {
       throw std::logic_error("label_mismatches: prediction does not match assignment slot");
     }
-    switch (label_mismatch(col.cause[m.entity], col.intended[m.entity], m.predicted)) {
+    switch (label_mismatch(col.cause_at(i), col.intended_at(i), m.predicted)) {
       case MismatchLabel::kUpdateLearner: ++breakdown.update_learner; break;
       case MismatchLabel::kGoodRecommendation: ++breakdown.good_recommendation; break;
       case MismatchLabel::kInconclusive: ++breakdown.inconclusive; break;

@@ -13,11 +13,11 @@ void accumulate(const config::ParamColumn& col, const config::ValueDomain& domai
                 const netsim::Topology& topology, bool pairwise, ParamVariability& out,
                 std::vector<std::vector<config::ValueIndex>>& per_market,
                 std::vector<std::vector<double>>& raw_per_market) {
-  for (std::size_t i = 0; i < col.value.size(); ++i) {
-    const config::ValueIndex v = col.value[i];
-    if (v == config::kUnset) continue;
-    const netsim::CarrierId subject = pairwise ? topology.edges[i].from
-                                               : static_cast<netsim::CarrierId>(i);
+  for (std::size_t i = 0; i < col.configured_count(); ++i) {
+    const config::ValueIndex v = col.value_at(i);
+    const std::size_t e = col.entity(i);
+    const netsim::CarrierId subject = pairwise ? topology.edges[e].from
+                                               : static_cast<netsim::CarrierId>(e);
     const auto market = static_cast<std::size_t>(topology.carrier(subject).market);
     per_market[market].push_back(v);
     raw_per_market[market].push_back(domain.value(v));

@@ -304,45 +304,70 @@ void save_assignment(const netsim::Topology& topology, const config::ParamCatalo
   util::CsvWriter csv(path_in(dir, "config.csv"),
                       {"parameter", "from", "to", "value", "intended", "cause"});
   const auto emit = [&](const config::ParamDef& def, const config::ParamColumn& col,
-                        std::size_t slot, netsim::CarrierId from, netsim::CarrierId to) {
-    if (col.value[slot] == config::kUnset) return;
+                        std::size_t i, netsim::CarrierId from, netsim::CarrierId to) {
     csv.add_row({def.name, std::to_string(from),
                  to == netsim::kInvalidCarrier ? "" : std::to_string(to),
-                 raw_value_string(def.domain, col.value[slot]),
-                 raw_value_string(def.domain, col.intended[slot]),
-                 config::cause_name(col.cause[slot])});
+                 raw_value_string(def.domain, col.value_at(i)),
+                 raw_value_string(def.domain, col.intended_at(i)),
+                 config::cause_name(col.cause_at(i))});
   };
   for (std::size_t si = 0; si < assignment.singular.size(); ++si) {
     const config::ParamDef& def = catalog.at(catalog.singular_ids()[si]);
-    for (std::size_t c = 0; c < assignment.singular[si].value.size(); ++c) {
-      emit(def, assignment.singular[si], c, static_cast<netsim::CarrierId>(c),
-           netsim::kInvalidCarrier);
+    const config::ParamColumn& col = assignment.singular[si];
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      emit(def, col, i, static_cast<netsim::CarrierId>(col.entity(i)), netsim::kInvalidCarrier);
     }
   }
   for (std::size_t pi = 0; pi < assignment.pairwise.size(); ++pi) {
     const config::ParamDef& def = catalog.at(catalog.pairwise_ids()[pi]);
-    for (std::size_t e = 0; e < assignment.pairwise[pi].value.size(); ++e) {
-      emit(def, assignment.pairwise[pi], e, topology.edges[e].from, topology.edges[e].to);
+    const config::ParamColumn& col = assignment.pairwise[pi];
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      const netsim::X2Edge& edge = topology.edges[col.entity(i)];
+      emit(def, col, i, edge.from, edge.to);
     }
   }
 }
 
+namespace {
+
+/// One config.csv row, parsed into its column's slot.
+struct LoadedSlot {
+  std::uint32_t entity = 0;
+  config::ValueIndex value = config::kUnset;
+  config::ValueIndex intended = config::kUnset;
+  config::Cause cause = config::Cause::kDefault;
+};
+
+/// Packs one column's rows, given in file order, in entity order. A later
+/// row for a slot replaces an earlier one.
+config::ParamColumn pack_column(std::size_t entities, std::vector<LoadedSlot>& slots) {
+  const auto by_entity = [](const LoadedSlot& a, const LoadedSlot& b) {
+    return a.entity < b.entity;
+  };
+  if (!std::is_sorted(slots.begin(), slots.end(), by_entity)) {
+    std::stable_sort(slots.begin(), slots.end(), by_entity);
+  }
+  const auto last_of_slot = [&](std::size_t i) {
+    return i + 1 == slots.size() || slots[i + 1].entity != slots[i].entity;
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < slots.size(); ++i) count += last_of_slot(i) ? 1 : 0;
+  config::ParamColumn col(entities);
+  col.reserve(count);
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!last_of_slot(i)) continue;
+    col.append(slots[i].entity, slots[i].value, slots[i].intended, slots[i].cause);
+  }
+  return col;
+}
+
+}  // namespace
+
 config::ConfigAssignment load_assignment(const netsim::Topology& topology,
                                          const config::ParamCatalog& catalog,
                                          const std::string& dir) {
-  config::ConfigAssignment assignment;
-  assignment.singular.resize(catalog.singular_ids().size());
-  for (auto& col : assignment.singular) {
-    col.value.assign(topology.carrier_count(), config::kUnset);
-    col.intended.assign(topology.carrier_count(), config::kUnset);
-    col.cause.assign(topology.carrier_count(), config::Cause::kDefault);
-  }
-  assignment.pairwise.resize(catalog.pairwise_ids().size());
-  for (auto& col : assignment.pairwise) {
-    col.value.assign(topology.edge_count(), config::kUnset);
-    col.intended.assign(topology.edge_count(), config::kUnset);
-    col.cause.assign(topology.edge_count(), config::Cause::kDefault);
-  }
+  std::vector<std::vector<LoadedSlot>> singular_rows(catalog.singular_ids().size());
+  std::vector<std::vector<LoadedSlot>> pairwise_rows(catalog.pairwise_ids().size());
 
   // name -> (kind position, param id); cause name -> enum.
   std::map<std::string, std::pair<bool, std::size_t>> param_pos;
@@ -378,7 +403,7 @@ config::ConfigAssignment load_assignment(const netsim::Topology& topology,
     }
 
     std::size_t slot = 0;
-    config::ParamColumn* col = nullptr;
+    std::vector<LoadedSlot>* rows = nullptr;
     if (pairwise) {
       if (csv.field(r, "to").empty()) {
         throw std::invalid_argument(csv.context(r) + ": pair-wise parameter " + name +
@@ -399,14 +424,14 @@ config::ConfigAssignment load_assignment(const netsim::Topology& topology,
         throw std::invalid_argument(csv.context(r) + ": no X2 relation " +
                                     std::to_string(from) + " -> " + std::to_string(to));
       }
-      col = &assignment.pairwise[pos];
+      rows = &pairwise_rows[pos];
     } else {
       if (!csv.field(r, "to").empty()) {
         throw std::invalid_argument(csv.context(r) + ": singular parameter " + name +
                                     " must not name a 'to' carrier");
       }
       slot = static_cast<std::size_t>(from);
-      col = &assignment.singular[pos];
+      rows = &singular_rows[pos];
     }
 
     const double raw = csv.field_double(r, "value");
@@ -418,14 +443,16 @@ config::ConfigAssignment load_assignment(const netsim::Topology& topology,
                      " outside domain [" + util::format("%g", def.domain.min()) + ", " +
                      util::format("%g", def.domain.max()) + "]; clamping");
     }
-    col->value[slot] = def.domain.nearest_index(raw);
+    LoadedSlot& loaded = rows->emplace_back();
+    loaded.entity = static_cast<std::uint32_t>(slot);
+    loaded.value = def.domain.nearest_index(raw);
     if (has_ground_truth) {
-      col->intended[slot] = def.domain.nearest_index(csv.field_double(r, "intended"));
+      loaded.intended = def.domain.nearest_index(csv.field_double(r, "intended"));
       const std::string& cause = csv.field(r, "cause");
       bool found = false;
       for (int i = 0; i <= static_cast<int>(config::Cause::kNoise); ++i) {
         if (cause == config::cause_name(static_cast<config::Cause>(i))) {
-          col->cause[slot] = static_cast<config::Cause>(i);
+          loaded.cause = static_cast<config::Cause>(i);
           found = true;
           break;
         }
@@ -434,12 +461,24 @@ config::ConfigAssignment load_assignment(const netsim::Topology& topology,
         throw std::invalid_argument(csv.context(r) + ": unknown cause '" + cause + "'");
       }
     } else {
-      col->intended[slot] = col->value[slot];
+      loaded.intended = loaded.value;
     }
   }
   if (unknown_params > 5) {
     util::log_warn(csv.source() + ": skipped " + std::to_string(unknown_params) +
                    " rows with unknown parameters in total");
+  }
+
+  config::ConfigAssignment assignment;
+  assignment.singular.reserve(singular_rows.size());
+  for (std::vector<LoadedSlot>& slots : singular_rows) {
+    assignment.singular.push_back(pack_column(topology.carrier_count(), slots));
+    std::vector<LoadedSlot>().swap(slots);
+  }
+  assignment.pairwise.reserve(pairwise_rows.size());
+  for (std::vector<LoadedSlot>& slots : pairwise_rows) {
+    assignment.pairwise.push_back(pack_column(topology.edge_count(), slots));
+    std::vector<LoadedSlot>().swap(slots);
   }
   return assignment;
 }

@@ -21,32 +21,47 @@ std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
   const netsim::Carrier& c = topology.carrier(carrier);
   const auto& singular_ids = catalog.singular_ids();
   const auto& pairwise_ids = catalog.pairwise_ids();
-  const std::size_t begin = topology.edge_offsets[static_cast<std::size_t>(carrier)];
-  const std::size_t end = topology.edge_offsets[static_cast<std::size_t>(carrier) + 1];
-  slots.reserve(singular_ids.size() + (end - begin) * pairwise_ids.size());
+  const auto entity = static_cast<std::size_t>(carrier);
+  const std::size_t begin = topology.edge_offsets[entity];
+  const std::size_t end = topology.edge_offsets[entity + 1];
+
+  // One cursor per pair-wise column over the carrier's edges, advanced in
+  // edge-major, parameter-minor order.
+  std::vector<config::ParamColumn::Range> cursors(pairwise_ids.size());
+  std::size_t count = singular_ids.size();
+  for (std::size_t pi = 0; pi < pairwise_ids.size(); ++pi) {
+    cursors[pi] = assignment.pairwise[pi].range(begin, end);
+    count += cursors[pi].end - cursors[pi].begin;
+  }
+  slots.reserve(count);
 
   // Each MO path is rendered once and copied into its slots: the cell path
-  // once per carrier, the two relation paths once per X2 edge.
+  // once per carrier, the two relation paths once per configured X2 edge.
   const std::string cell_path = cell_mo_path(c);
   for (std::size_t si = 0; si < singular_ids.size(); ++si) {
-    const auto entity = static_cast<std::size_t>(carrier);
-    if (assignment.singular[si].value[entity] == config::kUnset) continue;
-    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_path});
+    if (assignment.singular[si].find(entity) == config::ParamColumn::npos) continue;
+    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_path, si});
   }
 
   std::string freq_path;
   std::string relation_path;
   for (std::size_t e = begin; e < end; ++e) {
-    const netsim::Carrier& neighbor = topology.carrier(topology.edges[e].to);
-    freq_path = cell_path;
-    config::append_freq_relation(freq_path, neighbor);
-    relation_path = freq_path;
-    config::append_cell_relation(relation_path, neighbor);
+    const netsim::Carrier* neighbor = nullptr;
     for (std::size_t pi = 0; pi < pairwise_ids.size(); ++pi) {
-      if (assignment.pairwise[pi].value[e] == config::kUnset) continue;
+      config::ParamColumn::Range& r = cursors[pi];
+      if (r.begin == r.end || assignment.pairwise[pi].entity(r.begin) != e) continue;
+      ++r.begin;
+      if (neighbor == nullptr) {
+        neighbor = &topology.carrier(topology.edges[e].to);
+        freq_path = cell_path;
+        config::append_freq_relation(freq_path, *neighbor);
+        relation_path = freq_path;
+        config::append_cell_relation(relation_path, *neighbor);
+      }
       const config::ParamDef& def = catalog.at(pairwise_ids[pi]);
-      slots.push_back({pairwise_ids[pi], e, neighbor.id,
-                       def.scope == config::PairScope::kPerEdge ? relation_path : freq_path});
+      slots.push_back({pairwise_ids[pi], e, neighbor->id,
+                       def.scope == config::PairScope::kPerEdge ? relation_path : freq_path,
+                       pi});
     }
   }
   return slots;
@@ -84,15 +99,9 @@ namespace {
 /// Intended value of a slot (the engineering-practice target).
 ValueIndex intended_of(const config::ParamCatalog& catalog,
                        const config::ConfigAssignment& assignment, const SlotRef& slot) {
-  const config::ParamDef& def = catalog.at(slot.param);
-  const auto& ids = def.kind == config::ParamKind::kSingular ? catalog.singular_ids()
-                                                             : catalog.pairwise_ids();
-  const std::size_t pos =
-      static_cast<std::size_t>(std::find(ids.begin(), ids.end(), slot.param) - ids.begin());
-  const config::ParamColumn& col = def.kind == config::ParamKind::kSingular
-                                       ? assignment.singular[pos]
-                                       : assignment.pairwise[pos];
-  return col.intended[slot.entity];
+  const bool singular = catalog.at(slot.param).kind == config::ParamKind::kSingular;
+  return (singular ? assignment.singular : assignment.pairwise)[slot.column].intended_of(
+      slot.entity);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@ struct SlotRef {
   std::size_t entity = 0;  ///< carrier id (singular) or edge index (pairwise)
   netsim::CarrierId neighbor = netsim::kInvalidCarrier;
   std::string mo_path;
+  std::size_t column = 0;  ///< position in catalog singular_ids() / pairwise_ids()
 };
 
 /// Enumerates the configured slots of `carrier` (its activation profile),

@@ -12,12 +12,13 @@ KpiModel::KpiModel(const netsim::Topology& topology, const config::ParamCatalog&
   const auto apply_column = [&](const config::ParamColumn& col, const config::ParamDef& def,
                                 bool pairwise) {
     const int step_scale = std::max(1, def.domain.size() / 48);
-    for (std::size_t i = 0; i < col.value.size(); ++i) {
-      if (col.value[i] == config::kUnset || col.value[i] == col.intended[i]) continue;
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      if (col.value_at(i) == col.intended_at(i)) continue;
+      const std::size_t e = col.entity(i);
       const netsim::CarrierId subject =
-          pairwise ? topology.edges[i].from : static_cast<netsim::CarrierId>(i);
+          pairwise ? topology.edges[e].from : static_cast<netsim::CarrierId>(e);
       const double deviation =
-          std::fabs(static_cast<double>(col.value[i] - col.intended[i])) /
+          std::fabs(static_cast<double>(col.value_at(i) - col.intended_at(i))) /
           static_cast<double>(step_scale);
       quality_[static_cast<std::size_t>(subject)] -=
           options.penalty_per_deviation * std::min(3.0, deviation);

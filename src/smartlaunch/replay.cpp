@@ -63,16 +63,22 @@ OperationReplay::~OperationReplay() = default;
 
 void OperationReplay::apply_slot(const SlotRef& slot, config::ValueIndex value,
                                  std::vector<RecordedWrite>* record) {
-  const config::ParamDef& def = catalog_->at(slot.param);
-  const bool pairwise = def.kind == config::ParamKind::kPairwise;
-  const auto& ids = pairwise ? catalog_->pairwise_ids() : catalog_->singular_ids();
-  const std::size_t pos =
-      static_cast<std::size_t>(std::find(ids.begin(), ids.end(), slot.param) - ids.begin());
+  const bool pairwise = catalog_->at(slot.param).kind == config::ParamKind::kPairwise;
+  const std::size_t pos = slot.column;
   config::ParamColumn& col = pairwise ? state_.pairwise[pos] : state_.singular[pos];
-  col.value[slot.entity] = value;
+  // Shard workers write one column at once, each for its own carriers: safe
+  // only as in-place updates of configured slots, since an insert or erase
+  // would shift entries under the other shards.
+  const std::size_t i = col.find(slot.entity);
+  if (i == config::ParamColumn::npos || value == config::kUnset) {
+    throw std::logic_error("OperationReplay::apply_slot: slot " + std::to_string(slot.entity) +
+                           " of parameter " + std::to_string(slot.param) +
+                           (i == config::ParamColumn::npos ? " is not configured"
+                                                           : " would be unset"));
+  }
   // Intent is unchanged: the launch config is what the network RUNS, not
   // what engineering ultimately wants; cause tracking is reset to neutral.
-  col.cause[slot.entity] = config::Cause::kDefault;
+  col.update_at(i, value, config::Cause::kDefault);
   if (record != nullptr) {
     record->push_back({pairwise, pos, slot.entity, value});
   } else if (track_delta_) {
@@ -90,22 +96,24 @@ double carrier_quality(const netsim::Topology& topology, const config::ParamCata
                        const KpiOptions& options = {}) {
   double quality = 1.0;
   const auto penalize = [&](const config::ParamColumn& col, const config::ParamDef& def,
-                            std::size_t slot) {
-    if (col.value[slot] == config::kUnset || col.value[slot] == col.intended[slot]) return;
+                            std::size_t first, std::size_t last) {
     const int step_scale = std::max(1, def.domain.size() / 48);
-    const double deviation = std::fabs(static_cast<double>(col.value[slot] - col.intended[slot])) /
-                             static_cast<double>(step_scale);
-    quality -= options.penalty_per_deviation * std::min(3.0, deviation);
+    const config::ParamColumn::Range r = col.range(first, last);
+    for (std::size_t i = r.begin; i < r.end; ++i) {
+      if (col.value_at(i) == col.intended_at(i)) continue;
+      const double deviation =
+          std::fabs(static_cast<double>(col.value_at(i) - col.intended_at(i))) /
+          static_cast<double>(step_scale);
+      quality -= options.penalty_per_deviation * std::min(3.0, deviation);
+    }
   };
+  const auto c = static_cast<std::size_t>(carrier);
   for (std::size_t si = 0; si < state.singular.size(); ++si) {
-    penalize(state.singular[si], catalog.at(catalog.singular_ids()[si]),
-             static_cast<std::size_t>(carrier));
+    penalize(state.singular[si], catalog.at(catalog.singular_ids()[si]), c, c + 1);
   }
-  const std::size_t begin = topology.edge_offsets[static_cast<std::size_t>(carrier)];
-  const std::size_t end = topology.edge_offsets[static_cast<std::size_t>(carrier) + 1];
   for (std::size_t pi = 0; pi < state.pairwise.size(); ++pi) {
-    const config::ParamDef& def = catalog.at(catalog.pairwise_ids()[pi]);
-    for (std::size_t e = begin; e < end; ++e) penalize(state.pairwise[pi], def, e);
+    penalize(state.pairwise[pi], catalog.at(catalog.pairwise_ids()[pi]),
+             topology.edge_offsets[c], topology.edge_offsets[c + 1]);
   }
   return std::max(options.min_quality, quality);
 }
@@ -291,13 +299,12 @@ ReplayReport OperationReplay::run() {
                                   std::to_string(columns.size()));
     }
     config::ParamColumn& col = columns[w.param_pos];
-    if (w.entity >= col.value.size()) {
+    if (w.entity >= col.entities()) {
       throw std::invalid_argument(store.dir() + ": persisted slot write names entity " +
                                   std::to_string(w.entity) + " of " +
-                                  std::to_string(col.value.size()));
+                                  std::to_string(col.entities()));
     }
-    col.value[w.entity] = w.value;
-    col.cause[w.entity] = config::Cause::kDefault;
+    col.set(w.entity, w.value, col.intended_of(w.entity), config::Cause::kDefault);
   };
 
   int start_day = 0;

@@ -35,7 +35,7 @@ TEST(CfEvaluation, PerfectAssignmentScoresPerfectly) {
 
 TEST(CfEvaluation, MismatchSinkCapturesDeviations) {
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;  // one deviating carrier
+  test::set_value(f.assignment.singular[0], 2, 9);  // one deviating carrier
   std::vector<CfPrediction> mismatches;
   const CfParamResult result = evaluate_param(f.engine(), 0, &mismatches);
   EXPECT_EQ(result.correct + mismatches.size(), result.rows);
@@ -81,7 +81,7 @@ TEST(CfEvaluation, TalliesFollowTheEngineDecisionSource) {
   // Every row is scored by the engine's own leave-one-out decision, so the
   // per-source tallies are the engine's recommendation sources.
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;
+  test::set_value(f.assignment.singular[0], 2, 9);
   const core::AuricEngine engine = f.engine(std::nullopt, /*local=*/true);
   const core::LabelColumn labels = engine.label_column(0);
   std::size_t configured = 0;

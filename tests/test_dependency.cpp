@@ -25,19 +25,12 @@ struct Fixture {
 ParamView planted_view(const Fixture& f, const std::string& attr_name) {
   const std::size_t attr = f.schema.index_of(attr_name);
   config::ConfigAssignment assignment;
-  assignment.singular.resize(1);
-  auto& col = assignment.singular[0];
-  col.value.resize(f.topo.carrier_count());
-  col.intended.resize(f.topo.carrier_count());
-  col.cause.assign(f.topo.carrier_count(), config::Cause::kAttributeRule);
-  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
-    col.value[c] = f.codes[attr][c] % 11;
-    col.intended[c] = col.value[c];
-  }
-  assignment.pairwise.resize(1);
-  assignment.pairwise[0].value.assign(f.topo.edge_count(), config::kUnset);
-  assignment.pairwise[0].intended.assign(f.topo.edge_count(), config::kUnset);
-  assignment.pairwise[0].cause.assign(f.topo.edge_count(), config::Cause::kDefault);
+  std::vector<config::ValueIndex> value(f.topo.carrier_count());
+  for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) value[c] = f.codes[attr][c] % 11;
+  assignment.singular.push_back(config::ParamColumn::from_dense(
+      value, value,
+      std::vector<config::Cause>(f.topo.carrier_count(), config::Cause::kAttributeRule)));
+  assignment.pairwise.emplace_back(f.topo.edge_count());
   return build_param_view(f.topo, f.catalog, assignment, 0);
 }
 
@@ -96,28 +89,20 @@ TEST(Dependency, TestsEveryAttributeOnce) {
 TEST(Dependency, PairwiseTestsNeighborSideToo) {
   Fixture f;
   config::ConfigAssignment assignment;
-  assignment.singular.resize(1);
-  assignment.singular[0].value.assign(f.topo.carrier_count(), config::kUnset);
-  assignment.singular[0].intended.assign(f.topo.carrier_count(), config::kUnset);
-  assignment.singular[0].cause.assign(f.topo.carrier_count(), config::Cause::kDefault);
-  assignment.pairwise.resize(1);
-  auto& col = assignment.pairwise[0];
-  col.value.resize(f.topo.edge_count());
-  col.intended.resize(f.topo.edge_count());
-  col.cause.assign(f.topo.edge_count(), config::Cause::kAttributeRule);
+  assignment.singular.emplace_back(f.topo.carrier_count());
+  std::vector<config::ValueIndex> value(f.topo.edge_count(), config::kUnset);
   const std::size_t freq = f.schema.index_of("carrier_frequency");
   for (std::size_t e = 0; e < f.topo.edge_count(); ++e) {
     const auto& edge = f.topo.edges[e];
     const bool intra = f.topo.carrier(edge.from).frequency_mhz ==
                        f.topo.carrier(edge.to).frequency_mhz;
-    if (!intra) {
-      col.value[e] = col.intended[e] = config::kUnset;
-      continue;
-    }
+    if (!intra) continue;
     // Value keyed on the NEIGHBOR's frequency code.
-    col.value[e] = f.codes[freq][static_cast<std::size_t>(edge.to)] % 11;
-    col.intended[e] = col.value[e];
+    value[e] = f.codes[freq][static_cast<std::size_t>(edge.to)] % 11;
   }
+  assignment.pairwise.push_back(config::ParamColumn::from_dense(
+      value, value,
+      std::vector<config::Cause>(f.topo.edge_count(), config::Cause::kAttributeRule)));
   const ParamView view = build_param_view(f.topo, f.catalog, assignment, 1);
   const DependencyModel model = learn_dependencies(view, f.codes, f.schema, {});
   EXPECT_EQ(model.tests.size(), 2 * f.schema.attribute_count());

@@ -67,8 +67,8 @@ TEST(AuricEngine, FallsBackToRulebookDefaultWithoutEvidence) {
   Fixture f;
   // Scatter the values so no peer group reaches a 75% vote anywhere.
   for (std::size_t c = 0; c < f.topo.carrier_count(); ++c) {
-    f.assignment.singular[0].value[c] = static_cast<config::ValueIndex>(c % 11);
-    f.assignment.singular[0].intended[c] = static_cast<config::ValueIndex>(c % 11);
+    const auto v = static_cast<config::ValueIndex>(c % 11);
+    f.assignment.singular[0].set(c, v, v, config::Cause::kAttributeRule);
   }
   const AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, relaxed());
   const Recommendation rec = engine.recommend(0, 0);
@@ -97,7 +97,7 @@ TEST(AuricEngine, ExcludeSelfChangesThinVotes) {
   Fixture f;
   // Give one 700 MHz carrier a unique value; with exclude_self its own
   // observation cannot vote for itself.
-  f.assignment.singular[0].value[4] = 10;
+  test::set_value(f.assignment.singular[0], 4, 10);
   AuricOptions options = relaxed();
   options.max_dependent = 6;
   const AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, options);
@@ -224,12 +224,17 @@ TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
   // unset, then relearned onto the full assignment, the engine's tables
   // stay within 15% of the fresh learn's. Its groups end in the form a
   // fresh build gives them, so its run pairs stay within 15% too.
-  config::ConfigAssignment sparse = assignment;
-  for (auto* columns : {&sparse.singular, &sparse.pairwise}) {
-    for (auto& column : *columns) {
-      for (std::size_t e = 0; e < column.value.size(); e += 16) column.value[e] = config::kUnset;
+  config::ConfigAssignment sparse;
+  const auto thinned = [](const config::ParamColumn& column) {
+    config::ParamColumn out(column.entities());
+    for (std::size_t i = 0; i < column.configured_count(); ++i) {
+      if (column.entity(i) % 16 == 0) continue;
+      out.append(column.entity(i), column.value_at(i), column.intended_at(i), column.cause_at(i));
     }
-  }
+    return out;
+  };
+  for (const auto& column : assignment.singular) sparse.singular.push_back(thinned(column));
+  for (const auto& column : assignment.pairwise) sparse.pairwise.push_back(thinned(column));
   AuricEngine relearned(topo, schema, catalog, sparse);
   IncrementalRelearnStats stats;
   relearned.incremental_relearn(assignment, {}, &stats);

@@ -27,7 +27,7 @@ TEST(GroundTruth, AssignmentIsDeterministic) {
   ASSERT_EQ(a.singular.size(), b.singular.size());
   for (std::size_t si = 0; si < a.singular.size(); ++si) {
     EXPECT_EQ(a.singular[si].value, b.singular[si].value);
-    EXPECT_EQ(a.singular[si].intended, b.singular[si].intended);
+    EXPECT_EQ(test::intended_entries(a.singular[si]), test::intended_entries(b.singular[si]));
   }
   for (std::size_t pi = 0; pi < a.pairwise.size(); ++pi) {
     EXPECT_EQ(a.pairwise[pi].value, b.pairwise[pi].value);
@@ -43,7 +43,7 @@ TEST(GroundTruth, SeedChangesAssignment) {
   const ConfigAssignment b = GroundTruthModel(f.topo, f.schema, f.catalog, p2).assign();
   std::size_t diffs = 0;
   for (std::size_t si = 0; si < a.singular.size(); ++si) {
-    for (std::size_t c = 0; c < a.singular[si].value.size(); ++c) {
+    for (std::size_t c = 0; c < a.singular[si].entities(); ++c) {
       diffs += a.singular[si].value[c] != b.singular[si].value[c] ? 1 : 0;
     }
   }
@@ -57,21 +57,18 @@ TEST(GroundTruth, ValuesStayInDomainsAndCausesAreConsistent) {
   for (std::size_t si = 0; si < assignment.singular.size(); ++si) {
     const ParamDef& def = f.catalog.at(f.catalog.singular_ids()[si]);
     const ParamColumn& col = assignment.singular[si];
-    for (std::size_t c = 0; c < col.value.size(); ++c) {
-      if (col.value[c] == kUnset) {
-        EXPECT_EQ(col.intended[c], kUnset);
-        continue;
-      }
-      EXPECT_TRUE(def.domain.contains(col.value[c]));
-      EXPECT_TRUE(def.domain.contains(col.intended[c]));
-      if (col.value[c] != col.intended[c]) {
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      EXPECT_TRUE(def.domain.contains(col.value_at(i)));
+      EXPECT_TRUE(def.domain.contains(col.intended_at(i)));
+      const Cause cause = col.cause_at(i);
+      if (col.value_at(i) != col.intended_at(i)) {
         // Only trials, stale leftovers and noise may diverge from intent.
-        EXPECT_TRUE(col.cause[c] == Cause::kTrial || col.cause[c] == Cause::kStaleLeftover ||
-                    col.cause[c] == Cause::kNoise)
-            << cause_name(col.cause[c]);
+        EXPECT_TRUE(cause == Cause::kTrial || cause == Cause::kStaleLeftover ||
+                    cause == Cause::kNoise)
+            << cause_name(cause);
       } else {
-        EXPECT_NE(col.cause[c], Cause::kStaleLeftover);
-        EXPECT_NE(col.cause[c], Cause::kNoise);
+        EXPECT_NE(cause, Cause::kStaleLeftover);
+        EXPECT_NE(cause, Cause::kNoise);
       }
     }
   }
@@ -112,9 +109,8 @@ TEST(GroundTruth, PairwiseRespectsRelationClass) {
   for (std::size_t pi = 0; pi < assignment.pairwise.size(); ++pi) {
     const ParamDef& def = f.catalog.at(f.catalog.pairwise_ids()[pi]);
     const ParamColumn& col = assignment.pairwise[pi];
-    for (std::size_t e = 0; e < col.value.size(); ++e) {
-      if (col.value[e] == kUnset) continue;
-      const auto& edge = f.topo.edges[e];
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      const auto& edge = f.topo.edges[col.entity(i)];
       const bool intra = f.topo.carrier(edge.from).frequency_mhz ==
                          f.topo.carrier(edge.to).frequency_mhz;
       EXPECT_EQ(intra, def.relation == RelationClass::kIntraFrequency) << def.name;
@@ -227,10 +223,26 @@ TEST(GroundTruth, NoiseRateControlsDivergence) {
   const ConfigAssignment assignment =
       GroundTruthModel(f.topo, f.schema, f.catalog, quiet).assign();
   for (const ParamColumn& col : assignment.singular) {
-    for (std::size_t c = 0; c < col.value.size(); ++c) {
-      EXPECT_EQ(col.value[c], col.intended[c]);
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      EXPECT_EQ(col.value_at(i), col.intended_at(i));
     }
   }
+}
+
+TEST(GroundTruth, AssignmentStaysAtItsOccupancyOnTheDefaultWorld) {
+  // The default world (28 markets x 55 eNodeBs) under `auric generate`'s
+  // ground truth: 1.09M of 5.62M slots are configured. Stored at their
+  // configured count, 13 bytes each with no slack, the columns take about
+  // 13.5 MiB (dense per-slot arrays took 48.3 MiB).
+  const netsim::Topology topo = netsim::generate_topology(netsim::TopologyParams{});
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const ParamCatalog catalog = ParamCatalog::standard();
+  GroundTruthParams truth;
+  truth.seed = netsim::TopologyParams{}.seed + 6;
+  const ConfigAssignment assignment = GroundTruthModel(topo, schema, catalog, truth).assign();
+  const std::size_t bytes = assignment.heap_bytes();
+  EXPECT_EQ(bytes, 13 * assignment.total_configured());
+  EXPECT_LT(bytes, std::size_t{16} << 20) << bytes;
 }
 
 TEST(CauseNames, AllDistinct) {

@@ -193,29 +193,43 @@ inline config::ParamCatalog tiny_catalog() {
 inline config::ConfigAssignment tiny_assignment(const netsim::Topology& topo) {
   using namespace config;
   ConfigAssignment assignment;
-  assignment.singular.resize(1);
-  auto& s = assignment.singular[0];
-  s.value.resize(topo.carrier_count());
-  s.intended.resize(topo.carrier_count());
-  s.cause.assign(topo.carrier_count(), Cause::kAttributeRule);
+  std::vector<ValueIndex> value(topo.carrier_count());
   for (const netsim::Carrier& c : topo.carriers) {
-    const ValueIndex v = c.band == netsim::Band::kLow ? 3 : 7;
-    s.value[static_cast<std::size_t>(c.id)] = v;
-    s.intended[static_cast<std::size_t>(c.id)] = v;
+    value[static_cast<std::size_t>(c.id)] = c.band == netsim::Band::kLow ? 3 : 7;
   }
-  assignment.pairwise.resize(1);
-  auto& p = assignment.pairwise[0];
-  p.value.assign(topo.edge_count(), kUnset);
-  p.intended.assign(topo.edge_count(), kUnset);
-  p.cause.assign(topo.edge_count(), Cause::kDefault);
+  assignment.singular.push_back(ParamColumn::from_dense(
+      value, value, std::vector<Cause>(topo.carrier_count(), Cause::kAttributeRule)));
+  value.assign(topo.edge_count(), kUnset);
   for (std::size_t e = 0; e < topo.edge_count(); ++e) {
     const auto& edge = topo.edges[e];
     if (topo.carrier(edge.from).frequency_mhz == topo.carrier(edge.to).frequency_mhz) {
-      p.value[e] = 2;
-      p.intended[e] = 2;
+      value[e] = 2;
     }
   }
+  assignment.pairwise.push_back(ParamColumn::from_dense(
+      value, value, std::vector<Cause>(topo.edge_count(), Cause::kDefault)));
   return assignment;
+}
+
+/// The column's intended values and causes, entry by entry.
+inline std::vector<config::ValueIndex> intended_entries(const config::ParamColumn& col) {
+  std::vector<config::ValueIndex> out;
+  for (std::size_t i = 0; i < col.configured_count(); ++i) out.push_back(col.intended_at(i));
+  return out;
+}
+inline std::vector<config::Cause> cause_entries(const config::ParamColumn& col) {
+  std::vector<config::Cause> out;
+  for (std::size_t i = 0; i < col.configured_count(); ++i) out.push_back(col.cause_at(i));
+  return out;
+}
+
+/// Sets the value of `entity`, keeping its intended value and cause: a
+/// newly configured slot gets intended kUnset and cause kDefault, and kUnset
+/// erases the slot.
+inline void set_value(config::ParamColumn& col, std::size_t entity, config::ValueIndex value) {
+  const std::size_t i = col.find(entity);
+  col.set(entity, value, col.intended_of(entity),
+          i == config::ParamColumn::npos ? config::Cause::kDefault : col.cause_at(i));
 }
 
 /// True when `text` is exactly one RFC 8259 JSON value (objects, arrays,

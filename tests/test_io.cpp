@@ -174,12 +174,14 @@ TEST(InventoryIo, AssignmentRoundTripsWithGroundTruth) {
   ASSERT_EQ(loaded.singular.size(), original.singular.size());
   for (std::size_t si = 0; si < original.singular.size(); ++si) {
     EXPECT_EQ(loaded.singular[si].value, original.singular[si].value);
-    EXPECT_EQ(loaded.singular[si].intended, original.singular[si].intended);
-    EXPECT_EQ(loaded.singular[si].cause, original.singular[si].cause);
+    EXPECT_EQ(test::intended_entries(loaded.singular[si]),
+              test::intended_entries(original.singular[si]));
+    EXPECT_EQ(test::cause_entries(loaded.singular[si]), test::cause_entries(original.singular[si]));
   }
   for (std::size_t pi = 0; pi < original.pairwise.size(); ++pi) {
     EXPECT_EQ(loaded.pairwise[pi].value, original.pairwise[pi].value);
-    EXPECT_EQ(loaded.pairwise[pi].intended, original.pairwise[pi].intended);
+    EXPECT_EQ(test::intended_entries(loaded.pairwise[pi]),
+              test::intended_entries(original.pairwise[pi]));
   }
   EXPECT_EQ(loaded.total_configured(), original.total_configured());
   std::filesystem::remove_all(dir);
@@ -215,9 +217,39 @@ TEST(InventoryIo, AssignmentWithoutGroundTruthColumnsDefaults) {
   const std::size_t pos = static_cast<std::size_t>(
       std::find(ids.begin(), ids.end(), pmax) - ids.begin());
   EXPECT_EQ(loaded.singular[pos].value[0], catalog.at(pmax).domain.nearest_index(30.0));
-  EXPECT_EQ(loaded.singular[pos].intended[0], loaded.singular[pos].value[0]);
-  EXPECT_EQ(loaded.singular[pos].cause[0], config::Cause::kDefault);
+  EXPECT_EQ(loaded.singular[pos].intended_of(0), loaded.singular[pos].value[0]);
+  EXPECT_EQ(loaded.singular[pos].cause_at(loaded.singular[pos].find(0)), config::Cause::kDefault);
   EXPECT_EQ(loaded.total_configured(), 2u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(InventoryIo, RowsInAnyOrderLoadInEntityOrderAndTheLastRowWins) {
+  const std::string dir = temp_dir("order");
+  const netsim::Topology topo = test::tiny_topology();
+  const auto catalog = config::ParamCatalog::standard();
+  io::save_topology(topo, dir);
+  {
+    std::ofstream cfg(std::filesystem::path(dir) / "config.csv");
+    cfg << "parameter,from,to,value\n";
+    cfg << "pMax,3,,30\n";
+    cfg << "pMax,1,,20\n";
+    cfg << "pMax,3,,10\n";  // a later row for carrier 3 replaces the first
+    cfg << "pMax,0,,5\n";
+  }
+  const config::ConfigAssignment loaded = io::load_assignment(topo, catalog, dir);
+  const config::ParamId pmax = catalog.id_of("pMax");
+  const auto& ids = catalog.singular_ids();
+  const config::ParamColumn& col = loaded.singular[static_cast<std::size_t>(
+      std::find(ids.begin(), ids.end(), pmax) - ids.begin())];
+  const config::ValueDomain& domain = catalog.at(pmax).domain;
+  ASSERT_EQ(col.configured_count(), 3u);
+  EXPECT_EQ(col.entity(0), 0u);
+  EXPECT_EQ(col.entity(1), 1u);
+  EXPECT_EQ(col.entity(2), 3u);
+  EXPECT_EQ(col.value_at(0), domain.nearest_index(5.0));
+  EXPECT_EQ(col.value_at(1), domain.nearest_index(20.0));
+  EXPECT_EQ(col.value_at(2), domain.nearest_index(10.0));
+  EXPECT_EQ(col.value[2], config::kUnset);
   std::filesystem::remove_all(dir);
 }
 

@@ -19,7 +19,7 @@ TEST(KpiModel, DeviationsDegradeQuality) {
   const netsim::Topology topo = test::tiny_topology();
   const config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
-  assignment.singular[0].value[0] = 9;  // intent stays 3
+  test::set_value(assignment.singular[0], 0, 9);  // intent stays 3
   const KpiModel kpi(topo, catalog, assignment);
   EXPECT_LT(kpi.quality(0), 1.0);
   EXPECT_DOUBLE_EQ(kpi.quality(1), 1.0);  // untouched carrier unaffected
@@ -30,10 +30,10 @@ TEST(KpiModel, QualityHasAFloor) {
   const config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
   // Corrupt everything on carrier 0.
-  assignment.singular[0].value[0] = 10;
+  test::set_value(assignment.singular[0], 0, 10);
   for (std::size_t e = 0; e < topo.edge_count(); ++e) {
     if (topo.edges[e].from == 0 && assignment.pairwise[0].value[e] != config::kUnset) {
-      assignment.pairwise[0].value[e] = 20;
+      test::set_value(assignment.pairwise[0], e, 20);
     }
   }
   KpiOptions options;

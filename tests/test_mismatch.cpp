@@ -39,18 +39,21 @@ TEST(MismatchBreakdown, FractionsSumToOne) {
   EXPECT_DOUBLE_EQ(MismatchBreakdown{}.fraction(MismatchLabel::kInconclusive), 0.0);
 }
 
+/// Gives `entity` the value `value` for the reason `cause`, keeping its intent.
+void plant(config::ParamColumn& col, std::size_t entity, config::ValueIndex value,
+           config::Cause cause) {
+  col.set(entity, value, col.intended_of(entity), cause);
+}
+
 TEST(LabelMismatches, AggregatesAgainstGroundTruth) {
   const netsim::Topology topo = test::chain_topology();
   const config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
   // Plant: carrier 0 is a stale leftover (value 9, intent 3); carrier 2 is
   // an ongoing trial; carrier 4 is noise.
-  assignment.singular[0].value[0] = 9;
-  assignment.singular[0].cause[0] = config::Cause::kStaleLeftover;
-  assignment.singular[0].value[2] = 8;
-  assignment.singular[0].cause[2] = config::Cause::kTrial;
-  assignment.singular[0].value[4] = 6;
-  assignment.singular[0].cause[4] = config::Cause::kNoise;
+  plant(assignment.singular[0], 0, 9, config::Cause::kStaleLeftover);
+  plant(assignment.singular[0], 2, 8, config::Cause::kTrial);
+  plant(assignment.singular[0], 4, 6, config::Cause::kNoise);
 
   std::vector<CfPrediction> mismatches{
       {0, 0, /*predicted=*/3, /*actual=*/9, 0},
@@ -77,10 +80,8 @@ TEST(ApplyGoodRecommendations, PushesOnlyTheGoodOnes) {
   const netsim::Topology topo = test::chain_topology();
   const config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
-  assignment.singular[0].value[0] = 9;
-  assignment.singular[0].cause[0] = config::Cause::kStaleLeftover;  // good rec
-  assignment.singular[0].value[2] = 8;
-  assignment.singular[0].cause[2] = config::Cause::kTrial;          // must stay
+  plant(assignment.singular[0], 0, 9, config::Cause::kStaleLeftover);  // good rec
+  plant(assignment.singular[0], 2, 8, config::Cause::kTrial);          // must stay
   std::vector<CfPrediction> mismatches{
       {0, 0, /*predicted=*/3, /*actual=*/9, 0},
       {0, 2, 3, 8, 2},

@@ -63,10 +63,10 @@ class NaiveRecommender {
       const bool pairwise = engine.catalog().at(param).kind == config::ParamKind::kPairwise;
       const std::size_t pos = kind_position(engine.catalog(), param);
       const auto& column = pairwise ? assignment.pairwise[pos] : assignment.singular[pos];
-      for (std::size_t e = 0; e < column.value.size(); ++e) {
-        if (column.value[e] == config::kUnset) continue;
+      for (std::size_t i = 0; i < column.configured_count(); ++i) {
+        const std::size_t e = column.entity(i);
         Observation o;
-        o.value = column.value[e];
+        o.value = column.value_at(i);
         if (pairwise) {
           o.carrier = topo.edges[e].from;
           o.neighbor = topo.edges[e].to;
@@ -363,12 +363,13 @@ config::ConfigAssignment mutate(const config::ParamCatalog& catalog,
                                 const config::ConfigAssignment& base, util::Rng& rng) {
   config::ConfigAssignment next = base;
   const auto churn = [&](config::ParamColumn& column, const config::ValueDomain& domain) {
-    for (config::ValueIndex& v : column.value) {
+    for (std::size_t e = 0; e < column.entities(); ++e) {
       const double u = rng.uniform();
       if (u < 0.03) {
-        v = config::kUnset;
+        test::set_value(column, e, config::kUnset);
       } else if (u < 0.08) {
-        v = static_cast<config::ValueIndex>(rng.uniform_int(0, domain.size() - 1));
+        test::set_value(column, e,
+                        static_cast<config::ValueIndex>(rng.uniform_int(0, domain.size() - 1)));
       }
     }
   };
@@ -392,8 +393,8 @@ TEST_P(RecommendReference, EngineMatchesBruteForceVotes) {
   util::Rng rng(seed * 7919 + 1);
   // Start with a few holes so the relearn below has slots to add.
   for (auto& column : assignment.singular) {
-    for (config::ValueIndex& v : column.value) {
-      if (rng.uniform() < 0.05) v = config::kUnset;
+    for (std::size_t c = 0; c < column.entities(); ++c) {
+      if (rng.uniform() < 0.05) test::set_value(column, c, config::kUnset);
     }
   }
 

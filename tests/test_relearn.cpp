@@ -6,6 +6,7 @@
 // threshold and the ModelWatch union trigger gate the re-test; and the
 // per-parameter fan-out is byte-identical at any thread count.
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,14 @@ struct Fixture {
     return o;
   }
 };
+
+/// Swaps the two observed values 3 and 7 on every configured slot.
+void swap_values(config::ParamColumn& col) {
+  for (std::size_t c = 0; c < col.entities(); ++c) {
+    const config::ValueIndex v = std::as_const(col).value[c];
+    if (v != config::kUnset) test::set_value(col, c, v == 3 ? 7 : 3);
+  }
+}
 
 std::vector<VotingModel::GroupSummary> sorted_groups(const VotingModel& model) {
   std::vector<VotingModel::GroupSummary> groups = model.group_summaries();
@@ -126,16 +135,16 @@ TEST(IncrementalRelearn, AddUpdateEraseMatchesFromScratchRebuild) {
   const std::size_t edge_erase = configured_edges[1];
 
   // Leave a few slots unset so the relearn can exercise the add path.
-  f.assignment.singular[0].value[2] = config::kUnset;
-  f.assignment.pairwise[0].value[edge_add] = config::kUnset;
+  test::set_value(f.assignment.singular[0], 2, config::kUnset);
+  test::set_value(f.assignment.pairwise[0], edge_add, config::kUnset);
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
 
   config::ConfigAssignment next = f.assignment;
-  next.singular[0].value[2] = 7;                        // add
-  next.singular[0].value[4] = 7;                        // update (3 -> 7: existing label)
-  next.singular[0].value[6] = config::kUnset;           // erase
-  next.pairwise[0].value[edge_add] = 2;                 // add
-  next.pairwise[0].value[edge_erase] = config::kUnset;  // erase
+  test::set_value(next.singular[0], 2, 7);                        // add
+  test::set_value(next.singular[0], 4, 7);  // update (3 -> 7: existing label)
+  test::set_value(next.singular[0], 6, config::kUnset);           // erase
+  test::set_value(next.pairwise[0], edge_add, 2);                 // add
+  test::set_value(next.pairwise[0], edge_erase, config::kUnset);  // erase
 
   IncrementalRelearnStats stats;
   engine.incremental_relearn(next, {}, &stats);
@@ -159,7 +168,7 @@ TEST(IncrementalRelearn, NewValueSplicesJustThatParameterAlphabet) {
   // (label codes are value-sorted, so a new value recodes existing rows) and
   // force the dependency re-test — but never the O(rows x attrs) re-tally.
   config::ConfigAssignment next = f.assignment;
-  next.singular[0].value[0] = 9;
+  test::set_value(next.singular[0], 0, 9);
 
   IncrementalRelearnStats stats;
   engine.incremental_relearn(next, {}, &stats);
@@ -191,9 +200,9 @@ TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
   // Day 1: values 1 and 4 appear (1 sorts below the resident 2, so every
   // existing code of the column shifts up) while one edge is erased.
   config::ConfigAssignment day1 = f.assignment;
-  day1.pairwise[0].value[configured[0]] = 1;
-  day1.pairwise[0].value[configured[1]] = 4;
-  day1.pairwise[0].value[configured.back()] = config::kUnset;
+  test::set_value(day1.pairwise[0], configured[0], 1);
+  test::set_value(day1.pairwise[0], configured[1], 4);
+  test::set_value(day1.pairwise[0], configured.back(), config::kUnset);
   IncrementalRelearnStats stats;
   engine.incremental_relearn(day1, {}, &stats);
   EXPECT_EQ(stats.params_remapped, 1u);
@@ -205,8 +214,8 @@ TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
   // Day 2: value 1 vanishes again (codes shift back down) and the erased
   // edge returns.
   config::ConfigAssignment day2 = day1;
-  day2.pairwise[0].value[configured[0]] = 2;
-  day2.pairwise[0].value[configured.back()] = 2;
+  test::set_value(day2.pairwise[0], configured[0], 2);
+  test::set_value(day2.pairwise[0], configured.back(), 2);
   IncrementalRelearnStats undo;
   engine.incremental_relearn(day2, {}, &undo);
   EXPECT_EQ(undo.params_remapped, 1u);
@@ -222,7 +231,7 @@ TEST(IncrementalRelearn, DependentSetChangeRebuildsTheVotingTables) {
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
   config::ConfigAssignment next = f.assignment;
   for (const netsim::Carrier& c : f.topo.carriers) {
-    next.singular[0].value[static_cast<std::size_t>(c.id)] = c.market == 0 ? 3 : 7;
+    test::set_value(next.singular[0], static_cast<std::size_t>(c.id), c.market == 0 ? 3 : 7);
   }
   IncrementalRelearnStats stats;
   engine.incremental_relearn(next, {}, &stats);
@@ -239,12 +248,13 @@ TEST(IncrementalRelearn, RepeatedDeltasStayExactOverManyRounds) {
   // A deterministic little walk: flip slots between the two observed values,
   // occasionally unsetting and restoring, so maintained rows churn heavily.
   for (int round = 0; round < 6; ++round) {
-    const std::size_t n = state.singular[0].value.size();
+    config::ParamColumn& col = state.singular[0];
+    const std::size_t n = col.entities();
     for (std::size_t c = round % 3; c < n; c += 3) {
-      auto& v = state.singular[0].value[c];
-      v = (round % 2 == 0) ? (v == 3 ? 7 : 3) : (v == config::kUnset ? 3 : v);
+      const config::ValueIndex v = std::as_const(col).value[c];
+      test::set_value(col, c, (round % 2 == 0) ? (v == 3 ? 7 : 3) : (v == config::kUnset ? 3 : v));
     }
-    state.singular[0].value[(round * 2) % n] = config::kUnset;
+    test::set_value(state.singular[0], (round * 2) % n, config::kUnset);
     engine.incremental_relearn(state);
     expect_engines_equal(engine,
                          AuricEngine(f.topo, f.schema, f.catalog, state, f.options()));
@@ -258,7 +268,7 @@ TEST(IncrementalRelearn, DriftThresholdGatesTheRetest) {
   // One slot out of 16 changes: far below a 0.5 threshold, so the dependency
   // scan must NOT re-run; the vote tables still absorb the delta.
   config::ConfigAssignment next = f.assignment;
-  next.singular[0].value[0] = 7;
+  test::set_value(next.singular[0], 0, 7);
   IncrementalRelearnOptions gated;
   gated.drift_threshold = 0.5;
   IncrementalRelearnStats stats;
@@ -272,9 +282,7 @@ TEST(IncrementalRelearn, DriftThresholdGatesTheRetest) {
   // A shifted distribution — most slots change — crosses the threshold and
   // re-tests.
   config::ConfigAssignment shifted = next;
-  for (auto& v : shifted.singular[0].value) {
-    if (v != config::kUnset) v = v == 3 ? 7 : 3;
-  }
+  swap_values(shifted.singular[0]);
   IncrementalRelearnStats shift_stats;
   engine.incremental_relearn(shifted, gated, &shift_stats);
   EXPECT_EQ(shift_stats.params_touched, 1u);
@@ -309,7 +317,7 @@ TEST(IncrementalRelearn, ModelWatchDriftUnionTriggersTheRetest) {
   // The same tiny inventory delta as above: below the fraction threshold, but
   // the watch union trigger forces the re-test anyway.
   config::ConfigAssignment next = f.assignment;
-  next.singular[0].value[0] = 7;
+  test::set_value(next.singular[0], 0, 7);
   IncrementalRelearnOptions gated;
   gated.drift_threshold = 0.5;
   gated.watch = &watch;
@@ -329,9 +337,9 @@ TEST(IncrementalRelearn, ParallelLearnAndRelearnAreByteIdentical) {
   expect_engines_equal(engine1, engine4);
 
   config::ConfigAssignment next = f.assignment;
-  next.singular[0].value[0] = 7;
-  next.singular[0].value[5] = config::kUnset;
-  next.pairwise[0].value[0] = 4;
+  test::set_value(next.singular[0], 0, 7);
+  test::set_value(next.singular[0], 5, config::kUnset);
+  test::set_value(next.pairwise[0], 0, 4);
 
   IncrementalRelearnOptions inc1;
   inc1.threads = 1;
@@ -355,9 +363,7 @@ TEST(IncrementalRelearn, ClonedEngineRelearnsIndependently) {
   AuricEngine clone(*original);
 
   config::ConfigAssignment next = f.assignment;
-  for (auto& v : next.singular[0].value) {
-    if (v != config::kUnset) v = v == 3 ? 7 : 3;
-  }
+  swap_values(next.singular[0]);
   clone.incremental_relearn(next);
   // The serve relearn path frees the original after the RCU flip; the clone's
   // models must survive it (they share only the immutable attribute codes).
@@ -369,7 +375,7 @@ TEST(IncrementalRelearn, RejectsAMismatchedAssignment) {
   Fixture f;
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
   config::ConfigAssignment wrong = f.assignment;
-  wrong.singular[0].value.pop_back();
+  wrong.singular[0] = config::ParamColumn(f.topo.carrier_count() - 1);
   EXPECT_THROW(engine.incremental_relearn(wrong), std::invalid_argument);
   config::ConfigAssignment extra = f.assignment;
   extra.singular.emplace_back();

@@ -78,7 +78,7 @@ TEST(OperationReplay, StateEvolvesOnlyOnLaunchedCarriers) {
   // Count carriers whose singular configuration changed.
   std::set<netsim::CarrierId> touched;
   for (std::size_t si = 0; si < evolved.singular.size(); ++si) {
-    for (std::size_t c = 0; c < evolved.singular[si].value.size(); ++c) {
+    for (std::size_t c = 0; c < evolved.singular[si].entities(); ++c) {
       if (evolved.singular[si].value[c] != f.assignment.singular[si].value[c]) {
         touched.insert(static_cast<netsim::CarrierId>(c));
       }

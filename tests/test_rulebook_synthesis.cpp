@@ -47,8 +47,8 @@ TEST(RulebookSynthesis, DefaultRulesAreSkippedByDefault) {
   // being interesting rules.
   for (const netsim::Carrier& c : f.topo.carriers) {
     if (c.band == netsim::Band::kLow) {
-      f.assignment.singular[0].value[static_cast<std::size_t>(c.id)] = 5;
-      f.assignment.singular[0].intended[static_cast<std::size_t>(c.id)] = 5;
+      f.assignment.singular[0].set(static_cast<std::size_t>(c.id), 5, 5,
+                                   config::Cause::kAttributeRule);
     }
   }
   const AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment);

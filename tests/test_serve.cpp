@@ -601,8 +601,8 @@ TEST(ServeDaemon, IncrementalRelearnRidesTheShadowAuditAndFlipRateCap) {
   // refuses the swap — incremental relearns get no bypass around the gate.
   const config::ConfigAssignment before = f.assignment;
   for (auto& column : f.assignment.singular) {
-    for (auto& v : column.value) {
-      if (v != config::kUnset) v = 0;
+    for (std::size_t i = 0; i < column.configured_count(); ++i) {
+      column.set(column.entity(i), 0, column.intended_at(i), column.cause_at(i));
     }
   }
   obs::HttpResponse refused = daemon.handle(relearn);

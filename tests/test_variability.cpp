@@ -11,7 +11,7 @@ TEST(Variability, CountsDistinctValuesOverallAndPerMarket) {
   const netsim::Topology topo = test::chain_topology();
   const config::ParamCatalog catalog = test::tiny_catalog();
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
-  assignment.singular[0].value[10] = 9;  // extra value only in market 1
+  test::set_value(assignment.singular[0], 10, 9);  // extra value only in market 1
 
   const auto variability = analyze_variability(topo, catalog, assignment);
   ASSERT_EQ(variability.size(), 2u);
@@ -42,9 +42,9 @@ TEST(Variability, SkewnessSeesOneSidedTails) {
   config::ConfigAssignment assignment = test::tiny_assignment(topo);
   // Constant 3 with a couple of high outliers in market 0 -> right-skewed.
   auto& col = assignment.singular[0];
-  for (std::size_t c = 0; c < col.value.size(); ++c) col.value[c] = 3;
-  col.value[0] = 10;
-  col.value[2] = 10;
+  for (std::size_t c = 0; c < col.entities(); ++c) test::set_value(col, c, 3);
+  test::set_value(col, 0, 10);
+  test::set_value(col, 2, 10);
   const auto variability = analyze_variability(topo, catalog, assignment);
   EXPECT_GT(variability[0].skewness, 1.0);
 }

@@ -87,7 +87,7 @@ TEST(VotingModel, UnknownKeyAbstains) {
 TEST(VotingModel, ThresholdGatesTheWinner) {
   Fixture f;
   for (netsim::CarrierId c : {0, 2, 4}) {
-    f.assignment.singular[0].value[static_cast<std::size_t>(c)] = 9;
+    test::set_value(f.assignment.singular[0], static_cast<std::size_t>(c), 9);
   }
   f.rebuild_view();
   const VotingModel model(f.view, f.deps, f.words);
@@ -109,7 +109,7 @@ TEST(VotingModel, MarginSeparatesUnanimousFromContestedWins) {
 
   // 5-vs-3 in the 700 MHz group: support 62.5%, margin (5-3)/8 = 25%.
   for (netsim::CarrierId c : {0, 2, 4}) {
-    f.assignment.singular[0].value[static_cast<std::size_t>(c)] = 9;
+    test::set_value(f.assignment.singular[0], static_cast<std::size_t>(c), 9);
   }
   f.rebuild_view();
   const VotingModel model(f.view, f.deps, f.words);
@@ -123,7 +123,7 @@ TEST(VotingModel, MarginSeparatesUnanimousFromContestedWins) {
 
 TEST(LocalVote, MarginReflectsTheRunnerUp) {
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;  // one deviant among the candidates
+  test::set_value(f.assignment.singular[0], 2, 9);  // one deviant among the candidates
   f.rebuild_view();
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
@@ -147,7 +147,7 @@ TEST(LocalVote, MarginReflectsTheRunnerUp) {
 
 TEST(VotingModel, LeaveOneOutExcludesOwnObservation) {
   Fixture f;
-  f.assignment.singular[0].value[4] = 9;  // lone deviant in the 700 group
+  test::set_value(f.assignment.singular[0], 4, 9);  // lone deviant in the 700 group
   f.rebuild_view();
   const VotingModel model(f.view, f.deps, f.words);
   const GroupKey key = model.key_for(4, netsim::kInvalidCarrier);
@@ -227,7 +227,7 @@ TEST(LocalVote, PairwiseColumnFiltersByNeighborAndSkipsTheOwnEdge) {
 
 TEST(LocalVote, CarrierWeightsShiftTheWinner) {
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;
+  test::set_value(f.assignment.singular[0], 2, 9);
   f.rebuild_view();
   const std::vector<netsim::CarrierId> candidates{0, 2, 4};
   const VotingModel model(f.view, f.deps, f.words);
@@ -297,8 +297,8 @@ TEST(BackoffVoting, ViewAndColumnLocalVotesAgree) {
   // singular and a pair-wise view (neighbor-side key), with and without
   // weights and with each subject's own slot excluded.
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;
-  f.assignment.singular[0].value[5] = config::kUnset;
+  test::set_value(f.assignment.singular[0], 2, 9);
+  test::set_value(f.assignment.singular[0], 5, config::kUnset);
   f.rebuild_view();
   std::vector<double> weights(f.topo.carrier_count(), 1.0);
   weights[3] = 0.25;
@@ -741,6 +741,34 @@ TEST(VotingModel, LabelsUpTo0xFFFEStayInTheSlotAndLargerOnesTakeARun) {
   EXPECT_THROW(model.adjust(low, kTop, -1), std::logic_error);
 }
 
+TEST(VotingModel, LeaveOneOutOfALabelTheGroupLacksKeepsEveryVoter) {
+  // vote_excluding removes a voter only from a group that holds the
+  // excluded label: two votes for one label, excluding another label,
+  // still vote 2 of 2. Both group forms: the vote in the slot, and a
+  // one-pair run (a label past 0xFFFE).
+  Fixture f;
+  for (const ml::ClassLabel label : {ml::ClassLabel{0}, ml::ClassLabel{0x10000}}) {
+    SCOPED_TRACE(label);
+    ParamView view;
+    for (const netsim::CarrierId c : {0, 2}) {  // both 700 MHz: one group
+      view.carrier.push_back(c);
+      view.neighbor.push_back(netsim::kInvalidCarrier);
+      view.entity.push_back(static_cast<std::size_t>(c));
+      view.value.push_back(0);
+      view.label.push_back(label);
+    }
+    const VotingModel model(view, f.deps, f.words);
+    const GroupKey key = model.key_for(0, netsim::kInvalidCarrier);
+    const auto vote = model.vote_excluding(key, label + 1, 0.0);
+    ASSERT_TRUE(vote.has_value());
+    EXPECT_EQ(vote->label, label);
+    EXPECT_EQ(vote->count, 2);
+    EXPECT_EQ(vote->group_size, 2);
+    EXPECT_DOUBLE_EQ(vote->support(), 1.0);
+    expect_same_vote(vote, reference_vote({{label, 2}}, label + 1, true));
+  }
+}
+
 TEST(BackoffVoting, CoarseningAllSingleGroupsMatchesABuildOverTheRows) {
   // Every level-0 group holds one label, so level 0 keeps no run pairs and
   // the coarser levels are aggregated from slots alone. Labels follow band
@@ -748,7 +776,7 @@ TEST(BackoffVoting, CoarseningAllSingleGroupsMatchesABuildOverTheRows) {
   // runs, dropping morphology merges groups of one label.
   Fixture f;
   for (std::size_t c = 10; c < f.topo.carrier_count(); ++c) {
-    f.assignment.singular[0].value[c] = c % 2 == 0 ? 9 : 7;  // market 1
+    test::set_value(f.assignment.singular[0], c, c % 2 == 0 ? 9 : 7);  // market 1
   }
   f.rebuild_view();
   const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
@@ -782,7 +810,7 @@ TEST(BackoffVoting, RemapAndReorderRewriteSingleGroups) {
   // label that still holds votes throws. Reordering the dependents must
   // give the groups of a fresh build over the re-coded view.
   Fixture f;
-  f.assignment.singular[0].value[2] = 9;  // the 700 MHz, market 0 group gains a label
+  test::set_value(f.assignment.singular[0], 2, 9);  // the 700 MHz, market 0 group gains a label
   f.rebuild_view();
   const std::vector<AttrRef> deps{{false, f.schema.index_of("carrier_frequency")},
                                   {false, f.schema.index_of("market")},
