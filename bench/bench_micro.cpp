@@ -268,6 +268,23 @@ void BM_EngineRecommendCarrier(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineRecommendCarrier);
 
+// Every pair-wise parameter of one X2 relation: the local ladder over the
+// subject's neighbourhood reads each candidate's buckets of the pair-wise
+// label rows. Relations are walked in Topology::edges order.
+void BM_EngineRecommendPairwise(benchmark::State& state) {
+  const World& w = world();
+  const core::AuricEngine& engine = recommend_engine();
+  std::size_t edge = 0;
+  for (auto _ : state) {
+    const netsim::X2Edge& relation = w.topo.edges[edge];
+    benchmark::DoNotOptimize(engine.recommend_pairwise(relation.from, relation.to));
+    edge = (edge + 1) % w.topo.edge_count();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(w.catalog.pairwise_ids().size()));
+}
+BENCHMARK(BM_EngineRecommendPairwise);
+
 // BM_EngineRecommendCarrier walks carriers in id order, so consecutive
 // requests share most of their neighbours' rows and stay in the private
 // caches. This arm visits the inventory in a seeded permutation and evicts

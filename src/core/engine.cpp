@@ -95,9 +95,8 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   dependencies_.resize(n);
   contingency_.resize(n);
   // Distinct parameters write distinct cells, so the learn fan-out fills
-  // both matrices race-free.
+  // the singular matrix race-free; the pair-wise rows are filled after it.
   singular_labels_ = LabelMatrix(topology.carrier_count(), catalog.singular_ids().size());
-  pairwise_labels_ = LabelMatrix(topology.edge_count(), catalog.pairwise_ids().size());
   DependencyOptions dep_options;
   dep_options.p_value = options_.p_value;
   dep_options.max_dependent = options_.max_dependent;
@@ -121,7 +120,16 @@ AuricEngine::AuricEngine(const netsim::Topology& topology, const netsim::Attribu
   }
   voting_.reserve(n);
   for (std::size_t p = 0; p < n; ++p) voting_.push_back(std::move(*voting_slots[p]));
+  pair_label_rows_ = build_pair_label_rows(assignment);
   metrics.learns.inc();
+}
+
+PairLabelRows AuricEngine::build_pair_label_rows(
+    const config::ConfigAssignment& assignment) const {
+  std::vector<const ml::LabelDictionary*> labels;
+  labels.reserve(catalog_->pairwise_ids().size());
+  for (config::ParamId param : catalog_->pairwise_ids()) labels.push_back(&view(param).labels);
+  return PairLabelRows(*topology_, assignment.pairwise, labels, options_.market);
 }
 
 void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& assignment,
@@ -131,10 +139,16 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
   const auto param = static_cast<config::ParamId>(p);
   ParamView& view = views_[p];
   {
-    // The view and its serve-side layout, the label-matrix column.
+    // The view and, for a singular parameter, its serve-side layout, the
+    // label-matrix column. A pair-wise parameter's cells are coded after the
+    // fan-out (build_pair_label_rows), through the dictionary checked here.
     obs::ScopedTimer timer(metrics.phase_param_view);
     view = build_param_view(*topology_, *catalog_, assignment, param, options_.market);
-    label_matrix(p).assign_column(positions_[p], view, catalog_->at(param).name);
+    if (view.pairwise) {
+      check_label_width(view.labels.size(), catalog_->at(param).name);
+    } else {
+      singular_labels_.assign_column(positions_[p], view, catalog_->at(param).name);
+    }
   }
   {
     obs::ScopedTimer timer(metrics.phase_dependency);
@@ -146,8 +160,8 @@ void AuricEngine::learn_param(std::size_t p, const config::ConfigAssignment& ass
     voting_slots[p].emplace(view, dependencies_[p].dependent, *attr_words_,
                             options_.backoff_levels);
   }
-  // The matrix column now holds every row's label by entity: release the
-  // rows, keeping the dictionary that decodes the column.
+  // The label stores hold (or will hold) every row's label by entity:
+  // release the rows, keeping the dictionary that decodes them.
   ParamView kept;
   kept.param = view.param;
   kept.pairwise = view.pairwise;
@@ -162,7 +176,7 @@ void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment
   EngineMetrics& metrics = engine_metrics();
   obs::ScopedTimer timer(metrics.incremental_seconds);
   if (options_.market) {
-    // The diff against the matrix column below would read every
+    // The diff against the label column below would read every
     // out-of-market slot as an add.
     throw std::invalid_argument("incremental_relearn: engine is scoped to one market");
   }
@@ -184,6 +198,16 @@ void AuricEngine::incremental_relearn(const config::ConfigAssignment& assignment
     pool.run(std::move(tasks));
   } else {
     for (std::size_t p = 0; p < n; ++p) relearn_param(p, assignment, options, per_param[p]);
+  }
+  // The pair-wise rows are rebuilt, not patched: the same builder as a
+  // fresh learn, over the relearned dictionaries. The old rows go first so
+  // the two are never resident together.
+  if (std::any_of(catalog_->pairwise_ids().begin(), catalog_->pairwise_ids().end(),
+                  [&](config::ParamId param) {
+                    return per_param[static_cast<std::size_t>(param)].params_touched > 0;
+                  })) {
+    pair_label_rows_ = PairLabelRows();
+    pair_label_rows_ = build_pair_label_rows(assignment);
   }
   metrics.incremental_relearns.inc();
   if (stats != nullptr) {
@@ -209,15 +233,16 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   const std::size_t pos = positions_[p];
   const config::ParamColumn& col =
       view.pairwise ? assignment.pairwise.at(pos) : assignment.singular.at(pos);
-  LabelMatrix& matrix = label_matrix(p);
-  if (col.entities() != matrix.entities()) {
+  const LabelColumn cells = label_column(param);
+  if (col.entities() != cells.entities()) {
     throw std::invalid_argument("incremental_relearn: assignment entity space mismatch");
   }
 
-  // Slot deltas in entity order: one pass walks the learned label-matrix
-  // column and the column's entries together, decoding each cell through
-  // the dictionary, so a learned slot the column no longer holds reads as
-  // an erase.
+  // Slot deltas in entity order: one pass merges the learned label column's
+  // configured cells (a singular column's carriers, a pair-wise column's
+  // buckets) with the column's entries, decoding each cell through the
+  // dictionary, so a learned slot the column no longer holds reads as an
+  // erase and an entry with no learned cell as an add.
   // The same pass counts the learned rows per label: a brand-new value or a
   // vanished one shifts every dense label code (the dictionary is sorted),
   // which is the one thing deltas cannot patch — those parameters splice
@@ -230,24 +255,22 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
   std::vector<Change> changes;
   std::vector<std::int64_t> label_rows(view.labels.size(), 0);
   std::size_t rows_before = 0;
-  const LabelColumn cells = matrix.column(pos);
-  std::size_t next = 0;  // the column's first entry at or past e
-  std::size_t next_entity = col.configured_count() > 0 ? col.entity(0) : matrix.entities();
-  for (std::size_t e = 0; e < matrix.entities(); ++e) {
-    const ml::ClassLabel label = cells.label(e);
-    config::ValueIndex old_value = config::kUnset;
-    if (label >= 0) {
-      old_value = view.labels.values[static_cast<std::size_t>(label)];
-      ++label_rows[static_cast<std::size_t>(label)];
-      ++rows_before;
+  std::size_t next = 0;  // the column's first entry not yet merged
+  const auto add_entries_before = [&](std::size_t entity) {
+    for (; next < col.configured_count() && col.entity(next) < entity; ++next) {
+      changes.push_back({col.entity(next), config::kUnset, col.value_at(next)});
     }
+  };
+  cells.for_each([&](std::size_t e, ml::ClassLabel label) {
+    add_entries_before(e);
+    const config::ValueIndex old_value = view.labels.values[static_cast<std::size_t>(label)];
+    ++label_rows[static_cast<std::size_t>(label)];
+    ++rows_before;
     config::ValueIndex new_value = config::kUnset;
-    if (e == next_entity) {
-      new_value = col.value_at(next++);
-      next_entity = next < col.configured_count() ? col.entity(next) : matrix.entities();
-    }
+    if (next < col.configured_count() && col.entity(next) == e) new_value = col.value_at(next++);
     if (new_value != old_value) changes.push_back({e, old_value, new_value});
-  }
+  });
+  add_entries_before(col.entities());
   if (changes.empty()) return false;  // untouched parameter: models already exact
 
   stats.params_touched = 1;
@@ -403,25 +426,29 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
     }
     voting_[p].remap_labels(mid_to_final);
 
-    // Re-code the column in the final dictionary: every learned cell moves
-    // through the composed old -> final map (a dropped label's cells all
-    // changed, so the slot deltas below overwrite them).
-    std::vector<ml::ClassLabel> old_to_final(old_to_mid.size());
-    for (std::size_t c = 0; c < old_to_mid.size(); ++c) {
-      old_to_final[c] = mid_to_final[static_cast<std::size_t>(old_to_mid[c])];
-    }
-    for (std::size_t e = 0; e < matrix.entities(); ++e) {
-      const ml::ClassLabel label = cells.label(e);
-      if (label >= 0) matrix.set(e, pos, old_to_final[static_cast<std::size_t>(label)]);
+    // Re-code a singular column in the final dictionary: every learned cell
+    // moves through the composed old -> final map (a dropped label's cells
+    // all changed, so the slot deltas below overwrite them). The pair-wise
+    // rows are rebuilt after the fan-out instead.
+    if (!view.pairwise) {
+      std::vector<ml::ClassLabel> old_to_final(old_to_mid.size());
+      for (std::size_t c = 0; c < old_to_mid.size(); ++c) {
+        old_to_final[c] = mid_to_final[static_cast<std::size_t>(old_to_mid[c])];
+      }
+      cells.for_each([&](std::size_t e, ml::ClassLabel label) {
+        singular_labels_.set(e, pos, old_to_final[static_cast<std::size_t>(label)]);
+      });
     }
     view.labels = std::move(final_labels);
     stats.params_remapped = 1;
   }
 
-  // 1. The label-matrix column: every slot delta writes its cell.
-  for (const Change& ch : changes) {
-    matrix.set(ch.entity, pos,
-               ch.new_value == config::kUnset ? -1 : view.labels.code_of(ch.new_value));
+  // 1. A singular label-matrix column: every slot delta writes its cell.
+  if (!view.pairwise) {
+    for (const Change& ch : changes) {
+      singular_labels_.set(ch.entity, pos,
+                           ch.new_value == config::kUnset ? -1 : view.labels.code_of(ch.new_value));
+    }
   }
 
   // 2. Contingency deltas: the maintained tables now hold exactly the
@@ -471,7 +498,7 @@ bool AuricEngine::relearn_param(std::size_t p, const config::ConfigAssignment& a
         return true;
       } else {
         // The rows a fresh build aggregates, transient: the engine keeps
-        // only the matrix column.
+        // only the label column.
         dependencies_[p] = std::move(next);
         voting_[p] = BackoffVoting(build_param_view(*topology_, *catalog_, assignment, param),
                                    dependencies_[p].dependent, *attr_words_,
@@ -510,7 +537,7 @@ const BackoffVoting& AuricEngine::voting(config::ParamId param) const {
 
 LabelColumn AuricEngine::label_column(config::ParamId param) const {
   const auto p = static_cast<std::size_t>(param);
-  return view(param).pairwise ? pairwise_labels_.column(positions_[p], topology_)
+  return view(param).pairwise ? pair_label_rows_.column(positions_[p])
                               : singular_labels_.column(positions_[p]);
 }
 

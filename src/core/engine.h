@@ -144,21 +144,24 @@ class AuricEngine {
 
   /// Re-learns in place from the current `assignment`, touching only the
   /// parameters whose configured slots differ from the learned population
-  /// (each parameter's assignment column is diffed against its label-matrix
-  /// column): slot deltas (add/update/erase) are applied to the label-matrix
-  /// cells, contingency tables and voting groups; a value
+  /// (each parameter's assignment column is diffed against its label
+  /// column): slot deltas (add/update/erase) are applied to the singular
+  /// label-matrix cells, contingency tables and voting groups; a value
   /// appearing or vanishing splices the label alphabet in place (an exact
-  /// monotone re-coding, no re-tally) and re-codes that parameter's matrix
-  /// column; the chi-square dependency scan re-runs only per `options`
-  /// (see IncrementalRelearnOptions), and voting tables rebuild only when a
-  /// parameter's dependent-set membership changed — a re-test that merely
-  /// re-ranks the same set keeps the tables, whose keys name the set. With the
-  /// default options the result is bit-identical to
-  /// constructing a fresh engine over `assignment` — O(day's delta) instead
-  /// of O(inventory). The assignment must describe the same topology and
+  /// monotone re-coding, no re-tally) and re-codes a singular parameter's
+  /// matrix column; the pair-wise label rows are rebuilt by their one
+  /// builder when any pair-wise parameter changed; the chi-square dependency
+  /// scan re-runs only per `options` (see IncrementalRelearnOptions), and
+  /// voting tables rebuild only when a parameter's dependent-set membership
+  /// changed — a re-test that merely re-ranks the same set keeps the tables,
+  /// whose keys name the set. With the default options the result is
+  /// bit-identical to constructing a fresh engine over `assignment` — the
+  /// models at O(day's delta) instead of O(inventory). The assignment must describe the same topology and
   /// catalog the engine was built over. A splice that would overflow a
   /// label cell throws std::invalid_argument before touching that
   /// parameter; so does an engine scoped to a market (AuricOptions::market).
+  /// A throw mid-way leaves the engine part-relearned: relearn a copy when
+  /// the assignment may be refused, as the serve daemon does.
   void incremental_relearn(const config::ConfigAssignment& assignment,
                            const IncrementalRelearnOptions& options = {},
                            IncrementalRelearnStats* stats = nullptr);
@@ -170,21 +173,21 @@ class AuricEngine {
 
   /// `param`'s learned view without its rows: `param`, `pairwise` and the
   /// `labels` dictionary that decodes label_column(). rows() is 0 after
-  /// construction; the label matrices are the only per-row store.
+  /// construction; the label stores are the only per-row store.
   const ParamView& view(config::ParamId param) const;
   const DependencyModel& dependencies(config::ParamId param) const;
   /// The re-test sufficient statistics incremental_relearn maintains.
   const ContingencyState& contingency(config::ParamId param) const;
   const BackoffVoting& voting(config::ParamId param) const;
 
-  /// `param`'s column of the engine's label matrices — what the local vote
+  /// `param`'s column of the engine's label stores — what the local vote
   /// reads (DESIGN.md §5).
   LabelColumn label_column(config::ParamId param) const;
-  /// Label matrices: [carrier][singular position] and [X2 edge][pair-wise
-  /// position], edges in Topology::edges order. Maintained by
+  /// Label stores: the dense [carrier][singular position] matrix and the
+  /// sparse pair-wise rows, columns by pair-wise position. Maintained by
   /// incremental_relearn exactly as a fresh build would lay them out.
   const LabelMatrix& singular_labels() const { return singular_labels_; }
-  const LabelMatrix& pairwise_labels() const { return pairwise_labels_; }
+  const PairLabelRows& pair_label_rows() const { return pair_label_rows_; }
   const std::vector<std::vector<netsim::AttrCode>>& attr_codes() const { return *attr_codes_; }
 
   /// Recommends a value for one parameter on `carrier` (singular) or on the
@@ -256,15 +259,16 @@ class AuricEngine {
   std::vector<ParamView> views_;              ///< by catalog param id; rows released after learn
   std::vector<std::size_t> positions_;        ///< kind_position by catalog param id
   LabelMatrix singular_labels_;
-  LabelMatrix pairwise_labels_;
+  PairLabelRows pair_label_rows_;
   std::vector<DependencyModel> dependencies_;
   std::vector<ContingencyState> contingency_;  ///< re-test sufficient statistics
   std::vector<BackoffVoting> voting_;
   const ModelWatch* watch_ = nullptr;
 
-  /// Builds view + label-matrix column + contingency + dependencies + voting
-  /// for parameter `p` into the pre-sized slots, then releases the view's
-  /// rows (thread-safe across distinct `p`: each writes its own cells).
+  /// Builds view + contingency + dependencies + voting, and a singular
+  /// parameter's label-matrix column, for parameter `p` into the pre-sized
+  /// slots, then releases the view's rows (thread-safe across distinct `p`:
+  /// each writes its own cells).
   void learn_param(std::size_t p, const config::ConfigAssignment& assignment,
                    const DependencyOptions& dep_options,
                    std::vector<std::optional<BackoffVoting>>& voting_slots);
@@ -274,15 +278,15 @@ class AuricEngine {
   Recommendation decide(config::ParamId param, netsim::CarrierId carrier,
                         netsim::CarrierId neighbor, bool exclude_self) const;
 
-  /// Diffs parameter `p` against `assignment` and applies the delta.
+  /// Diffs parameter `p` against `assignment` and applies the delta to its
+  /// models and, for a singular parameter, to its label-matrix column.
   /// Returns true when the parameter was touched.
   bool relearn_param(std::size_t p, const config::ConfigAssignment& assignment,
                      const IncrementalRelearnOptions& options, IncrementalRelearnStats& stats);
 
-  /// The label matrix of parameter `p`'s kind.
-  LabelMatrix& label_matrix(std::size_t p) {
-    return views_[p].pairwise ? pairwise_labels_ : singular_labels_;
-  }
+  /// The pair-wise label rows of `assignment`, coded through the views'
+  /// dictionaries (the one builder; a serial pass after the fan-out).
+  PairLabelRows build_pair_label_rows(const config::ConfigAssignment& assignment) const;
 };
 
 }  // namespace auric::core

@@ -1,6 +1,7 @@
 #include "core/param_view.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "util/strings.h"
@@ -77,6 +78,72 @@ void LabelMatrix::assign_column(std::size_t column, const ParamView& view,
                                 std::string_view param_name) {
   check_label_width(view.labels.size(), param_name);
   for (std::size_t r = 0; r < view.rows(); ++r) set(view.entity[r], column, view.label[r]);
+}
+
+PairLabelRows::PairLabelRows(const netsim::Topology& topology,
+                             std::span<const config::ParamColumn> columns,
+                             std::span<const ml::LabelDictionary* const> labels,
+                             std::optional<netsim::MarketId> market)
+    : topology_(&topology), columns_(columns.size()) {
+  if (labels.size() != columns.size()) {
+    throw std::invalid_argument("PairLabelRows: one dictionary per column required");
+  }
+  const std::size_t carriers = topology.carrier_count();
+  for (std::size_t c = 0; c < carriers; ++c) {
+    const std::size_t edges = topology.edge_offsets[c + 1] - topology.edge_offsets[c];
+    if (edges > kMaxCarrierEdges) {
+      throw std::invalid_argument(util::format(
+          "carrier %zu has %zu X2 edges, more than a pair-wise label cell's edge offset codes "
+          "(%zu)",
+          c, edges, kMaxCarrierEdges));
+    }
+  }
+  const auto subject = [&](std::size_t edge) {
+    return static_cast<std::size_t>(topology.edges[edge].from);
+  };
+  const auto kept = [&](std::size_t c) {
+    return !market || topology.carriers[c].market == *market;
+  };
+
+  // Count each bucket into the start slot after it, prefix-sum, fill with
+  // each bucket's start as its write cursor (column by column, so every
+  // bucket fills in edge order), then shift the advanced cursors back into
+  // starts: no cursor array beside the offsets.
+  first_.assign(carriers * columns_ + 1, 0);
+  for (std::size_t k = 0; k < columns_; ++k) {
+    const config::ParamColumn& col = columns[k];
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      const std::size_t c = subject(col.entity(i));
+      if (kept(c)) ++first_[c * columns_ + k + 1];
+    }
+  }
+  std::size_t total = 0;
+  for (std::uint32_t& f : first_) {
+    total += f;
+    if (total > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::invalid_argument("PairLabelRows: more configured cells than 32-bit offsets code");
+    }
+    f = static_cast<std::uint32_t>(total);
+  }
+  cells_.resize(first_.back());
+  for (std::size_t k = 0; k < columns_; ++k) {
+    const config::ParamColumn& col = columns[k];
+    const std::vector<ml::ClassLabel> code = labels[k]->dense_codes();
+    for (std::size_t i = 0; i < col.configured_count(); ++i) {
+      const std::size_t e = col.entity(i);
+      const std::size_t c = subject(e);
+      if (!kept(c)) continue;
+      const auto v = static_cast<std::size_t>(col.value_at(i));
+      if (v >= code.size() || code[v] < 0) {
+        throw std::logic_error("PairLabelRows: a configured value is missing from its dictionary");
+      }
+      cells_[first_[c * columns_ + k]++] = {
+          static_cast<std::uint16_t>(e - topology.edge_offsets[c]),
+          static_cast<LabelCell>(code[v])};
+    }
+  }
+  std::copy_backward(first_.begin(), first_.end() - 1, first_.end());
+  first_[0] = 0;
 }
 
 ml::CategoricalDataset to_categorical_dataset(

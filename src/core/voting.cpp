@@ -626,26 +626,27 @@ void for_each_peer(const LabelColumn& labels, const AttrWords& words, const KeyM
       // Every slot of `cand` shares its carrier side: one compare decides them.
       const std::uint64_t word = words.word(cand);
       if ((word & mask.carrier) != key.carrier) continue;
-      const ml::ClassLabel label = labels.label(static_cast<std::size_t>(cand));
+      const ml::ClassLabel label = labels.carrier_label(static_cast<std::size_t>(cand));
       if (label >= 0 && cand != exclude_entity) {
         visit(LocalPeer{word, 0, label, weight_of(carrier_weights, cand)});
       }
     }
     return;
   }
-  // Pair-wise: each candidate's edges are one contiguous run of rows.
+  // Pair-wise: each candidate's configured edges are one bucket of cells.
   const netsim::Topology& topo = *labels.topology;
   for (netsim::CarrierId cand : candidates) {
     const std::uint64_t word = words.word(cand);
     if ((word & mask.carrier) != key.carrier) continue;
     const double weight = weight_of(carrier_weights, cand);
     const auto c = static_cast<std::size_t>(cand);
-    for (std::size_t e = topo.edge_offsets[c]; e < topo.edge_offsets[c + 1]; ++e) {
-      const ml::ClassLabel label = labels.label(e);
-      if (label < 0 || static_cast<std::int64_t>(e) == exclude_entity) continue;
+    const std::size_t edges = topo.edge_offsets[c];
+    for (const PairCell& cell : labels.bucket(c)) {
+      const std::size_t e = edges + cell.edge;
+      if (static_cast<std::int64_t>(e) == exclude_entity) continue;
       const std::uint64_t neighbor = words.word(topo.edges[e].to);
       if ((neighbor & mask.neighbor) != key.neighbor) continue;
-      visit(LocalPeer{word, neighbor, label, weight});
+      visit(LocalPeer{word, neighbor, static_cast<ml::ClassLabel>(cell.label), weight});
     }
   }
 }

@@ -11,7 +11,7 @@
 // pre-aggregates the peer groups of one dependent set in an open-addressing
 // table, so a global recommendation (or a leave-one-out evaluation pass over
 // millions of slots) is one probe; local (1-hop X2) voting scans the small
-// neighborhood's rows of the entity-major label matrix directly.
+// neighborhood's cells of the engine's label stores directly.
 #pragma once
 
 #include <cstdint>
@@ -352,8 +352,8 @@ class BackoffVoting {
                                          ml::ClassLabel own_label, double threshold) const;
 
   /// Local vote over `candidates` with the same backoff ladder. `labels`
-  /// is the parameter's column of the engine's label matrix (or of a
-  /// one-column matrix over a view); `exclude_entity`, when >= 0, is the
+  /// is the parameter's column of the engine's label stores (or of a
+  /// one-column store over a view); `exclude_entity`, when >= 0, is the
   /// subject's own carrier id (singular) or edge position (pair-wise).
   std::optional<Decision> local(const LabelColumn& labels,
                                 std::span<const netsim::CarrierId> candidates,
@@ -373,9 +373,9 @@ class BackoffVoting {
                                      std::span<const double> carrier_weights = {}) const;
 
   /// The same local vote for a caller holding only `view` and no label
-  /// matrix: each candidate's rows are found by binary search over the
+  /// store: each candidate's rows are found by binary search over the
   /// carrier-sorted rows, and `exclude_row` (>= 0) is a view row. Decides
-  /// exactly as the column overload on the view's one-column matrix. Needs a
+  /// exactly as the column overload on the view's one-column store. Needs a
   /// view from build_param_view: an engine's views hold no rows.
   std::optional<Decision> local(const ParamView& view,
                                 std::span<const netsim::CarrierId> candidates,

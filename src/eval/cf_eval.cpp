@@ -9,13 +9,9 @@ CfParamResult evaluate_param(const core::AuricEngine& engine, config::ParamId pa
   const core::LabelColumn column = engine.label_column(param);
   const std::vector<config::ValueIndex>& values = engine.view(param).labels.values;
   const netsim::Topology& topology = engine.topology();
-  const std::size_t entities =
-      column.topology != nullptr ? topology.edge_count() : topology.carrier_count();
   CfParamResult result;
   result.param = param;
-  for (std::size_t e = 0; e < entities; ++e) {
-    const ml::ClassLabel label = column.label(e);
-    if (label < 0) continue;
+  column.for_each([&](std::size_t e, ml::ClassLabel label) {
     const config::ValueIndex actual = values[static_cast<std::size_t>(label)];
     netsim::CarrierId carrier = static_cast<netsim::CarrierId>(e);
     netsim::CarrierId neighbor = netsim::kInvalidCarrier;
@@ -33,7 +29,7 @@ CfParamResult evaluate_param(const core::AuricEngine& engine, config::ParamId pa
     } else if (mismatches != nullptr) {
       mismatches->push_back({param, e, rec.value, actual, carrier});
     }
-  }
+  });
   return result;
 }
 

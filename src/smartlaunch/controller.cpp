@@ -39,8 +39,9 @@ std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
   // once per carrier, the two relation paths once per configured X2 edge.
   const std::string cell_path = cell_mo_path(c);
   for (std::size_t si = 0; si < singular_ids.size(); ++si) {
-    if (assignment.singular[si].find(entity) == config::ParamColumn::npos) continue;
-    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_path, si});
+    const std::size_t i = assignment.singular[si].find(entity);
+    if (i == config::ParamColumn::npos) continue;
+    slots.push_back({singular_ids[si], entity, netsim::kInvalidCarrier, cell_path, si, i});
   }
 
   std::string freq_path;
@@ -50,7 +51,7 @@ std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
     for (std::size_t pi = 0; pi < pairwise_ids.size(); ++pi) {
       config::ParamColumn::Range& r = cursors[pi];
       if (r.begin == r.end || assignment.pairwise[pi].entity(r.begin) != e) continue;
-      ++r.begin;
+      const std::size_t i = r.begin++;
       if (neighbor == nullptr) {
         neighbor = &topology.carrier(topology.edges[e].to);
         freq_path = cell_path;
@@ -60,8 +61,8 @@ std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
       }
       const config::ParamDef& def = catalog.at(pairwise_ids[pi]);
       slots.push_back({pairwise_ids[pi], e, neighbor->id,
-                       def.scope == config::PairScope::kPerEdge ? relation_path : freq_path,
-                       pi});
+                       def.scope == config::PairScope::kPerEdge ? relation_path : freq_path, pi,
+                       i});
     }
   }
   return slots;
@@ -96,12 +97,13 @@ CarrierConfig LaunchController::slots_to_config(
 
 namespace {
 
-/// Intended value of a slot (the engineering-practice target).
+/// Intended value of a slot (the engineering-practice target), read at the
+/// entry applicable_slots recorded.
 ValueIndex intended_of(const config::ParamCatalog& catalog,
                        const config::ConfigAssignment& assignment, const SlotRef& slot) {
   const bool singular = catalog.at(slot.param).kind == config::ParamKind::kSingular;
-  return (singular ? assignment.singular : assignment.pairwise)[slot.column].intended_of(
-      slot.entity);
+  return (singular ? assignment.singular : assignment.pairwise)[slot.column].intended_at(
+      slot.entry);
 }
 
 }  // namespace

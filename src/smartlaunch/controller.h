@@ -33,10 +33,12 @@ struct SlotRef {
   netsim::CarrierId neighbor = netsim::kInvalidCarrier;
   std::string mo_path;
   std::size_t column = 0;  ///< position in catalog singular_ids() / pairwise_ids()
+  std::size_t entry = 0;   ///< the slot's entry position in its assignment column
 };
 
 /// Enumerates the configured slots of `carrier` (its activation profile),
-/// with vendor MO paths, in canonical order.
+/// with vendor MO paths, in canonical order. Each slot's `entry` holds while
+/// `assignment` gains or loses no configured slot.
 std::vector<SlotRef> applicable_slots(const netsim::Topology& topology,
                                       const config::ParamCatalog& catalog,
                                       const config::ConfigAssignment& assignment,

@@ -62,7 +62,7 @@ TEST(ApplicableSlots, MatchThePerSlotFormatReferenceOnEveryCarrier) {
       expected.push_back({catalog.singular_ids()[si], entity, netsim::kInvalidCarrier,
                           util::format("ENodeBFunction=%d/EUtranCellFDD=%d-%d-%d", c.enodeb,
                                        c.enodeb, c.face, c.frequency_mhz),
-                          si});
+                          si, assignment.singular[si].find(entity)});
     }
     const std::size_t begin = topo.edge_offsets[static_cast<std::size_t>(c.id)];
     const std::size_t end = topo.edge_offsets[static_cast<std::size_t>(c.id) + 1];
@@ -77,7 +77,8 @@ TEST(ApplicableSlots, MatchThePerSlotFormatReferenceOnEveryCarrier) {
         if (def.scope == config::PairScope::kPerEdge) {
           path += util::format("/EUtranCellRelation=%d", n.id);
         }
-        expected.push_back({catalog.pairwise_ids()[pi], e, n.id, path, pi});
+        expected.push_back({catalog.pairwise_ids()[pi], e, n.id, path, pi,
+                            assignment.pairwise[pi].find(e)});
       }
     }
     const std::vector<SlotRef> slots = applicable_slots(topo, catalog, assignment, c.id);
@@ -87,6 +88,7 @@ TEST(ApplicableSlots, MatchThePerSlotFormatReferenceOnEveryCarrier) {
       EXPECT_EQ(slots[i].entity, expected[i].entity);
       EXPECT_EQ(slots[i].neighbor, expected[i].neighbor);
       EXPECT_EQ(slots[i].column, expected[i].column);
+      EXPECT_EQ(slots[i].entry, expected[i].entry);
       ASSERT_EQ(slots[i].mo_path, expected[i].mo_path) << "carrier " << c.id << " slot " << i;
     }
     pairwise_slots += slots.size() - std::count_if(slots.begin(), slots.end(), [](const SlotRef& s) {

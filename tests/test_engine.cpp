@@ -247,6 +247,45 @@ TEST(AuricEngine, VotingTablesStayAtTheirOccupancyOnTheDefaultWorld) {
   EXPECT_GE(relearned_pairs, fresh_pairs - fresh_pairs * 15 / 100) << relearned_pairs;
 }
 
+TEST(AuricEngine, PairLabelRowsStayAtTheirOccupancyOnTheDefaultWorld) {
+  // The default world's pair-wise labels: 13,470 carriers x 26 columns of
+  // bucket offsets plus one 4-byte cell per configured relation (about
+  // 3.8 MiB; the dense edge x column matrix took 9.7 MiB). A relearn onto
+  // the full assignment from one learned with every 16th edge unset
+  // rebuilds exactly the rows a fresh learn builds.
+  const netsim::Topology topo = netsim::generate_topology(netsim::TopologyParams{});
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  config::GroundTruthParams truth;
+  truth.seed = netsim::TopologyParams{}.seed + 6;
+  const config::ConfigAssignment assignment =
+      config::GroundTruthModel(topo, schema, catalog, truth).assign();
+  const AuricEngine fresh(topo, schema, catalog, assignment);
+  const PairLabelRows& rows = fresh.pair_label_rows();
+  std::size_t configured = 0;
+  for (const auto& column : assignment.pairwise) configured += column.configured_count();
+  EXPECT_EQ(rows.configured_count(), configured);
+  EXPECT_EQ(rows.heap_bytes(),
+            4 * (topo.carrier_count() * catalog.pairwise_ids().size() + 1) + 4 * configured);
+  EXPECT_LT(rows.heap_bytes(), std::size_t{4} << 20) << rows.heap_bytes();
+
+  config::ConfigAssignment sparse = assignment;
+  for (auto& column : sparse.pairwise) {
+    config::ParamColumn thinned(column.entities());
+    for (std::size_t i = 0; i < column.configured_count(); ++i) {
+      if (column.entity(i) % 16 == 0) continue;
+      thinned.append(column.entity(i), column.value_at(i), column.intended_at(i),
+                     column.cause_at(i));
+    }
+    column = std::move(thinned);
+  }
+  AuricEngine relearned(topo, schema, catalog, sparse);
+  EXPECT_LT(relearned.pair_label_rows().configured_count(), configured);
+  relearned.incremental_relearn(assignment);
+  EXPECT_EQ(relearned.pair_label_rows(), rows);
+  EXPECT_EQ(relearned.pair_label_rows().heap_bytes(), rows.heap_bytes());
+}
+
 TEST(RecommendationSourceNames, Stable) {
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kLocalVote), "local-vote");
   EXPECT_STREQ(recommendation_source_name(RecommendationSource::kRulebookDefault),

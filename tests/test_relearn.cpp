@@ -1,16 +1,19 @@
 // Incremental relearn (DESIGN.md §18): delta-applied engines must be
-// indistinguishable from engines rebuilt from scratch — same label matrices
+// indistinguishable from engines rebuilt from scratch — same label stores
 // and dictionaries, same contingency tables, same chi-square results
 // bit-for-bit, same voting groups, same recommendations —
 // across adds, updates, erases and label-alphabet changes; the drift
 // threshold and the ModelWatch union trigger gate the re-test; and the
 // per-parameter fan-out is byte-identical at any thread count.
 #include <algorithm>
+#include <random>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "config/ground_truth.h"
 #include "core/engine.h"
 #include "core/model_watch.h"
 #include "test_helpers.h"
@@ -51,9 +54,9 @@ std::vector<VotingModel::GroupSummary> sorted_groups(const VotingModel& model) {
 /// the bit-identical claim, not an epsilon.
 void expect_engines_equal(const AuricEngine& a, const AuricEngine& b) {
   const auto& catalog = a.catalog();
-  // The label matrices the local vote reads: every cell, both kinds.
+  // The label stores the local vote reads: every cell, both kinds.
   EXPECT_EQ(a.singular_labels(), b.singular_labels());
-  EXPECT_EQ(a.pairwise_labels(), b.pairwise_labels());
+  EXPECT_EQ(a.pair_label_rows(), b.pair_label_rows());
   for (config::ParamId param = 0; param < static_cast<config::ParamId>(catalog.size());
        ++param) {
     SCOPED_TRACE("param " + std::to_string(param));
@@ -187,7 +190,7 @@ TEST(IncrementalRelearn, NewValueSplicesJustThatParameterAlphabet) {
   expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, back, f.options()));
 }
 
-TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
+TEST(IncrementalRelearn, PairwiseSpliceRecodesTheLabelColumn) {
   Fixture f;
   AuricEngine engine(f.topo, f.schema, f.catalog, f.assignment, f.options());
   std::vector<std::size_t> configured;
@@ -221,6 +224,50 @@ TEST(IncrementalRelearn, PairwiseSpliceRecodesTheMatrixColumn) {
   EXPECT_EQ(undo.params_remapped, 1u);
   expect_engines_equal(engine, AuricEngine(f.topo, f.schema, f.catalog, day2, f.options()));
   EXPECT_EQ(engine.label_column(param).label(configured[0]), 0);  // value 2 now codes 0
+}
+
+TEST(IncrementalRelearn, RandomPairwiseEditsRebuildTheRowsAFreshLearnBuilds) {
+  // A generated world under the standard catalog: rounds of random edits to
+  // every pair-wise column (updates, erases, new slots, first-seen values).
+  // After each relearn the engine, its pair-wise rows included, equals a
+  // fresh learn, and every edge's cell decodes to the edited value.
+  const netsim::Topology topo = test::small_generated_topology(5, 2, 4);
+  const netsim::AttributeSchema schema = netsim::AttributeSchema::standard(topo);
+  const config::ParamCatalog catalog = config::ParamCatalog::standard();
+  config::ConfigAssignment state = config::GroundTruthModel(topo, schema, catalog).assign();
+  AuricEngine engine(topo, schema, catalog, state);
+  std::mt19937 rng(77);
+  for (int round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    for (std::size_t pi = 0; pi < state.pairwise.size(); ++pi) {
+      const config::ParamDef& def = catalog.at(catalog.pairwise_ids()[pi]);
+      for (int edit = 0; edit < 25; ++edit) {
+        const std::size_t e = rng() % topo.edge_count();
+        const config::ValueIndex v =
+            rng() % 5 == 0 ? config::kUnset
+                           : static_cast<config::ValueIndex>(
+                                 rng() % static_cast<std::uint32_t>(def.domain.size()));
+        test::set_value(state.pairwise[pi], e, v);
+      }
+    }
+    engine.incremental_relearn(state);
+    const AuricEngine fresh(topo, schema, catalog, state);
+    expect_engines_equal(engine, fresh);
+    for (std::size_t pi = 0; pi < state.pairwise.size(); ++pi) {
+      const config::ParamId param = catalog.pairwise_ids()[pi];
+      const config::ParamColumn& col = state.pairwise[pi];
+      const LabelColumn labels = engine.label_column(param);
+      for (std::size_t e = 0; e < topo.edge_count(); ++e) {
+        const std::size_t i = col.find(e);
+        const ml::ClassLabel label = labels.label(e);
+        ASSERT_EQ(label >= 0, i != config::ParamColumn::npos) << "param " << param << " edge " << e;
+        if (label >= 0) {
+          ASSERT_EQ(engine.view(param).labels.values[static_cast<std::size_t>(label)],
+                    col.value_at(i));
+        }
+      }
+    }
+  }
 }
 
 TEST(IncrementalRelearn, DependentSetChangeRebuildsTheVotingTables) {

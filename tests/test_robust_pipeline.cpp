@@ -511,7 +511,8 @@ TEST(RollbackGate, TerminalFalloutClearsJournal) {
   // Find a carrier whose launch terminates with a journaled partial apply;
   // not every carrier plans changes, and some partials abort at zero.
   bool found = false;
-  for (netsim::CarrierId c = 0; c < f.topo.carrier_count() && !found; ++c) {
+  for (netsim::CarrierId c = 0; c < static_cast<netsim::CarrierId>(f.topo.carrier_count()) && !found;
+       ++c) {
     const RobustLaunchRecord record = robust.launch(c);
     if (record.changes_planned == 0) continue;
     ASSERT_EQ(record.outcome, RobustOutcome::kFalloutTerminal) << c;

@@ -38,6 +38,13 @@ struct Fixture {
     matrix.assign_column(0, view, "toySingular");
     return matrix.column(0);
   }
+
+  /// The pair-wise column's labels as one-column pair-wise rows, coded
+  /// through `pairs`' dictionary.
+  PairLabelRows pair_rows(const ParamView& pairs) const {
+    const std::vector<const ml::LabelDictionary*> dictionaries{&pairs.labels};
+    return PairLabelRows(topo, assignment.pairwise, dictionaries);
+  }
 };
 
 TEST(AttrWords, RoundTripsEveryCodeAndTheUnseenSentinel) {
@@ -189,8 +196,7 @@ TEST(LocalVote, PairwiseColumnFiltersByNeighborAndSkipsTheOwnEdge) {
   // takes a turn as the neighbor-side dependent.
   Fixture f;
   const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
-  LabelMatrix edges(f.topo.edge_count(), 1);
-  edges.assign_column(0, pairs, "toyPairwise");
+  const PairLabelRows edges = f.pair_rows(pairs);
   std::int32_t voters = 0;
   std::int32_t filtered = 0;  // candidate edges a neighbor-side key turned away
   for (std::size_t attr = 0; attr < f.codes.size(); ++attr) {
@@ -214,7 +220,7 @@ TEST(LocalVote, PairwiseColumnFiltersByNeighborAndSkipsTheOwnEdge) {
           ++filtered;
         }
       }
-      const auto vote = local_vote(edges.column(0, &f.topo), f.words, model.mask(),
+      const auto vote = local_vote(edges.column(0), f.words, model.mask(),
                                    model.key_for(c, pairs.neighbor[r]), candidates,
                                    static_cast<std::int64_t>(pairs.entity[r]), 0.0);
       EXPECT_EQ(vote ? vote->group_size : 0, expected) << "attr " << attr << " row " << r;
@@ -276,9 +282,8 @@ TEST(BackoffVoting, NeighborSideKeyWithoutANeighborThrows) {
   const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
   const std::vector<AttrRef> deps{{true, f.schema.index_of("carrier_frequency")}};
   const BackoffVoting backoff(pairs, deps, f.words, 1);
-  LabelMatrix edges(f.topo.edge_count(), 1);
-  edges.assign_column(0, pairs, "toyPairwise");
-  const LabelColumn labels = edges.column(0, &f.topo);
+  const PairLabelRows edges = f.pair_rows(pairs);
+  const LabelColumn labels = edges.column(0);
   // Both ladders go through the one key builder; neither may read the
   // attribute column at kInvalidCarrier.
   EXPECT_THROW(
@@ -304,14 +309,13 @@ TEST(BackoffVoting, ViewAndColumnLocalVotesAgree) {
   weights[3] = 0.25;
   weights[6] = 2.0;
   const ParamView pairs = build_param_view(f.topo, f.catalog, f.assignment, 1);
-  LabelMatrix edges(f.topo.edge_count(), 1);
-  edges.assign_column(0, pairs, "toyPairwise");
+  const PairLabelRows edges = f.pair_rows(pairs);
   const std::vector<AttrRef> pair_deps{{false, f.schema.index_of("carrier_frequency")},
                                        {true, f.schema.index_of("market")}};
   const BackoffVoting singular(f.view, f.deps, f.words, 1, /*min_voters=*/1);
   const BackoffVoting pairwise(pairs, pair_deps, f.words, 2, /*min_voters=*/1);
   const LabelColumn single_labels = f.labels();
-  const LabelColumn pair_labels = edges.column(0, &f.topo);
+  const LabelColumn pair_labels = edges.column(0);
   const auto same = [](const std::optional<BackoffVoting::Decision>& a,
                        const std::optional<BackoffVoting::Decision>& b) {
     ASSERT_EQ(a.has_value(), b.has_value());
